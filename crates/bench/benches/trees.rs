@@ -9,7 +9,11 @@
 //! regression fails the bench instead of producing a fast wrong number.
 //!
 //! A release run also self-times the same shapes with `Instant` and
-//! emits `BENCH_trees.json` at the repo root. `HAMLET_BENCH_QUICK=1`
+//! emits `BENCH_trees.json` at the repo root, GBT both ways:
+//! `gbt_factorized_vs_materialized` is `gbt_factorized_s /
+//! gbt_materialized_s` (below 1 means the factorized fit is faster,
+//! even without counting the join the materialized arm pays for). The
+//! header records the worker count the fits resolved. `HAMLET_BENCH_QUICK=1`
 //! shrinks the emission to smoke scale (the CI mode); emission is
 //! skipped under `--test` (the shim runs bench bodies once, which would
 //! record nonsense timings).
@@ -84,6 +88,18 @@ fn bench_trees(c: &mut Criterion) {
                 })
             },
         );
+        g.bench_with_input(
+            BenchmarkId::new("gbt_materialized", ratio),
+            &ratio,
+            |b, _| {
+                b.iter(|| {
+                    let wide = star.materialize_all().unwrap();
+                    let data = Dataset::from_table(&wide);
+                    let feats: Vec<usize> = (0..data.n_features()).collect();
+                    black_box(gbt.fit(&data, &rows, &feats))
+                })
+            },
+        );
         g.bench_with_input(BenchmarkId::new("gbt_factorized", ratio), &ratio, |b, _| {
             b.iter(|| {
                 let view = FactorizedView::new(&star).unwrap();
@@ -130,6 +146,11 @@ fn emit_summary() {
             fit_factorized_tree(&view, &cart, &rows, &feats),
             "CART parity broke at ratio {ratio}"
         );
+        assert_eq!(
+            gbt.fit(&data, &rows, &feats),
+            fit_factorized_gbt(&view, &gbt, &rows, &feats),
+            "GBT parity broke at ratio {ratio}"
+        );
 
         let cart_mat_s = time_secs(
             || {
@@ -148,6 +169,15 @@ fn emit_summary() {
             },
             reps,
         );
+        let gbt_mat_s = time_secs(
+            || {
+                let wide = star.materialize_all().unwrap();
+                let data = Dataset::from_table(&wide);
+                let feats: Vec<usize> = (0..data.n_features()).collect();
+                gbt.fit(&data, &rows, &feats)
+            },
+            reps,
+        );
         let gbt_fac_s = time_secs(
             || {
                 let view = FactorizedView::new(&star).unwrap();
@@ -160,17 +190,22 @@ fn emit_summary() {
             "  {{\"tuple_ratio\": {ratio}, \"n_train\": {}, \
              \"cart_materialized_s\": {cart_mat_s:.4}, \
              \"cart_factorized_s\": {cart_fac_s:.4}, \
+             \"gbt_materialized_s\": {gbt_mat_s:.4}, \
              \"gbt_factorized_s\": {gbt_fac_s:.4}, \
-             \"cart_speedup_factorized\": {:.2}}}",
+             \"cart_speedup_factorized\": {:.2}, \
+             \"gbt_factorized_vs_materialized\": {:.2}}}",
             rows.len(),
             cart_mat_s / cart_fac_s,
+            gbt_fac_s / gbt_mat_s,
         ));
     }
     let doc = format!(
         "{{\n\"bench\": \"trees\",\n\"dataset\": \"fanout star (n_s {n_s}, d_r {D_R})\",\n\
-         \"model_family\": \"gbt\",\n\"gbt_rounds\": {},\n\
+         \"model_family\": \"gbt\",\n\"gbt_rounds\": {},\n\"threads\": {},\n\
          \"results\": [\n{}\n]\n}}\n",
         gbt.rounds,
+        gbt.threads
+            .unwrap_or_else(hamlet_obs::env::resolved_threads),
         entries.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trees.json");

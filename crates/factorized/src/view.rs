@@ -5,11 +5,13 @@
 //! [`hamlet_ml::Dataset::from_table`] applied to the materialized join —
 //! but resolves every foreign-feature access through FK indirection at
 //! read time: `T.X_R[i] = R.X_R[rid_to_row[S.FK[i]]]`. The per-FK dense
-//! lookup index is built once (`O(n_R)`), after which each access is two
-//! array reads. Memory stays `O(n_S + Σ n_Ri)` instead of the
-//! materialized `O(n_S × (d_S + Σ d_Ri))`.
+//! lookup index is built once (`O(n_R)`), after which each access is
+//! three array reads. [`CodeSource::column`] exposes that layout as
+//! [`Column::Via`], keyed by FK slot, so scans can resolve each FK once
+//! for all the features behind it. Memory stays `O(n_S + Σ n_Ri)`
+//! instead of the materialized `O(n_S × (d_S + Σ d_Ri))`.
 
-use hamlet_ml::CodeSource;
+use hamlet_ml::{CodeSource, Column};
 use hamlet_relational::catalog::StarSchema;
 use hamlet_relational::{RelationalError, Result, Role};
 
@@ -43,14 +45,6 @@ pub(crate) struct FkIndex<'a> {
     /// values absent from `R` (never referenced: the star schema
     /// validates referential integrity at construction).
     pub(crate) rid_to_row: Vec<u32>,
-}
-
-impl FkIndex<'_> {
-    /// Resolves one entity row to its attribute-table row.
-    #[inline]
-    pub(crate) fn resolve(&self, entity_row: usize) -> usize {
-        self.rid_to_row[self.fk_codes[entity_row] as usize] as usize
-    }
 }
 
 /// Zero-materialization view over a star schema with the same logical
@@ -259,12 +253,18 @@ impl CodeSource for FactorizedView<'_> {
     }
 
     #[inline]
-    fn code(&self, f: usize, row: usize) -> u32 {
+    fn column(&self, f: usize) -> Column<'_> {
         match f.checked_sub(self.base.len()) {
-            None => self.base[f].codes[row],
+            None => Column::Rows(self.base[f].codes),
             Some(j) => {
                 let jc = &self.joined[j];
-                jc.codes[self.fk_indices[jc.fk].resolve(row)]
+                let idx = &self.fk_indices[jc.fk];
+                Column::Via {
+                    join: jc.fk,
+                    fk_codes: idx.fk_codes,
+                    rid_to_row: &idx.rid_to_row,
+                    codes: jc.codes,
+                }
             }
         }
     }

@@ -52,7 +52,7 @@ pub use logreg::{LogisticRegression, LogisticRegressionModel, Penalty};
 pub use model_selection::{grid_search, grid_search_test_error, GridSearchResult};
 pub use naive_bayes::{NaiveBayes, NaiveBayesModel};
 pub use redundancy::{is_markov_blanket, is_redundant_given_fk, is_weakly_relevant};
-pub use source::CodeSource;
+pub use source::{CodeSource, Column};
 pub use split::{disjoint_train_sets, HoldoutSplit};
 pub use suffstats::{SuffStats, SweepFit};
 pub use tan::{Tan, TanModel};

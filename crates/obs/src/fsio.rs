@@ -103,6 +103,10 @@ mod tests {
     use super::*;
     use hamlet_chaos::failpoint;
 
+    // Every test that reaches the `obs.atomic_write` site holds
+    // `failpoint::serial()`: the failpoint table is process-global, so a
+    // sibling test arming it would otherwise fail these writes.
+
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("hamlet_obs_fsio_test");
         let _ = fs::create_dir_all(&dir);
@@ -111,6 +115,7 @@ mod tests {
 
     #[test]
     fn write_then_read_back() {
+        let _g = failpoint::serial();
         let p = scratch("a.txt");
         atomic_write(&p, b"hello").unwrap();
         assert_eq!(fs::read_to_string(&p).unwrap(), "hello");
@@ -121,6 +126,7 @@ mod tests {
 
     #[test]
     fn creates_missing_directories() {
+        let _g = failpoint::serial();
         let p = scratch("nested/deeper/b.txt");
         let _ = fs::remove_dir_all(scratch("nested"));
         atomic_write(&p, b"x").unwrap();
@@ -130,6 +136,7 @@ mod tests {
 
     #[test]
     fn append_accumulates_lines() {
+        let _g = failpoint::serial();
         let p = scratch("c.jsonl");
         let _ = fs::remove_file(&p);
         atomic_append(&p, "one\n").unwrap();

@@ -364,6 +364,8 @@ mod tests {
 
     #[test]
     fn append_creates_dir_and_appends_lines() {
+        // `append_to` reaches the `obs.atomic_write` failpoint site.
+        let _g = hamlet_chaos::failpoint::serial();
         let dir = std::env::temp_dir().join("hamlet_obs_journal_test");
         let _ = std::fs::remove_dir_all(&dir);
         let entry = RunJournal::capture("test-cmd", "ok", Vec::new());

@@ -1583,6 +1583,7 @@ mod tests {
         };
         // A constant F = 1.4 is nearest class 1; the per-class scores'
         // argmax must agree with predict_row.
+        use hamlet_ml::Column;
         struct One;
         impl CodeSource for One {
             fn n_examples(&self) -> usize {
@@ -1600,8 +1601,8 @@ mod tests {
             fn feature_name(&self, _f: usize) -> &str {
                 "x"
             }
-            fn code(&self, _f: usize, _row: usize) -> u32 {
-                0
+            fn column(&self, _f: usize) -> Column<'_> {
+                Column::Rows(&[0])
             }
             fn label(&self, _row: usize) -> u32 {
                 0

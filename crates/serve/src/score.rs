@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use hamlet_core::ExecStrategy;
-use hamlet_ml::{CodeSource, Model};
+use hamlet_ml::{CodeSource, Column, Model};
 use hamlet_obs::json::{obj, Json};
 
 use crate::artifact::{ModelArtifact, ServableModel};
@@ -248,8 +248,8 @@ impl CodeSource for RowBatch<'_> {
         &self.artifact.features[f].name
     }
 
-    fn code(&self, f: usize, row: usize) -> u32 {
-        self.codes[f][row]
+    fn column(&self, f: usize) -> Column<'_> {
+        Column::Rows(&self.codes[f])
     }
 
     fn label(&self, _row: usize) -> u32 {

@@ -11,10 +11,13 @@
 //! is the `n_R × |D_Y|` FK histogram — independent of join fanout.
 //!
 //! GBT aggregates are float residual sums, where order matters; there
-//! the factorized path runs the same generic row-order scan as the
-//! materialized one, reading codes through FK indirection
-//! ([`hamlet_factorized::FactorizedView`]'s [`CodeSource`] impl) with
-//! zero wide-table allocation.
+//! the factorized path runs the same row-order scan as the materialized
+//! one. [`hamlet_factorized::FactorizedView`] reports each foreign
+//! feature as a [`hamlet_ml::Column::Via`] keyed by its FK, so the scan
+//! resolves every FK once per node for the node's rows and then reads
+//! each foreign feature with one gather into its attribute-table codes.
+//! The only extra allocation is one `u32` per node row per FK, never a
+//! wide table.
 
 use hamlet_factorized::{class_conditional_counts, FactorizedView};
 use hamlet_ml::CodeSource;
@@ -77,4 +80,87 @@ pub fn fit_factorized_gbt(
     feats: &[usize],
 ) -> GbtModel {
     gbt.fit_source(view, rows, feats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hamlet_ml::classifier::Classifier;
+    use hamlet_ml::Dataset;
+    use hamlet_relational::catalog::{AttributeTable, StarSchema};
+    use hamlet_relational::{Domain, TableBuilder};
+
+    /// One attribute table with RIDs stored out of order and two
+    /// foreign features behind the same FK.
+    fn star() -> StarSchema {
+        let rid = Domain::indexed("RID", 3).shared();
+        let r = TableBuilder::new("R")
+            .primary_key("RID", rid.clone(), vec![2, 0, 1])
+            .feature("r1", Domain::indexed("r1", 3).shared(), vec![0, 1, 2])
+            .feature("r2", Domain::boolean("r2").shared(), vec![1, 1, 0])
+            .build()
+            .unwrap();
+        let n = 40;
+        let fk: Vec<u32> = (0..n).map(|i| (i * 7 % 3) as u32).collect();
+        let y: Vec<u32> = fk
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k + (i % 5 == 0) as u32) % 3)
+            .collect();
+        let s = TableBuilder::new("S")
+            .target("y", Domain::indexed("y", 3).shared(), y)
+            .feature(
+                "xs",
+                Domain::boolean("xs").shared(),
+                (0..n).map(|i| (i % 2) as u32).collect(),
+            )
+            .foreign_key("fk", "R", rid, fk)
+            .build()
+            .unwrap();
+        StarSchema::new(
+            s,
+            vec![AttributeTable {
+                fk: "fk".into(),
+                table: r,
+            }],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn gbt_reports_its_span_and_scan_paths() {
+        let counter = |name| hamlet_obs::metrics::counter(name).get();
+        let star = star();
+        let view = FactorizedView::new(&star).unwrap();
+        let data = Dataset::from_table(&star.materialize_all().unwrap());
+        let rows: Vec<usize> = (0..star.n_s()).step_by(2).collect();
+        let feats: Vec<usize> = (0..view.n_features()).collect();
+        let gbt = Gbt {
+            rounds: 2,
+            threads: Some(1),
+            ..Gbt::default()
+        };
+
+        let direct = counter("hamlet_gbt_scan_rows_direct_total");
+        let via = counter("hamlet_gbt_scan_rows_via_fk_total");
+        hamlet_obs::span::set_tracing(true);
+        let fac = fit_factorized_gbt(&view, &gbt, &rows, &feats);
+        hamlet_obs::span::set_tracing(false);
+        assert_eq!(fac, gbt.fit(&data, &rows, &feats));
+
+        // Every root scans all node rows once per feature: `xs` and `fk`
+        // directly, `r1` and `r2` through the FK.
+        let root_rows = gbt.rounds * rows.len();
+        assert!(counter("hamlet_gbt_scan_rows_direct_total") - direct >= 2 * root_rows as u64);
+        assert!(counter("hamlet_gbt_scan_rows_via_fk_total") - via >= 2 * root_rows as u64);
+        // Sibling tests may fit while tracing is on; match on the detail.
+        let detail = format!("rows={} feats=4 rounds=2", rows.len());
+        let spans = hamlet_obs::span::drain_spans();
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == "trees.gbt_fit" && s.detail == detail),
+            "no trees.gbt_fit span with {detail}"
+        );
+    }
 }

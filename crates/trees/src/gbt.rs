@@ -9,17 +9,28 @@
 //!
 //! Determinism discipline: unlike CART's integer count tables, the
 //! split aggregates here are **float residual sums**, so summation
-//! order matters. Every aggregate is accumulated by scanning the node's
-//! rows in ascending entity-row order, generic over [`CodeSource`] —
-//! the factorized path reads codes through FK indirection instead of a
-//! wide table, executing the *same* float additions in the *same*
-//! order. Materialized and factorized GBT models are therefore bitwise
+//! order matters. Every per-value bucket adds its residuals in ascending
+//! node-row order, on every [`CodeSource`]. What differs between sources
+//! is only how a row's code is found, never the order of the additions.
+//!
+//! Split scan layout: once per node, before fanning out over candidate
+//! features, the node's residuals are gathered into one contiguous
+//! array, and each distinct FK the candidates read through
+//! ([`Column::Via`] `join`) is resolved once to attribute-table rows.
+//! A feature's histogram is then one pass over those arrays: a direct
+//! index for [`Column::Rows`], one gather into the `n_R`-sized code
+//! array for `Via`. All features behind one FK share a single
+//! `rid_to_row[fk_codes[r]]` resolution instead of repeating it per
+//! cell. The `hamlet_gbt_scan_rows_{direct,via_fk}_total` counters
+//! record how many rows each layout scanned.
+//!
+//! Materialized and factorized GBT models are therefore bitwise
 //! identical, and split scoring parallelism (chunked over candidate
 //! features, reduced in feature order) cannot perturb them.
 
 use hamlet_ml::classifier::{Classifier, Model};
 use hamlet_ml::dataset::Dataset;
-use hamlet_ml::CodeSource;
+use hamlet_ml::{CodeSource, Column};
 use hamlet_obs::parallel::run_indexed;
 
 use crate::cart::{check_arena, majority, TreeError, GAIN_TOL};
@@ -278,6 +289,77 @@ fn best_reg_split(
     best
 }
 
+/// Per-node inputs shared by every candidate feature's scan: the node's
+/// residuals gathered contiguously in node-row order, and every FK the
+/// candidates read through, resolved once to attribute-table rows (in
+/// the same order).
+struct NodeScan {
+    residual: Vec<f64>,
+    /// `(join, [rid_to_row[fk_codes[r]] for r in rows])`, one entry per
+    /// distinct [`Column::Via`] join among the candidates.
+    resolved: Vec<(usize, Vec<u32>)>,
+}
+
+impl NodeScan {
+    fn new<S: CodeSource>(src: &S, residual: &[f64], rows: &[usize], feats: &[usize]) -> Self {
+        let mut resolved: Vec<(usize, Vec<u32>)> = Vec::new();
+        for &f in feats {
+            if let Column::Via {
+                join,
+                fk_codes,
+                rid_to_row,
+                ..
+            } = src.column(f)
+            {
+                if resolved.iter().all(|(j, _)| *j != join) {
+                    let at = rows
+                        .iter()
+                        .map(|&r| rid_to_row[fk_codes[r] as usize])
+                        .collect();
+                    resolved.push((join, at));
+                }
+            }
+        }
+        Self {
+            residual: rows.iter().map(|&r| residual[r]).collect(),
+            resolved,
+        }
+    }
+
+    /// Per-value row counts and residual sums of one feature over the
+    /// node. Buckets add residuals in ascending node-row order on either
+    /// layout, so the sums are bitwise those of a per-cell `code()` scan.
+    fn histogram(&self, col: Column<'_>, d: usize, rows: &[usize]) -> (Vec<u64>, Vec<f64>) {
+        let mut cnt = vec![0u64; d];
+        let mut sum = vec![0.0f64; d];
+        let mut add = |v: u32, res: f64| {
+            let v = v as usize;
+            if v < d {
+                cnt[v] += 1;
+                sum[v] += res;
+            }
+        };
+        match col {
+            Column::Rows(codes) => {
+                hamlet_obs::counter_add!("hamlet_gbt_scan_rows_direct_total", rows.len());
+                for (&r, &res) in rows.iter().zip(&self.residual) {
+                    add(codes[r], res);
+                }
+            }
+            Column::Via { join, codes, .. } => {
+                hamlet_obs::counter_add!("hamlet_gbt_scan_rows_via_fk_total", rows.len());
+                // `new` resolved each candidate join exactly once.
+                for (_, at) in self.resolved.iter().filter(|(j, _)| *j == join) {
+                    for (&rr, &res) in at.iter().zip(&self.residual) {
+                        add(codes[rr as usize], res);
+                    }
+                }
+            }
+        }
+        (cnt, sum)
+    }
+}
+
 /// Grows one regression subtree over `rows`, updating `scores` for every
 /// row that lands in a created leaf (leaves are created in deterministic
 /// order, and each row belongs to exactly one).
@@ -319,6 +401,9 @@ fn grow_reg<S: CodeSource + Sync>(
     } else {
         total * total / n as f64
     };
+    // Resolved once per node, shared read-only by every worker, and
+    // dropped before recursing so only one level's buffers are live.
+    let scan = NodeScan::new(src, residual, rows, feats);
     let chunk = feats.len().div_ceil(threads.max(1)).max(1);
     let n_chunks = feats.len().div_ceil(chunk);
     let per_chunk = run_indexed(n_chunks, threads, &|ci| {
@@ -328,22 +413,12 @@ fn grow_reg<S: CodeSource + Sync>(
             .iter()
             .map(|&f| {
                 let d = src.feature_domain_size(f).max(1);
-                let mut cnt = vec![0u64; d];
-                let mut sum = vec![0.0f64; d];
-                // Rows are scanned in node order — the same order on the
-                // materialized and factorized paths, so the per-bucket
-                // float sums are bitwise identical.
-                for &r in rows {
-                    let v = src.code(f, r) as usize;
-                    if v < d {
-                        cnt[v] += 1;
-                        sum[v] += residual[r];
-                    }
-                }
+                let (cnt, sum) = scan.histogram(src.column(f), d, rows);
                 best_reg_split(&cnt, &sum, n, total, parent_score).map(|(v, g)| (f, v, g))
             })
             .collect::<Vec<_>>()
     });
+    drop(scan);
     let mut best: Option<(usize, u32, f64)> = None;
     for cand in per_chunk.into_iter().flatten().flatten() {
         if best.is_none_or(|(_, _, g)| cand.2 > g) {
@@ -357,10 +432,11 @@ fn grow_reg<S: CodeSource + Sync>(
         return leaf(nodes, scores);
     }
 
+    let col = src.column(feature);
     let mut left_rows = Vec::new();
     let mut right_rows = Vec::new();
     for &r in rows {
-        if src.code(feature, r) == value {
+        if col.code(r) == value {
             left_rows.push(r);
         } else {
             right_rows.push(r);
@@ -411,6 +487,12 @@ impl Gbt {
         rows: &[usize],
         feats: &[usize],
     ) -> GbtModel {
+        let _span = hamlet_obs::span!(
+            "trees.gbt_fit",
+            rows = rows.len(),
+            feats = feats.len(),
+            rounds = self.rounds
+        );
         let threads = self
             .threads
             .unwrap_or_else(hamlet_obs::env::resolved_threads);

@@ -17,48 +17,116 @@ use hamlet::relational::{
 };
 use hamlet::trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
 
-/// Strategy: a random one-attribute-table star — `n_r` attribute rows
-/// with one foreign feature, `n_s` entity rows with an entity feature,
-/// FKs, and ternary labels (mirrors `proptests_factorized.rs`).
-fn star_instance() -> impl Strategy<Value = (usize, Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>)> {
-    (2usize..10).prop_flat_map(|n_r| {
+/// A random two-attribute-table star: `R` stores its RIDs in order,
+/// `Q` stores them out of order, each carries two foreign features, and
+/// the entity table has one feature, both FKs and ternary labels. Two
+/// joins with different RID layouts make a mix-up of resolved rows
+/// between FKs change the fitted model.
+#[derive(Debug, Clone)]
+struct Instance {
+    /// Two foreign features per `R` row, row-major.
+    r_feats: Vec<u32>,
+    /// The RID stored at each `Q` row: a permutation, never the identity.
+    q_rids: Vec<u32>,
+    /// Two foreign features per `Q` row, row-major.
+    q_feats: Vec<u32>,
+    fk_r: Vec<u32>,
+    fk_q: Vec<u32>,
+    xs: Vec<u32>,
+    ys: Vec<u32>,
+}
+
+fn star_instance() -> impl Strategy<Value = Instance> {
+    (2usize..10, 2usize..8).prop_flat_map(|(n_r, n_q)| {
         (
-            Just(n_r),
-            proptest::collection::vec(0..5u32, n_r), // X_R per RID
-            proptest::collection::vec(0..n_r as u32, 20..150), // FK codes
+            proptest::collection::vec(0..5u32, n_r * 2),
+            proptest::collection::vec(0..1000u32, n_q), // sort keys for Q's RID order
+            proptest::collection::vec(0..4u32, n_q * 2),
+            proptest::collection::vec((0..n_r as u32, 0..n_q as u32), 20..150),
         )
-            .prop_flat_map(|(n_r, xr, fks)| {
+            .prop_flat_map(|(r_feats, keys, q_feats, fks)| {
                 let n_s = fks.len();
                 (
-                    Just(n_r),
-                    Just(xr),
-                    Just(fks),
-                    proptest::collection::vec(0..3u32, n_s), // entity feature
-                    proptest::collection::vec(0..3u32, n_s), // labels
+                    Just((r_feats, keys, q_feats, fks)),
+                    proptest::collection::vec((0..3u32, 0..3u32), n_s), // (xs, y)
                 )
+            })
+            .prop_map(|((r_feats, keys, q_feats, fks), xys)| {
+                let mut q_rids: Vec<u32> = (0..keys.len() as u32).collect();
+                q_rids.sort_by_key(|&i| (keys[i as usize], i));
+                if q_rids.windows(2).all(|w| w[0] < w[1]) {
+                    q_rids.reverse();
+                }
+                Instance {
+                    r_feats,
+                    q_rids,
+                    q_feats,
+                    fk_r: fks.iter().map(|p| p.0).collect(),
+                    fk_q: fks.iter().map(|p| p.1).collect(),
+                    xs: xys.iter().map(|p| p.0).collect(),
+                    ys: xys.iter().map(|p| p.1).collect(),
+                }
             })
     })
 }
 
-fn build_star(n_r: usize, xr: Vec<u32>, fks: Vec<u32>, xs: Vec<u32>, ys: Vec<u32>) -> StarSchema {
-    let rid = Domain::indexed("RID", n_r).shared();
+/// Column `k` of a row-major two-column feature block.
+fn col(pairs: &[u32], k: usize) -> Vec<u32> {
+    pairs.iter().skip(k).step_by(2).copied().collect()
+}
+
+fn build_star(inst: &Instance) -> StarSchema {
+    let n_r = inst.r_feats.len() / 2;
+    let n_q = inst.q_rids.len();
+    let rid_r = Domain::indexed("RID", n_r).shared();
     let r = TableBuilder::new("R")
-        .primary_key("RID", rid.clone(), (0..n_r as u32).collect())
-        .feature("xr", Domain::indexed("xr", 5).shared(), xr)
+        .primary_key("RID", rid_r.clone(), (0..n_r as u32).collect())
+        .feature(
+            "xr",
+            Domain::indexed("xr", 5).shared(),
+            col(&inst.r_feats, 0),
+        )
+        .feature(
+            "xr2",
+            Domain::indexed("xr2", 5).shared(),
+            col(&inst.r_feats, 1),
+        )
+        .build()
+        .unwrap();
+    let rid_q = Domain::indexed("QID", n_q).shared();
+    let q = TableBuilder::new("Q")
+        .primary_key("QID", rid_q.clone(), inst.q_rids.clone())
+        .feature(
+            "xq",
+            Domain::indexed("xq", 4).shared(),
+            col(&inst.q_feats, 0),
+        )
+        .feature(
+            "xq2",
+            Domain::indexed("xq2", 4).shared(),
+            col(&inst.q_feats, 1),
+        )
         .build()
         .unwrap();
     let s = TableBuilder::new("S")
-        .target("y", Domain::indexed("y", 3).shared(), ys)
-        .feature("xs", Domain::indexed("xs", 3).shared(), xs)
-        .foreign_key("fk", "R", rid, fks)
+        .target("y", Domain::indexed("y", 3).shared(), inst.ys.clone())
+        .feature("xs", Domain::indexed("xs", 3).shared(), inst.xs.clone())
+        .foreign_key("fk_r", "R", rid_r, inst.fk_r.clone())
+        .foreign_key("fk_q", "Q", rid_q, inst.fk_q.clone())
         .build()
         .unwrap();
     StarSchema::new(
         s,
-        vec![AttributeTable {
-            fk: "fk".into(),
-            table: r,
-        }],
+        vec![
+            AttributeTable {
+                fk: "fk_r".into(),
+                table: r,
+            },
+            AttributeTable {
+                fk: "fk_q".into(),
+                table: q,
+            },
+        ],
     )
     .unwrap()
 }
@@ -69,8 +137,8 @@ proptest! {
     /// tree is the *identical arena* — same splits, same leaves — and
     /// therefore predicts identically on every row.
     #[test]
-    fn factorized_cart_is_bitwise_identical((n_r, xr, fks, xs, ys) in star_instance()) {
-        let star = build_star(n_r, xr, fks, xs, ys);
+    fn factorized_cart_is_bitwise_identical(inst in star_instance()) {
+        let star = build_star(&inst);
         let wide = star.materialize_all().unwrap();
         let data = Dataset::from_table(&wide);
         let view = FactorizedView::new(&star).unwrap();
@@ -85,26 +153,33 @@ proptest! {
         }
     }
 
-    /// GBT: the factorized path streams codes in the same row order the
+    /// GBT: the factorized path resolves each FK once per node and
+    /// adds every bucket's residuals in the same node-row order the
     /// materialized scan uses, so the float program — and thus every
-    /// leaf value and raw score — is bitwise equal.
+    /// leaf value and raw score — is bitwise equal, at any thread count
+    /// and on a non-contiguous training set.
     #[test]
-    fn factorized_gbt_is_bitwise_identical((n_r, xr, fks, xs, ys) in star_instance()) {
-        let star = build_star(n_r, xr, fks, xs, ys);
+    fn factorized_gbt_is_bitwise_identical(inst in star_instance()) {
+        let star = build_star(&inst);
         let wide = star.materialize_all().unwrap();
         let data = Dataset::from_table(&wide);
         let view = FactorizedView::new(&star).unwrap();
-        let train: Vec<usize> = (0..star.n_s()).collect();
+        let train: Vec<usize> = (0..star.n_s()).step_by(2).collect();
         let feats: Vec<usize> = (0..data.n_features()).collect();
-        let gbt = Gbt { rounds: 4, ..Gbt::default() };
-        let m_mat = gbt.fit(&data, &train, &feats);
-        let m_fac = fit_factorized_gbt(&view, &gbt, &train, &feats);
-        prop_assert_eq!(&m_mat, &m_fac);
-        for row in 0..star.n_s() {
-            prop_assert!(
-                m_mat.raw_score(&data, row).to_bits() == m_fac.raw_score(&view, row).to_bits(),
-                "row {} raw scores diverge", row
-            );
+        let reference = Gbt { rounds: 4, threads: Some(1), ..Gbt::default() }
+            .fit(&data, &train, &feats);
+        for threads in [1, 2] {
+            let gbt = Gbt { rounds: 4, threads: Some(threads), ..Gbt::default() };
+            let m_mat = gbt.fit(&data, &train, &feats);
+            let m_fac = fit_factorized_gbt(&view, &gbt, &train, &feats);
+            prop_assert_eq!(&reference, &m_mat);
+            prop_assert_eq!(&reference, &m_fac);
+            for row in 0..star.n_s() {
+                prop_assert!(
+                    m_mat.raw_score(&data, row).to_bits() == m_fac.raw_score(&view, row).to_bits(),
+                    "row {} raw scores diverge at {} threads", row, threads
+                );
+            }
         }
     }
 
@@ -113,8 +188,8 @@ proptest! {
     /// bitwise identical at 1 and 8 threads (`threads` is exactly what
     /// `HAMLET_THREADS` resolves into) — for CART and GBT both.
     #[test]
-    fn tree_models_are_thread_count_invariant((n_r, xr, fks, xs, ys) in star_instance()) {
-        let star = build_star(n_r, xr, fks, xs, ys);
+    fn tree_models_are_thread_count_invariant(inst in star_instance()) {
+        let star = build_star(&inst);
         let wide = star.materialize_all().unwrap();
         let data = Dataset::from_table(&wide);
         let train: Vec<usize> = (0..star.n_s()).collect();
