@@ -9,9 +9,14 @@
 //! with the end-to-end wall-clock and a parity gate (the advisor verdict
 //! over the discovered star must equal the declared-metadata verdict —
 //! the bench aborts rather than record numbers for a wrong answer).
+//! After the gate, two stage rows time the layers inside the run over
+//! the same corpus: `ingest` (the all-nominal mining load of every
+//! file) and `verify` (every FD check the run reported, re-run on the
+//! loaded tables and required to reproduce its violation count).
 //! `HAMLET_BENCH_QUICK=1` drops repetitions; emission is skipped under
 //! `--test` (the shim runs bodies once, timings would be nonsense).
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -19,9 +24,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hamlet_bench::walmart;
 use hamlet_core::advisor::{advise, AdvisorConfig};
-use hamlet_discovery::{discover_corpus, DiscoveryConfig};
+use hamlet_discovery::{check_fd, discover_corpus, DiscoveryConfig};
 use hamlet_experiments::discovery::corpus_of;
 use hamlet_obs::atomic_write;
+use hamlet_relational::{csv_header, read_csv, ColumnSpec, Table};
 
 fn config() -> DiscoveryConfig {
     DiscoveryConfig {
@@ -56,6 +62,23 @@ fn time_secs<T, F: FnMut() -> T>(mut f: F, reps: usize) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// The mining load alone: every corpus file as an all-nominal table,
+/// keyed by table name — the load `discover_corpus` starts with.
+fn mining_loads(corpus: &BTreeMap<String, String>) -> BTreeMap<String, Table> {
+    corpus
+        .iter()
+        .map(|(file, text)| {
+            let name = file.trim_end_matches(".csv");
+            let header = csv_header(text, ',').unwrap();
+            let specs: Vec<(&str, ColumnSpec)> = header
+                .iter()
+                .map(|h| (h.as_str(), ColumnSpec::feature(h)))
+                .collect();
+            (name.to_string(), read_csv(name, text, &specs, ',').unwrap())
+        })
+        .collect()
 }
 
 /// Advisor verdicts keyed by FK column (table names change case across
@@ -102,21 +125,45 @@ fn emit_summary() {
         "discovery bench: advisor parity broke"
     );
 
+    // Stage parity: the verify stage re-runs exactly the reported checks.
+    let tables = mining_loads(&corpus);
+    let verify_all = || {
+        d.report
+            .fds
+            .iter()
+            .map(|f| check_fd(&tables[&f.table], &f.determinant, &f.dependent).unwrap())
+            .collect::<Vec<_>>()
+    };
+    for (f, c) in d.report.fds.iter().zip(verify_all()) {
+        assert_eq!(
+            c.violations, f.violations,
+            "discovery bench: FD parity broke"
+        );
+    }
+
     let corpus_bytes: usize = corpus.values().map(String::len).sum();
+    let mb_per_s = |s: f64| corpus_bytes as f64 / 1e6 / s;
     let end_to_end_s = time_secs(|| discover_corpus(&corpus, &cfg).unwrap(), reps);
+    let ingest_s = time_secs(|| mining_loads(&corpus), reps);
+    let verify_s = time_secs(verify_all, reps);
     let doc = format!(
         "{{\n\"bench\": \"discovery\",\n\"dataset\": \"Walmart (bench scale)\",\n\
-         \"model_family\": \"naive_bayes\",\n\
+         \"model_family\": \"naive_bayes\",\n\"threads\": {},\n\
          \"tables\": {},\n\"corpus_bytes\": {corpus_bytes},\n\
          \"entity_rows\": {},\n\
          \"results\": [\n  {{\"stage\": \"end_to_end\", \"median_s\": {end_to_end_s:.4}, \
          \"mb_per_s\": {:.1}, \"edges_recovered\": {}, \"fds_verified\": {}, \
-         \"advisor_parity\": \"exact\"}}\n]\n}}\n",
+         \"advisor_parity\": \"exact\"}},\n  \
+         {{\"stage\": \"ingest\", \"median_s\": {ingest_s:.4}, \"mb_per_s\": {:.1}}},\n  \
+         {{\"stage\": \"verify\", \"median_s\": {verify_s:.5}, \"fd_checks\": {}}}\n]\n}}\n",
+        cfg.threads,
         corpus.len(),
         g.star.n_s(),
-        corpus_bytes as f64 / 1e6 / end_to_end_s,
+        mb_per_s(end_to_end_s),
         d.report.accepted_fks().count(),
         d.report.accepted_fds().count(),
+        mb_per_s(ingest_s),
+        d.report.fds.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_discovery.json");
     if let Err(e) = atomic_write(Path::new(path), doc.as_bytes()) {

@@ -12,7 +12,7 @@
 //! gap with the same join-avoidance discipline the factorized learners
 //! use: per-column fingerprint sketches propose inclusion dependencies
 //! (FK edges with containment scores), and the implied FDs `FK -> X_R`
-//! are verified by a count-table fold over per-table partitions, with a
+//! are verified by partition counting over sorted per-table codes, with a
 //! dirty-data tolerance (`HAMLET_FD_MAX_VIOLATIONS`) that lets FDs
 //! holding on all-but-quarantined rows qualify — every accepted *and*
 //! rejected candidate journaled with its evidence.
@@ -293,5 +293,35 @@ mod tests {
             e,
             DiscoveryError::Io { .. } | DiscoveryError::EmptyCorpus { .. }
         ));
+    }
+
+    #[test]
+    fn stages_emit_spans_and_the_unescape_counter() {
+        let mut c = star_corpus();
+        c.insert(
+            "employers.csv".to_string(),
+            "EmployerID,Country,Size\ne1,\"N\"\"Z\",big\ne2,IN,\"small\"\ne3,\"N\"\"Z\",small\n"
+                .to_string(),
+        );
+        let counter = || hamlet_obs::metrics::counter("hamlet_ingest_unescaped_fields_total").get();
+        let before = counter();
+        hamlet_obs::span::set_tracing(true);
+        let d = discover_corpus(&c, &DiscoveryConfig::default()).unwrap();
+        hamlet_obs::span::set_tracing(false);
+        assert_eq!(d.report.accepted_fks().count(), 2);
+        // Two `"N""Z"` cells unescape; the quoted `"small"` stays borrowed.
+        // Sibling tests may load quoted fields concurrently, hence `>=`.
+        assert!(counter() - before >= 2);
+        let spans = hamlet_obs::span::drain_spans();
+        for (name, detail) in [
+            ("discovery.load", "tables=3"),
+            ("discovery.sketch", "columns=9"),
+            ("discovery.verify", "fds=5"),
+        ] {
+            assert!(
+                spans.iter().any(|s| s.name == name && s.detail == detail),
+                "no {name} span with {detail}"
+            );
+        }
     }
 }

@@ -191,6 +191,7 @@ pub fn discover_dir(dir: &Path, cfg: &DiscoveryConfig) -> Result<Discovery, Disc
             source: dir.display().to_string(),
         });
     }
+    let load_span = hamlet_obs::span!("discovery.load", tables = names.len());
     let mut tables: Vec<Mined> = Vec::new();
     for file in &names {
         let path = dir.join(file);
@@ -206,6 +207,7 @@ pub fn discover_dir(dir: &Path, cfg: &DiscoveryConfig) -> Result<Discovery, Disc
         let load = read_csv_file_lenient(&name, &path, &spec_refs, ',', cfg.on_dirty)?;
         tables.push(mined_from_load(file, name, load));
     }
+    drop(load_span);
     discover_tables(tables, cfg)
 }
 
@@ -224,6 +226,7 @@ pub fn discover_corpus(
     // Stage 1: load every file as an all-nominal table. No roles are
     // assumed, so duplicate "keys" and stringly numerics survive as data
     // for the evidence passes below.
+    let load_span = hamlet_obs::span!("discovery.load", tables = corpus.len());
     let mut tables: Vec<Mined> = Vec::new();
     for (file, text) in corpus {
         let name = stem(file);
@@ -238,6 +241,7 @@ pub fn discover_corpus(
         let load = read_csv_lenient(&name, text, &spec_refs, ',', cfg.on_dirty)?;
         tables.push(mined_from_load(file, name, load));
     }
+    drop(load_span);
     discover_tables(tables, cfg)
 }
 
@@ -256,16 +260,19 @@ fn discover_tables(tables: Vec<Mined>, cfg: &DiscoveryConfig) -> Result<Discover
         .enumerate()
         .flat_map(|(t, m)| (0..m.table.schema().len()).map(move |c| (t, c)))
         .collect();
-    let sketches: Vec<ColumnSketch> = run_indexed(col_ix.len(), cfg.threads, &|i| {
-        let (t, c) = col_ix[i];
-        let m = &tables[t];
-        ColumnSketch::of_column(
-            &m.name,
-            &m.table.schema().attributes()[c].name,
-            m.table.column(c),
-            cfg.sketch_size,
-        )
-    });
+    let sketches: Vec<ColumnSketch> = {
+        let _span = hamlet_obs::span!("discovery.sketch", columns = col_ix.len());
+        run_indexed(col_ix.len(), cfg.threads, &|i| {
+            let (t, c) = col_ix[i];
+            let m = &tables[t];
+            ColumnSketch::of_column(
+                &m.name,
+                &m.table.schema().attributes()[c].name,
+                m.table.column(c),
+                cfg.sketch_size,
+            )
+        })
+    };
     let sketch_of = |t: usize, c: usize| -> &ColumnSketch {
         // col_ix is (t, c) in row-major order over the same schemas.
         let base: usize = tables[..t].iter().map(|m| m.table.schema().len()).sum();
@@ -528,10 +535,13 @@ fn discover_tables(tables: Vec<Mined>, cfg: &DiscoveryConfig) -> Result<Discover
             });
         }
     }
-    let checks = run_indexed(jobs.len(), cfg.threads, &|i| {
-        let j = &jobs[i];
-        check_fd(&tables[j.table_ix].table, &j.det, &j.dep)
-    });
+    let checks = {
+        let _span = hamlet_obs::span!("discovery.verify", fds = jobs.len());
+        run_indexed(jobs.len(), cfg.threads, &|i| {
+            let j = &jobs[i];
+            check_fd(&tables[j.table_ix].table, &j.det, &j.dep)
+        })
+    };
     let mut fds: Vec<FdEvidence> = Vec::with_capacity(jobs.len());
     for (j, c) in jobs.iter().zip(checks) {
         let c = c?;
@@ -770,7 +780,7 @@ fn single_table_discovery(
     })?;
 
     // Inferred FDs, with the target barred from both sides, verified
-    // through the same count-table fold for uniform evidence.
+    // through the same sorted-partition check for uniform evidence.
     let inferred = hamlet_relational::infer_single_fds(&mined.table, 2);
     let mut fds: Vec<FdEvidence> = Vec::new();
     for fd in &inferred {

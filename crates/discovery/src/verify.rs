@@ -1,16 +1,18 @@
-//! Factorized FD verification: a count-table fold over one table.
+//! Factorized FD verification: partition counting over one table.
 //!
 //! The paper's multi-table FD `FK -> X_R` never needs the join to be
 //! checked: after the KFK join every entity row carries exactly the
 //! attribute row its FK points at, so the FD holds in the join iff
 //! `RID -> X_R` holds in the attribute table (and `FK -> X_S` candidates
 //! can be checked directly on the entity). This module verifies such a
-//! single-table FD with the same sufficient-statistics discipline the
-//! factorized learners use: partition rows by determinant code (the
-//! per-table hash partition), count dependent codes per partition, and
-//! read the violation count off the counts — `Σ_group (rows_in_group −
-//! majority_count)`. Memory is bounded by the number of *distinct*
-//! (determinant, dependent) pairs, never the joined width.
+//! single-table FD as partition counting over codes (Comignani et al.,
+//! arXiv 2012.06237): each row's `(determinant, dependent)` code pair is
+//! packed into one `u64` and the vector is sorted — the sorted
+//! partition. Each determinant group is then a contiguous run, each
+//! dependent value a run inside it, and the violation count is read off
+//! the run lengths — `Σ_group (rows_in_group − majority_count)`. Memory
+//! is one `u64` per row plus one entry per *violating* group, never the
+//! joined width and never a hash map per group.
 //!
 //! Dirty data is first-class: a dup-keyed or miskeyed row shows up as a
 //! violation, and the caller decides (via `HAMLET_FD_MAX_VIOLATIONS`)
@@ -64,41 +66,45 @@ impl FdCheck {
     }
 }
 
-/// Checks `det -> dep` in `table` with a count-table fold.
+/// Checks `det -> dep` in `table` over a sorted partition.
 ///
 /// Ties inside a group (two dependent values with equal counts) resolve
 /// to the smaller code so the violation count and examples are
-/// deterministic regardless of row or hash order.
+/// deterministic regardless of row order.
 pub fn check_fd(table: &Table, det: &str, dep: &str) -> Result<FdCheck, RelationalError> {
     let det_col = table.column_by_name(det)?;
     let dep_col = table.column_by_name(dep)?;
 
-    // Fold rows into per-partition dependent counts.
-    let mut counts: HashMap<u32, HashMap<u32, u64>> = HashMap::new();
-    for row in 0..table.n_rows() {
-        *counts
-            .entry(det_col.get(row))
-            .or_default()
-            .entry(dep_col.get(row))
-            .or_insert(0) += 1;
-    }
+    // Sorted partition: one packed `(det, dep)` key per row, sorted, so
+    // each determinant group is a contiguous run and each dependent value
+    // a run inside it.
+    let mut pairs: Vec<u64> = det_col
+        .codes()
+        .iter()
+        .zip(dep_col.codes())
+        .map(|(&d, &v)| (u64::from(d) << 32) | u64::from(v))
+        .collect();
+    pairs.sort_unstable();
 
-    // Majority dependent per partition; violations fall out of the counts.
-    let mut majority: HashMap<u32, u32> = HashMap::with_capacity(counts.len());
+    // Majority dependent per group; violations fall out of the run
+    // lengths. Dependent runs arrive in ascending code order, so a
+    // strict `>` keeps the smaller code on ties. Only groups with
+    // violations keep a majority entry, for the evidence pass.
+    let mut majority: HashMap<u32, u32> = HashMap::new();
     let mut violations = 0u64;
-    for (&det_code, deps) in &counts {
-        let mut best_code = u32::MAX;
-        let mut best_n = 0u64;
-        let mut total = 0u64;
-        for (&code, &n) in deps {
-            total += n;
-            if n > best_n || (n == best_n && code < best_code) {
-                best_code = code;
-                best_n = n;
+    let mut groups = 0usize;
+    for group in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
+        groups += 1;
+        let (mut best, mut best_n) = (0u64, 0usize);
+        for run in group.chunk_by(|a, b| a == b) {
+            if run.len() > best_n {
+                (best, best_n) = (run[0], run.len());
             }
         }
-        violations += total - best_n;
-        majority.insert(det_code, best_code);
+        if best_n < group.len() {
+            violations += (group.len() - best_n) as u64;
+            majority.insert((best >> 32) as u32, best as u32);
+        }
     }
 
     // Evidence pass: the first few violating rows, in row order.
@@ -127,7 +133,7 @@ pub fn check_fd(table: &Table, det: &str, dep: &str) -> Result<FdCheck, Relation
         determinant: det.to_string(),
         dependent: dep.to_string(),
         rows: table.n_rows(),
-        groups: counts.len(),
+        groups,
         violations,
         examples,
     })

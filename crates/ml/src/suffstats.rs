@@ -800,19 +800,29 @@ mod tests {
         let d = data();
         let train: Vec<usize> = (0..240).collect();
         let stats = SuffStats::new(&d, &train);
-        let before = hamlet_obs::metrics::counter("hamlet_suffstats_misses_total").get();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..8 {
-                        let _ = stats.table(1);
-                    }
-                });
-            }
+        // Instance-local evidence: the process-global miss counter is
+        // bumped concurrently by sibling tests, so assert on this
+        // instance instead — one build means one shared allocation.
+        let ptrs: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..8)
+                            .map(|_| stats.table(1).as_ptr() as usize)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
         });
-        let misses = hamlet_obs::metrics::counter("hamlet_suffstats_misses_total").get() - before;
-        assert_eq!(misses, 1, "the table must be built exactly once");
-        assert!(hamlet_obs::metrics::counter("hamlet_suffstats_hits_total").get() >= 31);
+        assert_eq!(ptrs.len(), 32);
+        assert!(
+            ptrs.iter().all(|&p| p == ptrs[0]),
+            "the table must be built exactly once and shared"
+        );
     }
 
     #[test]

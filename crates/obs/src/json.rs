@@ -6,7 +6,7 @@
 //! escapes, integers/floats, booleans, null. Not a general-purpose
 //! parser (no surrogate-pair decoding in `\u` escapes beyond the BMP).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -93,9 +93,9 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                    let _ = write!(out, "{}", *n as i64);
                 } else if n.is_finite() {
-                    out.push_str(&format!("{n}"));
+                    let _ = write!(out, "{n}");
                 } else {
                     out.push_str("null"); // JSON has no NaN/Inf
                 }

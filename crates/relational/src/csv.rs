@@ -6,7 +6,16 @@
 //! and writes tables back out. The dialect is deliberately small: one
 //! header row, a configurable delimiter, double-quote quoting with `""`
 //! escapes, no embedded newlines.
+//!
+//! Records are tokenized by one splitter, `split_fields`, shared by the
+//! streaming reader and the header helpers. It scans the line's bytes
+//! and yields each field as a `Cow<str>`: a field whose decoded text is
+//! one contiguous slice of the line (no quotes, or quotes only around
+//! it) borrows that slice; a field that drops interior quotes or
+//! unescapes `""` is copied into an owned `String`. A quote toggles
+//! quoting wherever it appears, and a delimiter inside quotes is data.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
@@ -54,34 +63,81 @@ impl ColumnSpec {
     }
 }
 
-/// Splits one CSV record, honouring double-quote quoting.
-pub(crate) fn split_record(line: &str, delimiter: char) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                field.push(c);
-            }
-        } else if c == '"' {
-            in_quotes = true;
-        } else if c == delimiter {
-            fields.push(std::mem::take(&mut field));
-        } else {
-            field.push(c);
-        }
+/// Splits one CSV record into its fields, honouring double-quote
+/// quoting: the crate's one tokenizer.
+///
+/// A field whose text is one contiguous slice of `line` — no quotes, or
+/// quotes only around it — is yielded [`Cow::Borrowed`]; only a field
+/// that must drop interior quotes or unescape `""` allocates. A record
+/// always has at least one field, and a trailing delimiter yields a
+/// trailing empty field.
+pub(crate) fn split_fields(line: &str, delimiter: char) -> Fields<'_> {
+    let mut delim = [0u8; 4];
+    let dlen = delimiter.encode_utf8(&mut delim).len();
+    Fields {
+        line,
+        delim,
+        dlen,
+        pos: Some(0),
     }
-    fields.push(field);
-    fields
+}
+
+/// Iterator returned by [`split_fields`].
+pub(crate) struct Fields<'a> {
+    line: &'a str,
+    delim: [u8; 4],
+    dlen: usize,
+    /// Start of the next field; `None` once the last one was yielded.
+    pos: Option<usize>,
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = Cow<'a, str>;
+
+    fn next(&mut self) -> Option<Cow<'a, str>> {
+        let (line, bytes) = (self.line, self.line.as_bytes());
+        let delim = &self.delim[..self.dlen];
+        let mut i = self.pos?;
+        // The field is `line[lo..hi]` until a second, non-adjacent
+        // segment forces a copy into `owned`. Quote and delimiter bytes
+        // are never UTF-8 continuation bytes, so every cut is on a char
+        // boundary.
+        let (mut lo, mut hi, mut owned) = (i, i, None::<String>);
+        let mut push = |a: usize, b: usize| match owned.as_mut() {
+            _ if a == b => {}
+            Some(s) => s.push_str(&line[a..b]),
+            None if lo == hi => (lo, hi) = (a, b),
+            None if hi == a => hi = b,
+            None => owned = Some([&line[lo..hi], &line[a..b]].concat()),
+        };
+        let mut seg = i;
+        let mut in_quotes = false;
+        loop {
+            if i == bytes.len() {
+                push(seg, i);
+                self.pos = None;
+                break;
+            }
+            if bytes[i] == b'"' {
+                push(seg, i);
+                if in_quotes && bytes.get(i + 1) == Some(&b'"') {
+                    push(i, i + 1);
+                    i += 2;
+                } else {
+                    in_quotes = !in_quotes;
+                    i += 1;
+                }
+                seg = i;
+            } else if !in_quotes && bytes[i] == delim[0] && bytes[i..].starts_with(delim) {
+                push(seg, i);
+                self.pos = Some(i + delim.len());
+                break;
+            } else {
+                i += 1;
+            }
+        }
+        Some(owned.map_or(Cow::Borrowed(&line[lo..hi]), Cow::Owned))
+    }
 }
 
 /// Parses the header row of a CSV (the first non-blank line), honouring
@@ -91,7 +147,12 @@ pub(crate) fn split_record(line: &str, delimiter: char) -> Vec<String> {
 pub fn csv_header(text: &str, delimiter: char) -> Option<Vec<String>> {
     text.lines()
         .find(|l| !l.trim().is_empty())
-        .map(|l| split_record(l, delimiter))
+        .map(|l| owned_fields(l, delimiter))
+}
+
+/// Every field of `line`, owned (header rows).
+pub(crate) fn owned_fields(line: &str, delimiter: char) -> Vec<String> {
+    split_fields(line, delimiter).map(Cow::into_owned).collect()
 }
 
 /// [`csv_header`] for a file on disk: reads only up to the first
@@ -106,7 +167,7 @@ pub fn csv_header_path(path: &std::path::Path, delimiter: char) -> Result<Option
     for line in std::io::BufReader::new(file).lines() {
         let line = line.map_err(io_err)?;
         if !line.trim().is_empty() {
-            return Ok(Some(split_record(&line, delimiter)));
+            return Ok(Some(owned_fields(&line, delimiter)));
         }
     }
     Ok(None)
@@ -545,6 +606,16 @@ c4,no,M,44.0,e2
         );
         assert_eq!(csv_header("", ','), None);
         assert_eq!(csv_header("  \n\t\n", ','), None);
+    }
+
+    #[test]
+    fn splitter_borrows_unless_it_must_unescape() {
+        let fields: Vec<Cow<str>> = split_fields("a,\"b,c\",d\"\"e,\"f\"\"g\",", ',').collect();
+        assert_eq!(fields, ["a", "b,c", "de", "f\"g", ""]);
+        let owned: Vec<bool> = fields.iter().map(|f| matches!(f, Cow::Owned(_))).collect();
+        assert_eq!(owned, [false, false, true, true, false]);
+        assert_eq!(split_fields("", ',').collect::<Vec<_>>(), [""]);
+        assert_eq!(split_fields("x→y", '→').collect::<Vec<_>>(), ["x", "y"]);
     }
 
     #[test]

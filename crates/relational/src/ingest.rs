@@ -1,27 +1,39 @@
 //! Streaming CSV ingest under a memory budget.
 //!
-//! [`crate::csv::read_csv_lenient`] historically required the whole file
-//! as one `String` and materialized every column densely — fine for the
-//! paper-scale fixtures, hopeless when the encoded table is larger than
-//! RAM. This module is the out-of-core replacement: a single forward
+//! [`read_csv_chunked`] is the crate's one CSV reader: a single forward
 //! pass over any [`BufRead`], encoding each column **chunk by chunk**
 //! (one morsel of rows at a time, `HAMLET_MORSEL_ROWS`) and, when the
 //! resident set would exceed the budget (`HAMLET_MEM_BUDGET_MB`),
 //! spilling completed chunks to disk through
-//! [`hamlet_obs::atomic_write`]. The product is a
-//! [`ChunkedTable`] whose chunks are read back morsel-at-a-time by the
-//! scans in [`crate::chunk`].
+//! [`hamlet_obs::atomic_write`]. The product is a [`ChunkedTable`]
+//! whose chunks are read back morsel-at-a-time by the scans in
+//! [`crate::chunk`]. The dense reader ([`crate::csv::read_csv_lenient`])
+//! streams from an in-memory cursor with no budget and densifies the
+//! result, so every validation rule — field-count checks, numeric
+//! parses, duplicate-PK detection, quarantine ordering and budgets,
+//! first-appearance nominal dictionaries, equal-width binning over the
+//! global min/max — runs through this one code path.
 //!
-//! Semantics are identical to the dense reader **by construction**: the
-//! dense reader is now a thin wrapper that streams from an in-memory
-//! cursor with no budget and densifies the result, so every validation
-//! rule — field-count checks, numeric parses, duplicate-PK detection,
-//! quarantine ordering and budgets, first-appearance nominal dictionaries,
-//! equal-width binning over the global min/max — runs through this one
-//! code path. `tests/proptests_dataplane.rs` additionally pins that a
-//! budget-forced spilled load is bit-for-bit identical to the dense one.
+//! **Borrowed fields.** The hot loop allocates per distinct value, not
+//! per cell or row. Each line is read into one reused buffer (stripped
+//! of `\n` / `\r\n` exactly as `BufRead::lines` does; blank lines are
+//! skipped and not numbered). The `csv` module's splitter yields each
+//! field as a `Cow<str>` that borrows from that buffer unless it must
+//! drop quotes or unescape `""`; the count of such owned fields is
+//! added to `hamlet_ingest_unescaped_fields_total` once per load.
+//! Dictionaries are probed by `&str`, so a label is copied only on its
+//! first appearance, and the duplicate-key check probes the primary-key
+//! column's own dictionary. Numeric fields are parsed once, while the
+//! row is validated, and the sinks take those values. Only a
+//! quarantined row copies its raw line.
+//!
+//! `tests/proptests_relational.rs` pins the reader against an oracle
+//! built on `lines()` and a char-by-char splitter;
+//! `tests/proptests_dataplane.rs` pins that a budget-forced spilled
+//! load is bit-for-bit identical to the dense one.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,7 +42,7 @@ use crate::binning::EqualWidthBinner;
 use crate::chunk::{
     write_codes_chunk, write_values_chunk, Chunk, ChunkedColumn, ChunkedTable, SpillDir,
 };
-use crate::csv::{split_record, ColumnSpec, DirtyPolicy, QuarantinedRow};
+use crate::csv::{owned_fields, split_fields, ColumnSpec, DirtyPolicy, QuarantinedRow};
 use crate::domain::Domain;
 use crate::error::{RelationalError, Result};
 use crate::schema::{Role, Schema};
@@ -161,6 +173,12 @@ impl Sink {
         }
     }
 
+    /// Whether a nominal sink has already coded `label` (for the primary
+    /// key: whether an earlier clean row carried it).
+    fn has_label(&self, label: &str) -> bool {
+        matches!(self, Sink::Nominal { code_of, .. } if code_of.contains_key(label))
+    }
+
     /// Bytes held by completed in-memory chunks.
     fn resident_done_bytes(&self) -> usize {
         match self {
@@ -233,6 +251,14 @@ impl Sink {
     }
 }
 
+/// Empties `v` and hands its allocation back under a fresh lifetime, so
+/// one field vector serves every record of a load. `v` is empty, so the
+/// map never runs; the in-place `collect` keeps the buffer.
+fn recycle<'b>(mut v: Vec<Cow<'_, str>>) -> Vec<Cow<'b, str>> {
+    v.clear();
+    v.into_iter().map(|f| Cow::Owned(f.into_owned())).collect()
+}
+
 /// Streams a CSV from any buffered reader into a [`ChunkedTable`],
 /// applying `policy` to rows that fail validation — the out-of-core
 /// generalization of [`crate::csv::read_csv_lenient`] (identical
@@ -246,7 +272,7 @@ impl Sink {
 /// referencing them drops.
 pub fn read_csv_chunked<R: BufRead>(
     name: &str,
-    reader: R,
+    mut reader: R,
     specs: &[(&str, ColumnSpec)],
     delimiter: char,
     policy: DirtyPolicy,
@@ -258,21 +284,33 @@ pub fn read_csv_chunked<R: BufRead>(
         message: e.to_string(),
     };
 
-    // Pull non-blank lines, exactly like the dense reader's
-    // `text.lines().filter(|l| !l.trim().is_empty())`.
-    let mut lines = reader.lines().filter(|r| match r {
-        Ok(l) => !l.trim().is_empty(),
-        Err(_) => true,
-    });
-    let header = match lines.next() {
-        Some(r) => r.map_err(io_err)?,
-        None => {
-            return Err(RelationalError::EmptyTable {
-                table: name.to_string(),
-            })
+    // Pull non-blank lines into one reused buffer, exactly like
+    // `reader.lines().filter(|l| !l.trim().is_empty())`: strip one `\n`
+    // and then one `\r` before it.
+    let mut line = String::new();
+    let mut next_line = |line: &mut String| -> Result<bool> {
+        loop {
+            line.clear();
+            if reader.read_line(line).map_err(io_err)? == 0 {
+                return Ok(false);
+            }
+            if line.ends_with('\n') {
+                line.pop();
+                if line.ends_with('\r') {
+                    line.pop();
+                }
+            }
+            if !line.trim().is_empty() {
+                return Ok(true);
+            }
         }
     };
-    let header_fields = split_record(&header, delimiter);
+    if !next_line(&mut line)? {
+        return Err(RelationalError::EmptyTable {
+            table: name.to_string(),
+        });
+    }
+    let header_fields = owned_fields(&line, delimiter);
 
     // Map CSV column position -> spec (same error order as the dense
     // reader: unknown CSV column first, then spec'd-but-absent).
@@ -331,14 +369,21 @@ pub fn read_csv_chunked<R: BufRead>(
     let mut spilling = false;
 
     let mut quarantined: Vec<QuarantinedRow> = Vec::new();
-    let mut seen_pks: HashSet<String> = HashSet::new();
     let mut total_rows = 0usize;
     let mut clean_rows = 0usize;
+    let mut unescaped = 0usize;
+    // Per-record scratch, reused across records: the split fields and
+    // the numeric values parsed while validating them.
+    let mut spare: Vec<Cow<'static, str>> = Vec::with_capacity(header_fields.len());
+    let mut parsed: Vec<f64> = Vec::with_capacity(numeric_cols.len());
 
-    for (lineno, line) in lines.enumerate() {
-        let line = line.map_err(io_err)?;
+    while next_line(&mut line)? {
+        let lineno = total_rows;
         total_rows += 1;
-        let fields = split_record(&line, delimiter);
+        let mut fields = recycle(std::mem::take(&mut spare));
+        fields.extend(split_fields(&line, delimiter));
+        unescaped += fields.iter().filter(|f| matches!(f, Cow::Owned(_))).count();
+        parsed.clear();
         let fault: Option<(String, RelationalError)> = if fields.len() != header_fields.len() {
             Some((
                 format!(
@@ -355,7 +400,7 @@ pub fn read_csv_chunked<R: BufRead>(
             ))
         } else if let Some((i, col)) = numeric_cols
             .iter()
-            .find(|(i, _)| fields[*i].trim().parse::<f64>().is_err())
+            .find(|(i, _)| fields[*i].trim().parse().map(|v| parsed.push(v)).is_err())
         {
             Some((
                 format!(
@@ -366,7 +411,7 @@ pub fn read_csv_chunked<R: BufRead>(
                     reason: format!("column '{col}' has non-numeric data"),
                 },
             ))
-        } else if let Some((i, col)) = pk_col.filter(|(i, _)| seen_pks.contains(&fields[*i])) {
+        } else if let Some((i, col)) = pk_col.filter(|&(i, _)| sinks[i].has_label(&fields[i])) {
             Some((
                 format!("duplicate primary key '{}' in column '{}'", fields[i], col),
                 RelationalError::PrimaryKeyNotUnique {
@@ -379,10 +424,8 @@ pub fn read_csv_chunked<R: BufRead>(
         };
         match fault {
             None => {
-                if let Some((i, _)) = pk_col {
-                    seen_pks.insert(fields[i].clone());
-                }
-                for (sink, f) in sinks.iter_mut().zip(fields) {
+                let mut values = parsed.iter();
+                for (sink, f) in sinks.iter_mut().zip(fields.drain(..)) {
                     match sink {
                         Sink::Skip => {}
                         Sink::Nominal {
@@ -391,10 +434,11 @@ pub fn read_csv_chunked<R: BufRead>(
                             current,
                             ..
                         } => {
-                            let code = match code_of.get(&f) {
+                            let code = match code_of.get(&*f) {
                                 Some(&c) => c,
                                 None => {
                                     let c = labels.len() as u32;
+                                    let f = f.into_owned();
                                     labels.push(f.clone());
                                     code_of.insert(f, c);
                                     c
@@ -410,9 +454,10 @@ pub fn read_csv_chunked<R: BufRead>(
                             n_values,
                             ..
                         } => {
-                            // Validated parseable above; a parse failure
-                            // here cannot happen, but stay abort-free.
-                            let v = f.trim().parse::<f64>().unwrap_or(f64::NAN);
+                            // One value was parsed per numeric column
+                            // above; the fallback cannot happen, but
+                            // stay abort-free.
+                            let v = values.next().copied().unwrap_or(f64::NAN);
                             if !v.is_finite() && non_finite.is_none() {
                                 *non_finite = Some(v);
                             }
@@ -462,12 +507,14 @@ pub fn read_csv_chunked<R: BufRead>(
                     quarantined.push(QuarantinedRow {
                         row: lineno,
                         reason,
-                        raw: line,
+                        raw: line.clone(),
                     });
                 }
             },
         }
+        spare = recycle(fields);
     }
+    hamlet_obs::counter_add!("hamlet_ingest_unescaped_fields_total", unescaped);
     if !quarantined.is_empty() {
         hamlet_obs::counter_add!("hamlet_dirty_rows_quarantined_total", quarantined.len());
     }

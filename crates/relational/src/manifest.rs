@@ -30,6 +30,7 @@
 //! the FK column's string values must be a subset of the key column's,
 //! and both are recoded onto the key's domain.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -483,24 +484,27 @@ impl Manifest {
                         .get(&file)
                         .ok_or_else(|| RelationalError::UnknownTable { name: file.clone() })?;
                     let key = attr_table.column_by_name(key_col)?;
-                    // Map entity FK labels -> key codes via a one-shot
-                    // index (code_of is a linear scan; per-row use would
-                    // make the load O(n_S * n_R)).
-                    let key_code_of: HashMap<String, u32> = key
+                    // Recode per FK-domain code, not per row: index the
+                    // key's labels once (borrowed where the domain is
+                    // labelled), resolve each FK code to its key code,
+                    // and each row becomes one array lookup.
+                    let key_code_of: HashMap<Cow<str>, u32> = key
                         .codes()
                         .iter()
-                        .map(|&c| (key.domain().label(c).into_owned(), c))
+                        .map(|&c| (key.domain().label(c), c))
+                        .collect();
+                    let key_of_fk: Vec<Option<u32>> = (0..col.domain().size() as u32)
+                        .map(|c| key_code_of.get(&*col.domain().label(c)).copied())
                         .collect();
                     let mut recoded = Vec::with_capacity(col.len());
                     let mut dangling: Vec<(usize, String)> = Vec::new();
-                    for row in 0..col.len() {
-                        let lbl = col.domain().label(col.get(row)).into_owned();
-                        match key_code_of.get(&lbl).copied() {
+                    for (row, &fk) in col.codes().iter().enumerate() {
+                        match key_of_fk[fk as usize] {
                             Some(code) => recoded.push(code),
                             None => {
                                 // Placeholder; resolved below per policy.
                                 recoded.push(0);
-                                dangling.push((row, lbl));
+                                dangling.push((row, col.domain().label(fk).into_owned()));
                             }
                         }
                     }

@@ -519,21 +519,34 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn checksum_of(payload: &Json) -> String {
-    format!("fnv1a64:{:016x}", fnv1a64(payload.to_string().as_bytes()))
+/// The envelope checksum of a rendered payload.
+fn checksum_of(rendered: &str) -> String {
+    format!("fnv1a64:{:016x}", fnv1a64(rendered.as_bytes()))
 }
 
 /// Renders an artifact to its canonical JSON document.
 pub fn to_json_string(a: &ModelArtifact) -> String {
-    let payload = payload_json(a);
-    let checksum = checksum_of(&payload);
-    obj(vec![
+    render_document(&payload_json(a))
+}
+
+/// The envelope around an already-built payload. The payload is
+/// rendered once: its bytes are checksummed and then spliced into the
+/// envelope, byte-identical to rendering the whole envelope object.
+fn render_document(payload: &Json) -> String {
+    let body = payload.to_string();
+    let checksum = checksum_of(&body);
+    let mut out = obj(vec![
         ("magic", Json::Str(MAGIC.into())),
         ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
         ("checksum", Json::Str(checksum)),
-        ("payload", payload),
     ])
-    .to_string()
+    .to_string();
+    out.pop(); // the closing '}'
+    out.reserve(body.len() + 12);
+    out.push_str(",\"payload\":");
+    out.push_str(&body);
+    out.push('}');
+    out
 }
 
 /// Walks a rendered payload and reports the first non-finite number as
@@ -541,32 +554,46 @@ pub fn to_json_string(a: &ModelArtifact) -> String {
 /// as `null`, which `finite_of` rejects on load — so a non-finite
 /// parameter (e.g. a diverged logreg weight or a `-inf` log-prob from
 /// degenerate smoothing) must be caught at write time, not deploy time.
-fn check_finite(j: &Json, path: &str) -> Result<(), ArtifactError> {
+fn check_finite(payload: &Json) -> Result<(), ArtifactError> {
+    match non_finite_path(payload) {
+        None => Ok(()),
+        Some(rest) => Err(ArtifactError::NonFinite {
+            path: format!("payload{rest}"),
+        }),
+    }
+}
+
+/// The path suffix of the first non-finite number under `j`. Built
+/// bottom-up on the way out, so an all-finite walk formats nothing.
+fn non_finite_path(j: &Json) -> Option<String> {
     match j {
-        Json::Num(n) if !n.is_finite() => Err(ArtifactError::NonFinite { path: path.into() }),
+        Json::Num(n) if !n.is_finite() => Some(String::new()),
         Json::Arr(items) => items
             .iter()
             .enumerate()
-            .try_for_each(|(i, v)| check_finite(v, &format!("{path}[{i}]"))),
+            .find_map(|(i, v)| non_finite_path(v).map(|p| format!("[{i}]{p}"))),
         Json::Obj(members) => members
             .iter()
-            .try_for_each(|(k, v)| check_finite(v, &format!("{path}.{k}"))),
-        _ => Ok(()),
+            .find_map(|(k, v)| non_finite_path(v).map(|p| format!(".{k}{p}"))),
+        _ => None,
     }
 }
 
 /// Validates that every numeric parameter in the artifact is finite —
 /// the precondition for the artifact being loadable after rendering.
 pub fn validate_finite(a: &ModelArtifact) -> Result<(), ArtifactError> {
-    check_finite(&payload_json(a), "payload")
+    check_finite(&payload_json(a))
 }
 
 /// Writes an artifact atomically (tmp + fsync + rename via
 /// `hamlet_obs::atomic_write`), refusing models with non-finite
-/// parameters (see [`validate_finite`]).
+/// parameters (see [`validate_finite`]). The payload tree is built once
+/// for both the check and the render.
 pub fn save(a: &ModelArtifact, path: &Path) -> Result<(), ArtifactError> {
-    validate_finite(a)?;
-    hamlet_obs::atomic_write(path, to_json_string(a).as_bytes()).map_err(|e| ArtifactError::Io {
+    let payload = payload_json(a);
+    check_finite(&payload)?;
+    let text = render_document(&payload);
+    hamlet_obs::atomic_write(path, text.as_bytes()).map_err(|e| ArtifactError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })
@@ -1197,7 +1224,7 @@ pub fn from_json_str(text: &str) -> R<ModelArtifact> {
     }
     let expected = str_of(field(&doc, "checksum", "envelope")?, "envelope.checksum")?;
     let payload = field(&doc, "payload", "envelope")?;
-    let actual = checksum_of(payload);
+    let actual = checksum_of(&payload.to_string());
     if expected != actual {
         return Err(ArtifactError::ChecksumMismatch { expected, actual });
     }

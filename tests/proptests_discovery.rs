@@ -11,15 +11,21 @@
 //!    bit-identical at any worker count (`HAMLET_THREADS` resolves to
 //!    `DiscoveryConfig::threads`; the properties pin the field directly
 //!    so they can compare 1 vs 8 in-process).
+//! 4. **FD check parity** — the sorted-partition [`check_fd`] agrees
+//!    with a nested-`HashMap` count oracle on groups, violations and
+//!    the evidence rows, ties included.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
 use hamlet::chaos::{corrupt_corpus, ChaosPlan, FileProfile};
 use hamlet::datagen::realistic::DatasetSpec;
-use hamlet::discovery::{discover_corpus, DiscoveryConfig, DiscoveryError, FdScope};
+use hamlet::discovery::{
+    check_fd, discover_corpus, DiscoveryConfig, DiscoveryError, FdScope, MAX_VIOLATION_EXAMPLES,
+};
 use hamlet::experiments::discovery::corpus_of;
+use hamlet::relational::{Domain, TableBuilder};
 
 /// Keep the datagen corpora small: recovery is containment-exact at any
 /// scale (FK codes are drawn from the key set), so a cheap corpus
@@ -227,5 +233,75 @@ proptest! {
                 "outcome diverged at {} threads", threads
             );
         }
+    }
+}
+
+/// One violation as `(row, determinant, expected, found)` labels.
+type Example = (usize, String, String, String);
+
+/// The count-map FD check the sorted partition replaced, kept as an
+/// oracle: nested `HashMap`s of dependent counts per determinant,
+/// majority = highest count, ties to the smaller code. Returns
+/// `(groups, violations, examples)`.
+fn fd_oracle(det: &[u32], dep: &[u32]) -> (usize, u64, Vec<Example>) {
+    let mut counts: HashMap<u32, HashMap<u32, u64>> = HashMap::new();
+    for (&d, &v) in det.iter().zip(dep) {
+        *counts.entry(d).or_default().entry(v).or_insert(0) += 1;
+    }
+    let mut majority = HashMap::new();
+    let mut violations = 0;
+    for (&d, deps) in &counts {
+        let (mut best, mut best_n) = (u32::MAX, 0);
+        for (&v, &n) in deps {
+            if n > best_n || (n == best_n && v < best) {
+                (best, best_n) = (v, n);
+            }
+        }
+        violations += deps.values().sum::<u64>() - best_n;
+        majority.insert(d, best);
+    }
+    let examples = det
+        .iter()
+        .zip(dep)
+        .enumerate()
+        .filter(|&(_, (d, v))| majority[d] != *v)
+        .take(MAX_VIOLATION_EXAMPLES)
+        .map(|(row, (d, v))| {
+            let want = majority[d];
+            (
+                row,
+                format!("det#{d}"),
+                format!("dep#{want}"),
+                format!("dep#{v}"),
+            )
+        })
+        .collect();
+    (counts.len(), violations, examples)
+}
+
+proptest! {
+    /// The sorted-partition FD check matches the count-map oracle on
+    /// random tables. Small domains make ties and violations common.
+    #[test]
+    fn sorted_fd_check_matches_the_count_map_oracle(
+        rows in proptest::collection::vec((0..6u32, 0..4u32), 1..120),
+    ) {
+        let (det, dep): (Vec<u32>, Vec<u32>) = rows.into_iter().unzip();
+        let table = TableBuilder::new("T")
+            .feature("det", Domain::indexed("det", 6).shared(), det.clone())
+            .feature("dep", Domain::indexed("dep", 4).shared(), dep.clone())
+            .build()
+            .unwrap();
+        let c = check_fd(&table, "det", "dep").unwrap();
+        let (groups, violations, examples) = fd_oracle(&det, &dep);
+        prop_assert_eq!(c.rows, det.len());
+        prop_assert_eq!(c.groups, groups);
+        prop_assert_eq!(c.violations, violations);
+        let got: Vec<Example> = c
+            .examples
+            .into_iter()
+            .map(|e| (e.row, e.determinant_label, e.expected_label, e.found_label))
+            .collect();
+        prop_assert_eq!(got, examples);
     }
 }

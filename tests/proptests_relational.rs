@@ -4,8 +4,10 @@
 use proptest::prelude::*;
 
 use hamlet::relational::{
-    fanout, filter, group_count, lint_star, profile_table, select_rows, sort_by, AttributeTable,
-    Domain, LintConfig, Predicate, StarSchema, Table, TableBuilder,
+    fanout, filter, group_count, lint_star, profile_table, read_csv_chunked, read_csv_lenient,
+    select_rows, sort_by, AttributeTable, ColumnSpec, CsvLoad, DirtyPolicy, Domain,
+    EqualWidthBinner, IngestOptions, LintConfig, Predicate, QuarantinedRow, RelationalError,
+    StarSchema, Table, TableBuilder,
 };
 
 /// Strategy: a random two-column feature table.
@@ -125,5 +127,265 @@ proptest! {
             .iter()
             .any(|l| matches!(l, hamlet::relational::Lint::DominantFkValue { .. }));
         prop_assert_eq!(fired, top > 0.5, "top fraction {} (lints: {:?})", top, lints);
+    }
+}
+
+/// One generated CSV line: `(kind, id, name, num, tag, ending)`, each a
+/// pick from the small menus in [`csv_line`].
+type LineSpec = (u8, u8, u8, u8, u8, u8);
+
+/// Renders one generated line (without its ending). Kinds 0 and 1 are
+/// blank / whitespace-only, 2 and 3 are short / long rows; the field
+/// menus mix quoted delimiters, `""` escapes, mid-field quotes, empty
+/// and trailing-empty fields, bad numerics and (quoted) duplicate keys.
+fn csv_line(&(kind, id, name, num, tag, _): &LineSpec) -> String {
+    const NAMES: [&str; 8] = [
+        "alice",
+        "\"x,y\"",
+        "\"say \"\"hi\"\"\"",
+        "",
+        "\"\"",
+        "a\"b,c\"d",
+        "é ü",
+        " padded ",
+    ];
+    const NUMS: [&str; 8] = ["1.5", " 2 ", "-3", "abc", "", "1e2", "\"4\"", "7"];
+    const TAGS: [&str; 6] = ["t0", "t1", "", "\"t,2\"", "t1", "\"\"\"\""];
+    let id = if id == 9 {
+        "\"k1\"".to_string()
+    } else {
+        format!("k{id}")
+    };
+    let row = [
+        id.as_str(),
+        NAMES[name as usize],
+        NUMS[num as usize],
+        TAGS[tag as usize],
+    ];
+    match kind {
+        0 => String::new(),
+        1 => "  \t ".to_string(),
+        2 => row[..3].join(","),
+        3 => format!("{},x", row.join(",")),
+        _ => row.join(","),
+    }
+}
+
+/// A whole generated CSV text: optional leading blank lines, a header
+/// (optionally quoted), then the lines, each ending in `\n` or `\r\n`;
+/// the last line may lack its terminator.
+fn csv_text(lead: bool, quoted_header: bool, lines: &[LineSpec]) -> String {
+    let mut text = String::from(if lead { "\n \r\n" } else { "" });
+    text.push_str(if quoted_header {
+        "\"id\",name,\"num\",tag\n"
+    } else {
+        "id,name,num,tag\r\n"
+    });
+    for (i, spec) in lines.iter().enumerate() {
+        text.push_str(&csv_line(spec));
+        let last = i + 1 == lines.len();
+        text.push_str(match (spec.5, last) {
+            (2 | 3, true) => "",
+            (1 | 3, _) => "\r\n",
+            _ => "\n",
+        });
+    }
+    text
+}
+
+fn oracle_specs() -> Vec<(&'static str, ColumnSpec)> {
+    vec![
+        ("id", ColumnSpec::primary_key("id")),
+        ("name", ColumnSpec::feature("name")),
+        ("num", ColumnSpec::numeric_feature("num", 3)),
+        ("tag", ColumnSpec::feature("tag")),
+    ]
+}
+
+/// The reader as it was before borrowed fields, kept as a test oracle:
+/// `BufRead::lines()`, a char-by-char splitter building one `String` per
+/// field, and the same validation order (width, numeric, duplicate key).
+/// Errors are compared by their `Debug` text.
+type OracleLoad = (Vec<(Domain, Vec<u32>)>, Vec<QuarantinedRow>, usize);
+
+fn oracle_split(line: &str) -> Vec<String> {
+    let mut fields = Vec::new();
+    let mut field = String::new();
+    let mut in_quotes = false;
+    let mut chars = line.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_quotes {
+            if c == '"' {
+                if chars.peek() == Some(&'"') {
+                    chars.next();
+                    field.push('"');
+                } else {
+                    in_quotes = false;
+                }
+            } else {
+                field.push(c);
+            }
+        } else if c == '"' {
+            in_quotes = true;
+        } else if c == ',' {
+            fields.push(std::mem::take(&mut field));
+        } else {
+            field.push(c);
+        }
+    }
+    fields.push(field);
+    fields
+}
+
+fn oracle_load(text: &str, policy: DirtyPolicy) -> Result<OracleLoad, String> {
+    let err = |e: RelationalError| format!("{e:?}");
+    let mut lines = std::io::BufRead::lines(std::io::Cursor::new(text.as_bytes()))
+        .map(|l| l.expect("in-memory read"))
+        .filter(|l| !l.trim().is_empty());
+    let header = oracle_split(&lines.next().expect("generated header"));
+    assert_eq!(header, ["id", "name", "num", "tag"]);
+    let mut labels: [Vec<String>; 3] = Default::default();
+    let mut codes: [Vec<u32>; 3] = Default::default();
+    let mut values: Vec<f64> = Vec::new();
+    let mut quarantined = Vec::new();
+    let mut total = 0;
+    for (lineno, line) in lines.enumerate() {
+        total += 1;
+        let f = oracle_split(&line);
+        let fault = if f.len() != 4 {
+            Some((
+                format!("expected 4 fields, found {}", f.len()),
+                RelationalError::ColumnLengthMismatch {
+                    table: "T".into(),
+                    column: format!("<record {}>", lineno + 2),
+                    expected: 4,
+                    actual: f.len(),
+                },
+            ))
+        } else if f[2].trim().parse::<f64>().is_err() {
+            Some((
+                format!("column 'num': unparseable numeric value '{}'", f[2]),
+                RelationalError::InvalidBinning {
+                    reason: "column 'num' has non-numeric data".into(),
+                },
+            ))
+        } else if labels[0].contains(&f[0]) {
+            Some((
+                format!("duplicate primary key '{}' in column 'id'", f[0]),
+                RelationalError::PrimaryKeyNotUnique {
+                    table: "T".into(),
+                    attribute: "id".into(),
+                },
+            ))
+        } else {
+            None
+        };
+        match (fault, policy) {
+            (None, _) => {
+                for (k, col) in [0, 1, 3].into_iter().enumerate() {
+                    let pos = labels[k].iter().position(|l| *l == f[col]);
+                    let code = pos.unwrap_or_else(|| {
+                        labels[k].push(f[col].clone());
+                        labels[k].len() - 1
+                    });
+                    codes[k].push(code as u32);
+                }
+                values.push(f[2].trim().parse().expect("validated"));
+            }
+            (Some((_, e)), DirtyPolicy::Abort) => return Err(err(e)),
+            (Some((reason, _)), DirtyPolicy::Quarantine { max_bad_rows }) => {
+                if quarantined.len() >= max_bad_rows {
+                    return Err(err(RelationalError::DirtyBudgetExceeded {
+                        table: "T".into(),
+                        quarantined: quarantined.len() + 1,
+                        budget: max_bad_rows,
+                        last_row: lineno,
+                        last_reason: reason,
+                    }));
+                }
+                quarantined.push(QuarantinedRow {
+                    row: lineno,
+                    reason,
+                    raw: line,
+                });
+            }
+        }
+    }
+    // Finalize in header order: id, name, num, tag.
+    if labels[0].is_empty() {
+        return Err(err(RelationalError::EmptyTable { table: "T".into() }));
+    }
+    let binner = EqualWidthBinner::fit("num", &values, 3).map_err(err)?;
+    let [id_l, name_l, tag_l] = labels;
+    let [id_c, name_c, tag_c] = codes;
+    let columns = vec![
+        (Domain::labelled("id", id_l), id_c),
+        (Domain::labelled("name", name_l), name_c),
+        (
+            binner.domain(),
+            values.iter().map(|&v| binner.bin(v)).collect(),
+        ),
+        (Domain::labelled("tag", tag_l), tag_c),
+    ];
+    Ok((columns, quarantined, total))
+}
+
+/// The product of a real load in the oracle's shape.
+fn as_oracle(load: Result<CsvLoad, RelationalError>) -> Result<OracleLoad, String> {
+    let load = load.map_err(|e| format!("{e:?}"))?;
+    let columns = load
+        .table
+        .columns()
+        .iter()
+        .map(|c| ((**c.domain()).clone(), c.codes().to_vec()))
+        .collect();
+    Ok((columns, load.quarantined, load.total_rows))
+}
+
+proptest! {
+    /// The borrowed-field reader loads exactly what the old `lines()` +
+    /// char-by-char reader loaded: same table, same row count, same
+    /// quarantine report, same first error — through the in-memory
+    /// wrapper and through the streaming reader with a tiny read buffer
+    /// and tiny morsels.
+    #[test]
+    fn borrowed_field_ingest_matches_the_owned_field_oracle(
+        lines in proptest::collection::vec(
+            (0..12u8, 0..10u8, 0..8u8, 0..8u8, 0..6u8, 0..4u8),
+            0..24,
+        ),
+        lead in any_bool(),
+        quoted_header in any_bool(),
+        policy_ix in 0..3usize,
+    ) {
+        let text = csv_text(lead, quoted_header, &lines);
+        let policy = [
+            DirtyPolicy::Abort,
+            DirtyPolicy::Quarantine { max_bad_rows: 2 },
+            DirtyPolicy::Quarantine { max_bad_rows: usize::MAX },
+        ][policy_ix];
+        let want = oracle_load(&text, policy);
+        let specs = oracle_specs();
+        prop_assert_eq!(as_oracle(read_csv_lenient("T", &text, &specs, ',', policy)), want.clone());
+        let opts = IngestOptions {
+            morsel_rows: Some(3),
+            ..IngestOptions::dense()
+        };
+        let streamed = read_csv_chunked(
+            "T",
+            std::io::BufReader::with_capacity(5, text.as_bytes()),
+            &specs,
+            ',',
+            policy,
+            &opts,
+        )
+        .and_then(|l| {
+            Ok(CsvLoad {
+                table: l.table.to_table()?,
+                quarantined: l.quarantined,
+                total_rows: l.total_rows,
+            })
+        });
+        prop_assert_eq!(as_oracle(streamed), want);
     }
 }
