@@ -23,8 +23,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use hamlet_bench::BENCH_SEED;
 use hamlet_datagen::realistic::DatasetSpec;
-use hamlet_factorized::{class_conditional_counts, FactorizedView};
-use hamlet_ml::{Dataset, SuffStats};
+use hamlet_factorized::FactorizedView;
+use hamlet_ml::{class_count_tables, Dataset, SuffStats};
 use hamlet_obs::alloc::CountingAlloc;
 use hamlet_obs::atomic_write;
 use hamlet_relational::{read_csv_file_chunked, ColumnSpec, DirtyPolicy, IngestOptions};
@@ -94,8 +94,9 @@ fn measure_kernels(scale: f64, reps: usize) -> String {
     );
     assert_eq!(want, got, "kernel SuffStats tables diverged from naive");
 
-    // The factorized count-fold over the star: naive sequential
-    // pushdown (the pre-PR loop shape) vs the morsel-parallel kernels.
+    // The factorized count-fold over the star: the naive sequential
+    // row loop over the materialized codes vs the count primitive over
+    // the view (foreign features counted on the FK and folded).
     let view = FactorizedView::new(&g.star).expect("view over synthetic star");
     let (fold_naive_s, want_fold) = time_secs(
         || {
@@ -117,12 +118,7 @@ fn measure_kernels(scale: f64, reps: usize) -> String {
         reps,
     );
     let (fold_kernel_s, got_fold) = time_secs(
-        || {
-            feats
-                .iter()
-                .map(|&f| class_conditional_counts(&view, f, &train))
-                .collect::<Vec<_>>()
-        },
+        || class_count_tables(&view, &feats, &train, threads).collect::<Vec<_>>(),
         reps,
     );
     assert_eq!(want_fold, got_fold, "factorized fold diverged from naive");

@@ -36,15 +36,13 @@ struct JoinedCol<'a> {
 
 /// Dense RID -> row index over one attribute table, built once per join.
 #[derive(Debug)]
-pub(crate) struct FkIndex<'a> {
-    /// FK column name in the entity table.
-    pub(crate) fk_name: &'a str,
+struct FkIndex<'a> {
     /// FK codes on the entity table (length `n_S`).
-    pub(crate) fk_codes: &'a [u32],
+    fk_codes: &'a [u32],
     /// `rid_to_row[code]` = row position in `R`, or `u32::MAX` for RID
     /// values absent from `R` (never referenced: the star schema
     /// validates referential integrity at construction).
-    pub(crate) rid_to_row: Vec<u32>,
+    rid_to_row: Vec<u32>,
 }
 
 /// Zero-materialization view over a star schema with the same logical
@@ -64,7 +62,7 @@ pub struct FactorizedView<'a> {
     n_classes: usize,
     base: Vec<BaseCol<'a>>,
     joined: Vec<JoinedCol<'a>>,
-    pub(crate) fk_indices: Vec<FkIndex<'a>>,
+    fk_indices: Vec<FkIndex<'a>>,
 }
 
 impl<'a> FactorizedView<'a> {
@@ -133,7 +131,6 @@ impl<'a> FactorizedView<'a> {
             }
             let fk = fk_indices.len();
             fk_indices.push(FkIndex {
-                fk_name: at.fk.as_str(),
                 fk_codes: entity.column(fk_pos).codes(),
                 rid_to_row,
             });
@@ -200,23 +197,6 @@ impl<'a> FactorizedView<'a> {
             .position(|n| n == name)
     }
 
-    /// For a joined (foreign) feature position, the index of the FK that
-    /// resolves it plus its attribute-table column codes; `None` for base
-    /// features.
-    pub(crate) fn joined_origin(&self, f: usize) -> Option<(&FkIndex<'a>, &'a [u32], usize)> {
-        let j = f.checked_sub(self.base.len())?;
-        let jc = self.joined.get(j)?;
-        Some((&self.fk_indices[jc.fk], jc.codes, jc.domain_size))
-    }
-
-    /// The FK slot (index into this view's join set) resolving feature
-    /// `f`, or `None` for base features. Slots are what the pushed-down
-    /// count aggregates in [`crate::counts`] are keyed by.
-    pub(crate) fn foreign_fk_slot(&self, f: usize) -> Option<usize> {
-        let j = f.checked_sub(self.base.len())?;
-        Some(self.joined.get(j)?.fk)
-    }
-
     /// Cells of the denormalized join output this view never allocates:
     /// `n_S × Σ d_Ri` over the joined tables. The advisor quotes this as
     /// the estimated memory saved by Factorize.
@@ -271,6 +251,10 @@ impl CodeSource for FactorizedView<'_> {
 
     fn label(&self, row: usize) -> u32 {
         self.labels[row]
+    }
+
+    fn labels(&self) -> Option<&[u32]> {
+        Some(self.labels)
     }
 }
 
@@ -351,6 +335,27 @@ pub(crate) mod tests {
         }
         for r in 0..mat.n_examples() {
             assert_eq!(view.label(r), mat.labels()[r]);
+        }
+    }
+
+    /// The view's `Column::Via` layout drives the count primitive's
+    /// FK fold: every feature's table over any row subset equals the
+    /// materialized scan's, including through `B`'s out-of-order RIDs.
+    #[test]
+    fn count_tables_match_materialized_on_every_feature_and_subset() {
+        let star = two_table_star();
+        let view = FactorizedView::new(&star).unwrap();
+        let mat = Dataset::from_table(&star.materialize_all().unwrap());
+        let all: Vec<usize> = (0..star.n_s()).collect();
+        let evens: Vec<usize> = (0..star.n_s()).step_by(2).collect();
+        for rows in [&all, &evens, &vec![4, 1], &vec![0], &Vec::new()] {
+            for f in 0..mat.n_features() {
+                assert_eq!(
+                    hamlet_ml::class_count_table(&view, f, rows, 2),
+                    hamlet_ml::class_count_table(&mat, f, rows, 1),
+                    "feature {f} over {rows:?}"
+                );
+            }
         }
     }
 

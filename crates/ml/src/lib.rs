@@ -7,7 +7,9 @@
 //! * [`Dataset`] — single-table view with index-set row/feature subsetting
 //!   (no copies during greedy feature selection);
 //! * [`NaiveBayes`] — the paper's running classifier, with Laplace
-//!   smoothing (Sec 2.1);
+//!   smoothing (Sec 2.1), fitted from [`class_count_table`] — the one
+//!   count primitive, over materialized or factorized sources alike —
+//!   through [`smoothed_log_table`], the one smoothing recipe;
 //! * [`LogisticRegression`] — sparse multinomial SGD with lazy L1/L2
 //!   regularization (Secs 2.2, 5.3);
 //! * [`Tan`] — Tree-Augmented Naive Bayes (appendix E);
@@ -30,7 +32,6 @@ pub mod encoding;
 pub mod evaluation;
 pub mod incremental;
 pub mod info;
-pub mod kernels;
 pub mod logreg;
 pub mod model_selection;
 pub mod naive_bayes;
@@ -47,12 +48,11 @@ pub use dataset::{Dataset, Feature};
 pub use encoding::{EncodeError, Encoder, Encoding};
 pub use evaluation::{cross_validate, kfold_indices, ConfusionMatrix};
 pub use incremental::{fit_incremental, IncrementalNaiveBayes};
-pub use kernels::{class_count_into, class_count_table, class_count_table_gather};
 pub use logreg::{LogisticRegression, LogisticRegressionModel, Penalty};
 pub use model_selection::{grid_search, grid_search_test_error, GridSearchResult};
-pub use naive_bayes::{NaiveBayes, NaiveBayesModel};
+pub use naive_bayes::{smoothed_log_table, NaiveBayes, NaiveBayesModel};
 pub use redundancy::{is_markov_blanket, is_redundant_given_fk, is_weakly_relevant};
-pub use source::{CodeSource, Column};
+pub use source::{class_count_table, class_count_tables, class_histogram, CodeSource, Column};
 pub use split::{disjoint_train_sets, HoldoutSplit};
 pub use suffstats::{SuffStats, SweepFit};
 pub use tan::{Tan, TanModel};

@@ -8,7 +8,7 @@
 
 use crate::classifier::{Classifier, ErrorMetric, Model};
 use crate::dataset::Dataset;
-use crate::source::CodeSource;
+use crate::source::{class_count_tables, class_histogram, CodeSource};
 
 /// Naive Bayes learner configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,64 +47,114 @@ pub struct NaiveBayesModel {
     domain_sizes: Vec<usize>,
 }
 
+impl NaiveBayes {
+    /// Fits over any [`CodeSource`]: one count table per feature from
+    /// [`class_count_tables`], smoothed by
+    /// [`NaiveBayesModel::from_counts`]. A factorized view counts its
+    /// foreign features through the FK without a join, and the integer
+    /// tables — hence the model — are exactly those of the
+    /// materialized dataset.
+    pub fn fit_source<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> NaiveBayesModel {
+        let _span = hamlet_obs::span!("ml.nb_fit", rows = rows.len(), feats = feats.len());
+        hamlet_obs::counter_add!("hamlet_nb_fits_total", 1);
+        let threads = hamlet_obs::env::resolved_threads();
+        NaiveBayesModel::from_counts(
+            self.smoothing,
+            &class_histogram(src, rows),
+            feats,
+            feats
+                .iter()
+                .map(|&f| src.feature_domain_size(f))
+                .zip(class_count_tables(src, feats, rows, threads)),
+        )
+    }
+}
+
 impl Classifier for NaiveBayes {
     type Fitted = NaiveBayesModel;
 
     fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> NaiveBayesModel {
-        let _span = hamlet_obs::span!("ml.nb_fit", rows = rows.len(), feats = feats.len());
-        hamlet_obs::counter_add!("hamlet_nb_fits_total", 1);
-        let n_classes = data.n_classes();
-        let alpha = self.smoothing;
-        let labels = data.labels();
-
-        // Class counts -> log priors (smoothed so empty classes don't blow up).
-        let mut class_counts = vec![0u64; n_classes];
-        for &r in rows {
-            class_counts[labels[r] as usize] += 1;
-        }
-        let total = rows.len() as f64 + alpha * n_classes as f64;
-        let log_prior: Vec<f64> = class_counts
-            .iter()
-            .map(|&c| ((c as f64 + alpha) / total).ln())
-            .collect();
-
-        // Conditional tables.
-        let mut log_cond = Vec::with_capacity(feats.len());
-        let mut domain_sizes = Vec::with_capacity(feats.len());
-        for &f in feats {
-            let feature = data.feature(f);
-            let d = feature.domain_size;
-            let mut counts = vec![0u64; n_classes * d];
-            for &r in rows {
-                let y = labels[r] as usize;
-                let v = feature.codes[r] as usize;
-                counts[y * d + v] += 1;
-            }
-            let mut table = vec![0f64; n_classes * d];
-            for y in 0..n_classes {
-                let denom = class_counts[y] as f64 + alpha * d as f64;
-                for v in 0..d {
-                    table[y * d + v] = ((counts[y * d + v] as f64 + alpha) / denom).ln();
-                }
-            }
-            log_cond.push(table);
-            domain_sizes.push(d);
-        }
-
-        NaiveBayesModel {
-            feats: feats.to_vec(),
-            n_classes,
-            log_prior,
-            log_cond,
-            domain_sizes,
-        }
+        self.fit_source(data, rows, feats)
     }
 }
 
+/// The one Laplace-smoothing recipe: `counts` is a `rows × width` table
+/// with `row_totals[y]` observations in row `y`, and entry `(y, v)`
+/// becomes `ln((counts[y * width + v] + α) / (row_totals[y] + α·width))`.
+/// Priors are the one-row case (`row_totals = [n]`, `width = |D_Y|`),
+/// conditionals the `|D_Y|`-row case (`row_totals` = the class
+/// histogram). Every model that smooths counts calls this, so equal
+/// counts give bit-for-bit equal models on every path.
+pub fn smoothed_log_table(
+    counts: &[u64],
+    row_totals: &[u64],
+    width: usize,
+    alpha: f64,
+) -> Vec<f64> {
+    let mut table = Vec::with_capacity(counts.len());
+    for (y, &total) in row_totals.iter().enumerate() {
+        let denom = total as f64 + alpha * width as f64;
+        table.extend(
+            counts[y * width..(y + 1) * width]
+                .iter()
+                .map(|&k| ((k as f64 + alpha) / denom).ln()),
+        );
+    }
+    table
+}
+
+/// `[y * d + v]` → `[v * c + y]`: the same entries, laid out so one
+/// row's class scores read `c` contiguous floats.
+pub(crate) fn transposed(table: &[f64], c: usize, d: usize) -> Vec<f64> {
+    let mut t = vec![0f64; d * c];
+    for y in 0..c {
+        for v in 0..d {
+            t[v * c + y] = table[y * d + v];
+        }
+    }
+    t
+}
+
 impl NaiveBayesModel {
-    /// Assembles a model from raw parts — used by
-    /// [`crate::incremental::IncrementalNaiveBayes`], which maintains the
-    /// count tables itself.
+    /// Smooths count tables into a model: `class_counts[y]` training
+    /// rows per class, and per selected feature its domain size and
+    /// class-conditional table `[y * d + v]` (as
+    /// [`crate::class_count_table`] lays it out). Every Naive Bayes
+    /// path — direct, factorized, [`crate::SuffStats`] assembly,
+    /// [`crate::IncrementalNaiveBayes`] — ends here.
+    pub fn from_counts<T: AsRef<[u64]>>(
+        smoothing: f64,
+        class_counts: &[u64],
+        feats: &[usize],
+        tables: impl IntoIterator<Item = (usize, T)>,
+    ) -> Self {
+        let n_classes = class_counts.len();
+        let n: u64 = class_counts.iter().sum();
+        let (domain_sizes, log_cond) = tables
+            .into_iter()
+            .map(|(d, counts)| {
+                (
+                    d,
+                    smoothed_log_table(counts.as_ref(), class_counts, d, smoothing),
+                )
+            })
+            .unzip();
+        Self::from_parts(
+            feats.to_vec(),
+            n_classes,
+            smoothed_log_table(class_counts, &[n], n_classes, smoothing),
+            log_cond,
+            domain_sizes,
+        )
+    }
+
+    /// Assembles a model from raw parts — the import half of model
+    /// serialization (`hamlet-serve` artifacts).
     pub fn from_parts(
         feats: Vec<usize>,
         n_classes: usize,
@@ -201,15 +251,7 @@ impl NaiveBayesModel {
             .log_cond
             .iter()
             .zip(&self.domain_sizes)
-            .map(|(table, &d)| {
-                let mut t = vec![0f64; d * c];
-                for y in 0..c {
-                    for v in 0..d {
-                        t[v * c + y] = table[y * d + v];
-                    }
-                }
-                t
-            })
+            .map(|(table, &d)| transposed(table, c, d))
             .collect();
         let mut scores = vec![0f64; c];
         let mut wrong = 0usize;

@@ -16,7 +16,8 @@
 use crate::classifier::{Classifier, Model};
 use crate::dataset::Dataset;
 use crate::info::conditional_mutual_information;
-use crate::source::CodeSource;
+use crate::naive_bayes::smoothed_log_table;
+use crate::source::{class_count_table, class_histogram, CodeSource};
 
 /// TAN learner configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,15 +65,9 @@ impl Classifier for Tan {
         let m = feats.len();
 
         // Class priors.
-        let mut class_counts = vec![0u64; n_classes];
-        for &r in rows {
-            class_counts[labels[r] as usize] += 1;
-        }
-        let total = rows.len() as f64 + alpha * n_classes as f64;
-        let log_prior: Vec<f64> = class_counts
-            .iter()
-            .map(|&c| ((c as f64 + alpha) / total).ln())
-            .collect();
+        let threads = hamlet_obs::env::resolved_threads();
+        let class_counts = class_histogram(data, rows);
+        let log_prior = smoothed_log_table(&class_counts, &[rows.len() as u64], n_classes, alpha);
 
         // Pairwise conditional MI, skipping over-budget pairs.
         let parents = if m >= 2 {
@@ -110,48 +105,27 @@ impl Classifier for Tan {
             let feature = data.feature(f);
             let d = feature.domain_size;
             domain_sizes.push(d);
-            match parents[i] {
-                None => {
-                    // P(X | Y) as in Naive Bayes.
-                    let mut counts = vec![0u64; n_classes * d];
-                    for &r in rows {
-                        counts[labels[r] as usize * d + feature.codes[r] as usize] += 1;
-                    }
-                    let mut table = vec![0f64; n_classes * d];
-                    for y in 0..n_classes {
-                        let denom = class_counts[y] as f64 + alpha * d as f64;
-                        for v in 0..d {
-                            table[y * d + v] = ((counts[y * d + v] as f64 + alpha) / denom).ln();
-                        }
-                    }
-                    log_cond.push(table);
-                }
+            let (table, row_totals) = match parents[i] {
+                // P(X | Y) as in Naive Bayes.
+                None => (
+                    class_count_table(data, f, rows, threads),
+                    class_counts.clone(),
+                ),
+                // P(X | parent, Y): one table row per (y, parent value).
                 Some(p) => {
-                    // P(X | parent, Y).
                     let parent = data.feature(feats[p]);
                     let dp = parent.domain_size;
                     let mut counts = vec![0u64; n_classes * dp * d];
                     let mut margins = vec![0u64; n_classes * dp];
                     for &r in rows {
-                        let y = labels[r] as usize;
-                        let pv = parent.codes[r] as usize;
-                        let v = feature.codes[r] as usize;
-                        counts[(y * dp + pv) * d + v] += 1;
-                        margins[y * dp + pv] += 1;
+                        let row = labels[r] as usize * dp + parent.codes[r] as usize;
+                        counts[row * d + feature.codes[r] as usize] += 1;
+                        margins[row] += 1;
                     }
-                    let mut table = vec![0f64; n_classes * dp * d];
-                    for y in 0..n_classes {
-                        for pv in 0..dp {
-                            let denom = margins[y * dp + pv] as f64 + alpha * d as f64;
-                            for v in 0..d {
-                                table[(y * dp + pv) * d + v] =
-                                    ((counts[(y * dp + pv) * d + v] as f64 + alpha) / denom).ln();
-                            }
-                        }
-                    }
-                    log_cond.push(table);
+                    (counts, margins)
                 }
-            }
+            };
+            log_cond.push(smoothed_log_table(&table, &row_totals, d, alpha));
         }
 
         TanModel {
@@ -369,6 +343,11 @@ mod tests {
         let rows: Vec<usize> = (0..100).collect();
         let tan = Tan::default().fit(&d, &rows, &[0]);
         let nb = crate::naive_bayes::NaiveBayes::default().fit(&d, &rows, &[0]);
+        // Bit for bit: both smooth the same counts through one recipe.
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tan.log_prior()), bits(nb.log_prior()));
+        assert_eq!(bits(tan.log_cond(0)), bits(nb.log_cond(0)));
+        assert_eq!(tan.parents(), &[None]);
         for r in 0..100 {
             assert_eq!(tan.predict_row(&d, r), nb.predict_row(&d, r));
         }

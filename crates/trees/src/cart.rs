@@ -8,7 +8,7 @@
 //! class-conditional count table `count(X = v, Y = y | node rows)`,
 //! and those integer tables can be assembled either by scanning the
 //! materialized join output or by folding pushed-down per-table counts
-//! through the FK (the JoinBoost recipe, see `crate::factorized`).
+//! through the FK (the JoinBoost recipe, `hamlet_ml::class_count_table`).
 //! Identical integer tables ⇒ identical float gains ⇒ identical splits
 //! ⇒ **bit-for-bit identical trees** on both paths.
 //!
@@ -20,7 +20,7 @@ use std::borrow::Cow;
 
 use hamlet_ml::classifier::{Classifier, Model};
 use hamlet_ml::dataset::Dataset;
-use hamlet_ml::CodeSource;
+use hamlet_ml::{class_count_table, CodeSource};
 use hamlet_obs::parallel::run_indexed;
 
 /// Gains at or below this are noise, not structure — the same cutoff the
@@ -40,24 +40,27 @@ pub(crate) trait SplitCounts {
     fn code(&self, f: usize, row: usize) -> u32;
 
     /// Class-conditional counts of feature `f` over `rows`, flattened
-    /// `[y * d + v]` (the `SuffStats::table` layout).
-    fn count_table(&self, f: usize, rows: &[usize]) -> Vec<u64>;
+    /// `[y * d + v]` (the `SuffStats::table` layout), scanning with up
+    /// to `threads` workers.
+    fn count_table(&self, f: usize, rows: &[usize], threads: usize) -> Vec<u64>;
 
     /// Same as [`SplitCounts::count_table`] but called exactly once per
     /// feature, at the root, with the full training row set — the hook
     /// that lets the sweep path serve cached `SuffStats` tables without
     /// a row scan.
-    fn root_table(&self, f: usize, rows: &[usize]) -> Cow<'_, [u64]> {
-        Cow::Owned(self.count_table(f, rows))
+    fn root_table(&self, f: usize, rows: &[usize], threads: usize) -> Cow<'_, [u64]> {
+        Cow::Owned(self.count_table(f, rows, threads))
     }
 }
 
-/// The trivial provider: scan codes off any [`CodeSource`].
-pub(crate) struct ScanCounts<'a, S: CodeSource> {
+/// The direct provider: count any [`CodeSource`] with
+/// [`class_count_table`], which folds a factorized view's foreign
+/// features through their FK instead of joining.
+pub(crate) struct ScanCounts<'a, S: CodeSource + ?Sized> {
     pub src: &'a S,
 }
 
-impl<S: CodeSource> SplitCounts for ScanCounts<'_, S> {
+impl<S: CodeSource + Sync + ?Sized> SplitCounts for ScanCounts<'_, S> {
     fn n_classes(&self) -> usize {
         self.src.n_classes()
     }
@@ -74,14 +77,8 @@ impl<S: CodeSource> SplitCounts for ScanCounts<'_, S> {
         self.src.code(f, row)
     }
 
-    fn count_table(&self, f: usize, rows: &[usize]) -> Vec<u64> {
-        let c = self.src.n_classes();
-        let d = self.src.feature_domain_size(f);
-        let mut counts = vec![0u64; c * d];
-        for &r in rows {
-            counts[self.src.label(r) as usize * d + self.src.code(f, r) as usize] += 1;
-        }
-        counts
+    fn count_table(&self, f: usize, rows: &[usize], threads: usize) -> Vec<u64> {
+        class_count_table(self.src, f, rows, threads)
     }
 }
 
@@ -418,9 +415,9 @@ fn grow<C: SplitCounts + Sync + ?Sized>(
             .map(|&f| {
                 let d = counts.domain_size(f);
                 let table: Cow<'_, [u64]> = if depth == 0 {
-                    counts.root_table(f, rows)
+                    counts.root_table(f, rows, threads)
                 } else {
-                    Cow::Owned(counts.count_table(f, rows))
+                    Cow::Owned(counts.count_table(f, rows, threads))
                 };
                 best_value_split(&table, d, &class_counts, n, parent_gini).map(|(v, g)| (f, v, g))
             })
@@ -467,10 +464,9 @@ fn grow<C: SplitCounts + Sync + ?Sized>(
 impl CartTree {
     /// Fits over any [`CodeSource`] — the materialized path when handed
     /// a [`Dataset`], the zero-materialization path when handed a
-    /// `FactorizedView` (though `crate::factorized::fit_factorized_tree`
-    /// is preferred there: it pushes the count aggregates down instead
-    /// of scanning through FK indirection per node).
-    pub fn fit_source<S: CodeSource + Sync>(
+    /// `FactorizedView`, whose foreign-feature count tables
+    /// [`class_count_table`] pushes down through the FK.
+    pub fn fit_source<S: CodeSource + Sync + ?Sized>(
         &self,
         src: &S,
         rows: &[usize],

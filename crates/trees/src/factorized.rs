@@ -1,60 +1,30 @@
 //! Factorized tree training over a star schema — no join, same bits.
 //!
+//! Both learners are generic over [`hamlet_ml::CodeSource`], and
+//! [`hamlet_factorized::FactorizedView`] reports each foreign feature as
+//! a [`hamlet_ml::Column::Via`] keyed by its FK, so the factorized fits
+//! here are the materialized code handed a view.
+//!
 //! CART split scoring needs one class-conditional count table per
-//! (node, candidate feature). For foreign features the table is
-//! assembled by the JoinBoost fold
-//! (`hamlet_factorized::counts::class_conditional_counts`): a dense
-//! `count(FK, Y | node rows)` group-by pushed down to the entity table,
-//! mapped through the attribute column in `O(n_R)`. The integers are
-//! exactly those a scan of the materialized join would produce, so the
-//! shared growth code emits the identical tree. Peak extra allocation
-//! is the `n_R × |D_Y|` FK histogram — independent of join fanout.
+//! (node, candidate feature), and [`hamlet_ml::class_count_table`]
+//! builds a foreign feature's table by the JoinBoost fold: a dense
+//! `count(FK, Y | node rows)` table counted on the entity table, mapped
+//! through the attribute column in `O(n_R)`. The integers are exactly
+//! those a scan of the materialized join would produce, so the shared
+//! growth code emits the identical tree. Peak extra allocation is the
+//! `n_R × |D_Y|` FK table — independent of join fanout.
 //!
 //! GBT aggregates are float residual sums, where order matters; there
 //! the factorized path runs the same row-order scan as the materialized
-//! one. [`hamlet_factorized::FactorizedView`] reports each foreign
-//! feature as a [`hamlet_ml::Column::Via`] keyed by its FK, so the scan
-//! resolves every FK once per node for the node's rows and then reads
-//! each foreign feature with one gather into its attribute-table codes.
-//! The only extra allocation is one `u32` per node row per FK, never a
-//! wide table.
+//! one. The scan resolves every FK once per node for the node's rows
+//! and then reads each foreign feature with one gather into its
+//! attribute-table codes. The only extra allocation is one `u32` per
+//! node row per FK, never a wide table.
 
-use hamlet_factorized::{class_conditional_counts, FactorizedView};
-use hamlet_ml::CodeSource;
+use hamlet_factorized::FactorizedView;
 
-use crate::cart::{CartModel, CartTree, SplitCounts};
+use crate::cart::{CartModel, CartTree};
 use crate::gbt::{Gbt, GbtModel};
-
-/// [`SplitCounts`] over a [`FactorizedView`]: base features by entity
-/// scan, foreign features by pushed-down count aggregates.
-pub(crate) struct PushdownCounts<'a, 'b> {
-    pub view: &'a FactorizedView<'b>,
-}
-
-impl SplitCounts for PushdownCounts<'_, '_> {
-    fn n_classes(&self) -> usize {
-        self.view.n_classes()
-    }
-
-    fn domain_size(&self, f: usize) -> usize {
-        self.view.feature_domain_size(f)
-    }
-
-    fn label(&self, row: usize) -> u32 {
-        self.view.label(row)
-    }
-
-    fn code(&self, f: usize, row: usize) -> u32 {
-        self.view.code(f, row)
-    }
-
-    fn count_table(&self, f: usize, rows: &[usize]) -> Vec<u64> {
-        // Morsel-parallel on large nodes, sequential inside sweep
-        // workers — either way the counts are integers, so split
-        // scores stay bit-identical at any HAMLET_THREADS.
-        class_conditional_counts(self.view, f, rows)
-    }
-}
 
 /// Trains a CART tree over the star schema without materializing any
 /// join. Bit-for-bit identical to
@@ -66,7 +36,7 @@ pub fn fit_factorized_tree(
     rows: &[usize],
     feats: &[usize],
 ) -> CartModel {
-    tree.fit_with(&PushdownCounts { view }, rows, feats)
+    tree.fit_source(view, rows, feats)
 }
 
 /// Trains a gradient-boosted ensemble over the star schema without
@@ -86,7 +56,7 @@ pub fn fit_factorized_gbt(
 mod tests {
     use super::*;
     use hamlet_ml::classifier::Classifier;
-    use hamlet_ml::Dataset;
+    use hamlet_ml::{CodeSource, Dataset};
     use hamlet_relational::catalog::{AttributeTable, StarSchema};
     use hamlet_relational::{Domain, TableBuilder};
 

@@ -43,14 +43,14 @@ impl SplitCounts for StatsCounts<'_, '_> {
         self.stats.data().feature(f).codes[row]
     }
 
-    fn count_table(&self, f: usize, rows: &[usize]) -> Vec<u64> {
+    fn count_table(&self, f: usize, rows: &[usize], threads: usize) -> Vec<u64> {
         ScanCounts {
             src: self.stats.data(),
         }
-        .count_table(f, rows)
+        .count_table(f, rows, threads)
     }
 
-    fn root_table(&self, f: usize, _rows: &[usize]) -> Cow<'_, [u64]> {
+    fn root_table(&self, f: usize, _rows: &[usize], _threads: usize) -> Cow<'_, [u64]> {
         // The cache was built over (data, train) and fit_swept grows
         // over exactly those training rows, so the cached table *is*
         // the root table.

@@ -11,7 +11,7 @@ use proptest::prelude::any_bool;
 use proptest::prelude::*;
 
 use hamlet::chaos::{corrupt_corpus, ChaosPlan, FileProfile};
-use hamlet::ml::{class_count_table, class_count_table_gather};
+use hamlet::ml::{class_count_table, Dataset, Feature};
 use hamlet::relational::{
     read_csv_chunked, read_csv_lenient, ChunkedColumn, Column, ColumnSpec, DirtyPolicy, Domain,
     IngestOptions,
@@ -82,9 +82,9 @@ proptest! {
         prop_assert_eq!(chunked_gather.codes(), dense_gather.codes());
     }
 
-    /// The count kernels (contiguous and gathered, the SuffStats
-    /// building blocks) equal the naive per-row scan at any thread
-    /// count, over arbitrary label/code vectors.
+    /// The count primitive (contiguous and gathered row sets, the
+    /// SuffStats building block) equals the naive per-row scan at any
+    /// thread count, over arbitrary label/code vectors.
     #[test]
     fn count_kernels_match_naive_scan(
         pairs in proptest::collection::vec((0..4u32, 0..9u32), 0..500),
@@ -92,15 +92,18 @@ proptest! {
     ) {
         let labels: Vec<u32> = pairs.iter().map(|&(y, _)| y).collect();
         let codes: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
+        let data = Dataset::new(
+            vec![Feature { name: "x".into(), domain_size: 9, codes: codes.clone() }],
+            labels.clone(),
+            4,
+        );
+        let all: Vec<usize> = (0..pairs.len()).collect();
         let mut want = vec![0u64; 4 * 9];
         for (&y, &v) in labels.iter().zip(&codes) {
             want[y as usize * 9 + v as usize] += 1;
         }
         for threads in [1, 8] {
-            prop_assert_eq!(
-                class_count_table(4, 9, &labels, &codes, threads),
-                want.clone()
-            );
+            prop_assert_eq!(class_count_table(&data, 0, &all, threads), want.clone());
         }
         let rows: Vec<usize> = (0..pairs.len())
             .filter(|&i| *keep.get(i).unwrap_or(&false))
@@ -110,10 +113,7 @@ proptest! {
             want_sub[labels[r] as usize * 9 + codes[r] as usize] += 1;
         }
         for threads in [1, 8] {
-            prop_assert_eq!(
-                class_count_table_gather(4, 9, &labels, &codes, &rows, threads),
-                want_sub.clone()
-            );
+            prop_assert_eq!(class_count_table(&data, 0, &rows, threads), want_sub.clone());
         }
     }
 
