@@ -13,10 +13,11 @@
 //! `gbt_factorized_vs_materialized` is `gbt_factorized_s /
 //! gbt_materialized_s` (below 1 means the factorized fit is faster,
 //! even without counting the join the materialized arm pays for). The
-//! header records the worker count the fits resolved. `HAMLET_BENCH_QUICK=1`
-//! shrinks the emission to smoke scale (the CI mode); emission is
-//! skipped under `--test` (the shim runs bench bodies once, which would
-//! record nonsense timings).
+//! header records the worker count the fits resolved. The emitted
+//! shapes have 400k entity rows, or 100k under `HAMLET_BENCH_QUICK=1`
+//! (the CI mode); either way every fit takes tens of milliseconds.
+//! Emission is skipped under `--test` (the shim runs bench bodies once,
+//! which would record nonsense timings).
 
 use std::path::Path;
 use std::time::Instant;
@@ -33,6 +34,11 @@ use hamlet_trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
 
 const N_S: usize = 10_000;
 const D_R: usize = 6;
+
+/// Entity rows of the emitted shapes: large enough that every fit takes
+/// tens of milliseconds, so the ratios are not timer noise.
+const QUICK_EMIT_N_S: usize = 100_000;
+const EMIT_N_S: usize = 400_000;
 
 fn bench_trees(c: &mut Criterion) {
     let cart = CartTree::default();
@@ -128,7 +134,11 @@ fn time_secs<T, F: FnMut() -> T>(mut f: F, reps: usize) -> f64 {
 /// the other BENCH_*.json emitters).
 fn emit_summary() {
     let quick = std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (n_s, reps) = if quick { (2_000, 3) } else { (N_S, 3) };
+    let (n_s, reps) = if quick {
+        (QUICK_EMIT_N_S, 3)
+    } else {
+        (EMIT_N_S, 3)
+    };
     let cart = CartTree::default();
     let gbt = Gbt::from_env();
 

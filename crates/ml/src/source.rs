@@ -49,7 +49,9 @@
 //! paths. Inside an existing parallel region (a candidate sweep, a
 //! tree-node fan-out) the scan runs sequentially instead of nesting.
 //! Each table bumps one of `hamlet_count_rows_{contiguous,gather,via_fk}_total`
-//! by the rows it covered, so a run shows which path its counts took.
+//! by the rows it covered, so a run shows which path its counts took;
+//! a scan that would have gone parallel but ran sequentially inside a
+//! parallel region also bumps `hamlet_count_rows_nested_sequential_total`.
 
 use std::ops::Range;
 
@@ -265,7 +267,11 @@ fn count_pairs<S: CodeSource + Sync + ?Sized>(
         counts
     };
     let n = rows.len();
-    let counts = if n < PAR_THRESHOLD || threads <= 1 || in_parallel_region() {
+    let nested = n >= PAR_THRESHOLD && threads > 1 && in_parallel_region();
+    if nested {
+        hamlet_obs::counter_add!("hamlet_count_rows_nested_sequential_total", n);
+    }
+    let counts = if n < PAR_THRESHOLD || threads <= 1 || nested {
         scan(0..n)
     } else {
         let morsel = hamlet_obs::resolved_morsel_rows().max(n.div_ceil(threads));
@@ -580,18 +586,30 @@ mod tests {
         let mut s = star(100);
         let all: Vec<usize> = (0..100).collect();
         let evens: Vec<usize> = (0..100).step_by(2).collect();
-        let (contiguous, gather, via) = (
+        let (contiguous, gather, via, nested) = (
             counter("hamlet_count_rows_contiguous_total"),
             counter("hamlet_count_rows_gather_total"),
             counter("hamlet_count_rows_via_fk_total"),
+            counter("hamlet_count_rows_nested_sequential_total"),
         );
         class_count_table(&s, 0, &all, 1);
         class_count_table(&s, 1, &evens, 1);
         s.hide_labels = true;
         class_count_table(&s, 0, &all, 1);
         class_count_table(&s, 2, &all, 1);
+        // A scan large enough to go parallel, asked for two workers from
+        // inside a worker, runs sequentially and says so.
+        let big = star(PAR_THRESHOLD);
+        let big_rows: Vec<usize> = (0..PAR_THRESHOLD).collect();
+        let tables =
+            hamlet_obs::parallel::run_indexed(2, 2, &|f| class_count_table(&big, f, &big_rows, 2));
+        assert_eq!(tables[0], class_count_table(&big, 0, &big_rows, 1));
         assert!(counter("hamlet_count_rows_contiguous_total") - contiguous >= 100);
         assert!(counter("hamlet_count_rows_gather_total") - gather >= 150);
         assert!(counter("hamlet_count_rows_via_fk_total") - via >= 100);
+        assert!(
+            counter("hamlet_count_rows_nested_sequential_total") - nested
+                >= 2 * PAR_THRESHOLD as u64
+        );
     }
 }

@@ -43,18 +43,34 @@ pub fn var_where<T: std::str::FromStr>(
     expected: &str,
     accept: impl Fn(&T) -> bool,
 ) -> Result<Option<T>, EnvError> {
-    let err = |value: String| EnvError {
-        key: key.to_string(),
-        value,
-        expected: expected.to_string(),
-    };
     match std::env::var(key) {
         Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(err(raw.to_string_lossy().into_owned())),
-        Ok(s) => match s.trim().parse::<T>() {
-            Ok(v) if accept(&v) => Ok(Some(v)),
-            _ => Err(err(s)),
-        },
+        Err(std::env::VarError::NotUnicode(raw)) => Err(EnvError {
+            key: key.to_string(),
+            value: raw.to_string_lossy().into_owned(),
+            expected: expected.to_string(),
+        }),
+        Ok(s) => parse_where(key, expected, &s, accept).map(Some),
+    }
+}
+
+/// The parsing half of [`var_where`], over a value already read:
+/// `value` (trimmed) parsed as `T` where `accept` holds, or an
+/// [`EnvError`] naming `key`. Pure, so knobs can be unit-tested without
+/// mutating the process environment.
+pub fn parse_where<T: std::str::FromStr>(
+    key: &str,
+    expected: &str,
+    value: &str,
+    accept: impl Fn(&T) -> bool,
+) -> Result<T, EnvError> {
+    match value.trim().parse::<T>() {
+        Ok(v) if accept(&v) => Ok(v),
+        _ => Err(EnvError {
+            key: key.to_string(),
+            value: value.to_string(),
+            expected: expected.to_string(),
+        }),
     }
 }
 

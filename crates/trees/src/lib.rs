@@ -5,9 +5,10 @@
 //!   every other classifier in `hamlet_ml`.
 //! * **Factorized** — over a `FactorizedView`, with CART split
 //!   statistics assembled from pushed-down per-table class-conditional
-//!   count aggregates (the JoinBoost recipe) and GBT residual sums
-//!   streamed through FK indirection, so **no join is ever
-//!   materialized** and peak allocation does not scale with fanout.
+//!   count aggregates (the JoinBoost recipe) and GBT's exact
+//!   fixed-point residual sums folded through each FK the same way, so
+//!   **no join is ever materialized** and peak allocation does not
+//!   scale with fanout.
 //!
 //! Both learners implement `Classifier` and `SweepFit`, so
 //! forward/backward/filter selection sweeps run on trees through the

@@ -69,7 +69,7 @@ impl SweepFit for CartTree {
     }
 }
 
-// GBT gains nothing from cached count tables (its aggregates are float
+// GBT gains nothing from cached count tables (its aggregates are
 // residual sums that change every round), so it keeps the default
 // fit-through delegation — correct, just uncached.
 impl SweepFit for Gbt {}

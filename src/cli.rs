@@ -1619,9 +1619,7 @@ mod tests {
 
     #[test]
     fn train_gbt_factorized_parity() {
-        std::env::set_var("HAMLET_GBT_ROUNDS", "3");
         let out = run(&argv("train --dataset walmart --scale 0.01 --model gbt")).unwrap();
-        std::env::remove_var("HAMLET_GBT_ROUNDS");
         assert!(out.contains("model gbt"), "{out}");
         assert!(out.contains("parity: exact (identical model)"), "{out}");
     }

@@ -12,10 +12,11 @@ use hamlet::chaos::corrupt::{corrupt_corpus, ChaosPlan, Corpus, FaultKind, FileP
 use hamlet::factorized::FactorizedView;
 use hamlet::ml::classifier::{Classifier, Model};
 use hamlet::ml::dataset::Dataset;
+use hamlet::ml::CodeSource;
 use hamlet::relational::{
     AttributeTable, DirtyPolicy, Domain, FkPolicy, LoadPolicy, Manifest, StarSchema, TableBuilder,
 };
-use hamlet::trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
+use hamlet::trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt, RegNode};
 
 /// A random two-attribute-table star: `R` stores its RIDs in order,
 /// `Q` stores them out of order, each carries two foreign features, and
@@ -153,11 +154,13 @@ proptest! {
         }
     }
 
-    /// GBT: the factorized path resolves each FK once per node and
-    /// adds every bucket's residuals in the same node-row order the
-    /// materialized scan uses, so the float program — and thus every
-    /// leaf value and raw score — is bitwise equal, at any thread count
-    /// and on a non-contiguous training set.
+    /// GBT: split histograms are exact fixed-point `(count, sum)`
+    /// integers, so the factorized path — each FK folded once per
+    /// scanned node, larger children derived as parent − sibling — and
+    /// the materialized scan build identical histograms in whatever
+    /// order they add. Every split, leaf value and raw score is then
+    /// bitwise equal, at any thread count and on a non-contiguous
+    /// training set.
     #[test]
     fn factorized_gbt_is_bitwise_identical(inst in star_instance()) {
         let star = build_star(&inst);
@@ -179,6 +182,60 @@ proptest! {
                     m_mat.raw_score(&data, row).to_bits() == m_fac.raw_score(&view, row).to_bits(),
                     "row {} raw scores diverge at {} threads", row, threads
                 );
+            }
+        }
+    }
+
+    /// Every GBT leaf is the mean residual of the training rows routed
+    /// to it (within one fixed-point unit, far below `1e-9` here), over
+    /// deep trees whose children take their histograms by sibling
+    /// subtraction. A split scored on the wrong child's histograms, or
+    /// on a parent's histograms left unsubtracted, routes a row count
+    /// or residual sum that differs from the leaf's, and fails here.
+    #[test]
+    fn gbt_leaves_are_the_mean_residual_of_their_rows(inst in star_instance()) {
+        let star = build_star(&inst);
+        let wide = star.materialize_all().unwrap();
+        let data = Dataset::from_table(&wide);
+        let train: Vec<usize> = (0..star.n_s()).filter(|r| r % 3 != 1).collect();
+        let feats: Vec<usize> = (0..data.n_features()).collect();
+        let gbt = Gbt {
+            rounds: 3,
+            max_depth: 4,
+            min_samples_split: 2,
+            threads: Some(1),
+            ..Gbt::default()
+        };
+        let model = gbt.fit(&data, &train, &feats);
+        let mut scores = vec![model.base(); data.n_examples()];
+        for tree in model.trees() {
+            // (residual sum, rows) per arena node that is a leaf.
+            let mut at_leaf = vec![(0.0f64, 0usize); tree.nodes().len()];
+            let mut leaf_of = Vec::with_capacity(train.len());
+            for &r in &train {
+                let mut at = tree.root() as usize;
+                while let RegNode::Split { feature, value, left, right } = tree.nodes()[at] {
+                    at = if data.code(feature, r) == value { left } else { right } as usize;
+                }
+                at_leaf[at].0 += data.labels()[r] as f64 - scores[r];
+                at_leaf[at].1 += 1;
+                leaf_of.push(at);
+            }
+            for (at, node) in tree.nodes().iter().enumerate() {
+                if let RegNode::Leaf { value } = *node {
+                    let (sum, rows) = at_leaf[at];
+                    prop_assert!(rows > 0, "leaf {} reached by no training row", at);
+                    let mean = sum / rows as f64;
+                    prop_assert!(
+                        (value - mean).abs() <= 1e-9,
+                        "leaf {} is {} but its {} rows average {}", at, value, rows, mean
+                    );
+                }
+            }
+            for (&r, &at) in train.iter().zip(&leaf_of) {
+                if let RegNode::Leaf { value } = tree.nodes()[at] {
+                    scores[r] += model.learning_rate() * value;
+                }
             }
         }
     }
