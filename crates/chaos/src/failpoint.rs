@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 /// Environment variable holding the failpoint spec.
 pub const FAILPOINTS_VAR: &str = "HAMLET_FAILPOINTS";
@@ -220,14 +220,25 @@ pub fn hit_count(site: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Test support: failpoint state is process-global, so tests that arm
-/// failpoints must serialize. Holding the returned guard across
-/// `set_failpoints`..`clear_failpoints` keeps one test's arming from
-/// leaking into another mid-assert (poisoning is ignored — a panicking
-/// failpoint test is expected to unwind while holding the guard).
-pub fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+/// Test support: failpoint state is process-global, so a test that
+/// arms failpoints must exclude every other test whose code passes a
+/// failpoint site. The arming test holds [`serial`] across
+/// `set_failpoints`..`clear_failpoints`; a test that only passes sites
+/// (a server it starts accepts and writes, an artifact it loads) holds
+/// [`shared`], so such tests still run in parallel with each other but
+/// never while a failpoint is armed. Poisoning is ignored — a panicking
+/// failpoint test is expected to unwind while holding the guard.
+static LOCK: RwLock<()> = RwLock::new(());
+
+/// The exclusive guard a test holds while it arms failpoints.
+pub fn serial() -> std::sync::RwLockWriteGuard<'static, ()> {
+    LOCK.write().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The shared guard a test holds while its code passes failpoint sites
+/// it does not arm.
+pub fn shared() -> std::sync::RwLockReadGuard<'static, ()> {
+    LOCK.read().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Marks a failpoint site. Expands to an expression of type

@@ -30,7 +30,6 @@ use std::path::{Path, PathBuf};
 use hamlet_chaos::failpoint;
 use hamlet_core::advisor::AdvisorConfig;
 use hamlet_core::ModelFamily;
-use hamlet_obs::json::Json;
 use hamlet_relational::{DirtyPolicy, FkPolicy, LoadPolicy, Manifest, TablePolicy};
 use hamlet_serve::{build_artifact_with_availability, ModelKind, Scorer, ServerConfig};
 
@@ -77,6 +76,13 @@ feature Country
     let mpath = dir.join("churn.manifest");
     std::fs::write(&mpath, manifest).map_err(|e| e.to_string())?;
     Ok(mpath)
+}
+
+/// Decodes, scores and renders one request body without the HTTP
+/// plane: the response text a server would answer with.
+fn respond(scorer: &Scorer, body: &str) -> Result<String, String> {
+    let (batch, _) = scorer.decode_body(body, false).map_err(|e| e.to_string())?;
+    Ok(scorer.render(&scorer.score(&batch), false))
 }
 
 /// A positional-rows request body valid for `artifact`'s schema: one
@@ -153,18 +159,10 @@ pub fn report(dir: &Path) -> Result<String, String> {
         build_artifact_with_availability(&tolerant.star, kind, &config, "churn", &[])
             .map_err(|e| e.to_string())?;
     let body = rows_body(&strict_built.artifact);
-    let doc = Json::parse(&body).map_err(|e| e.to_string())?;
     let strict_scorer = Scorer::new(strict_built.artifact);
     let tolerant_scorer = Scorer::new(tolerant_built.artifact);
-    let strict_preds = strict_scorer
-        .predict_body(&doc)
-        .map_err(|e| e.to_string())?;
-    let tolerant_preds = tolerant_scorer
-        .predict_body(&doc)
-        .map_err(|e| e.to_string())?;
     ensure(
-        Scorer::render_predictions(&strict_preds).to_string()
-            == Scorer::render_predictions(&tolerant_preds).to_string(),
+        respond(&strict_scorer, &body)? == respond(&tolerant_scorer, &body)?,
         "phase 1: Require and AllowDegraded predictions must be bit-for-bit identical",
     )?;
     out.push_str("phase 1 (parity, no fault): Require == AllowDegraded bit-for-bit\n");

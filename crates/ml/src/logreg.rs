@@ -314,14 +314,21 @@ impl LogisticRegressionModel {
 
     /// Class scores (pre-softmax) for one row.
     pub fn decision_scores<S: CodeSource>(&self, data: &S, row: usize) -> Vec<f64> {
-        let mut scores = self.bias.clone();
+        let mut scores = vec![0.0; self.bias.len()];
+        self.decision_scores_into(data, row, &mut scores);
+        scores
+    }
+
+    /// [`LogisticRegressionModel::decision_scores`] written into
+    /// `scores` (one slot per class) instead of a fresh vector.
+    pub fn decision_scores_into<S: CodeSource>(&self, data: &S, row: usize, scores: &mut [f64]) {
+        scores.copy_from_slice(&self.bias);
         for (i, &f) in self.feats.iter().enumerate() {
             let col = self.offsets[i] + data.code(f, row) as usize;
             for (y, s) in scores.iter_mut().enumerate() {
                 *s += self.weights[y * self.dim + col];
             }
         }
-        scores
     }
 
     /// Class probabilities for one row.

@@ -177,7 +177,15 @@ impl NaiveBayesModel {
     /// Unnormalized log-posterior `log P(y) + sum_f log P(x_f | y)` for
     /// each class on one row.
     pub fn log_posterior<S: CodeSource>(&self, data: &S, row: usize) -> Vec<f64> {
-        let mut scores = self.log_prior.clone();
+        let mut scores = vec![0.0; self.log_prior.len()];
+        self.log_posterior_into(data, row, &mut scores);
+        scores
+    }
+
+    /// [`NaiveBayesModel::log_posterior`] written into `scores` (one
+    /// slot per class) instead of a fresh vector.
+    pub fn log_posterior_into<S: CodeSource>(&self, data: &S, row: usize, scores: &mut [f64]) {
+        scores.copy_from_slice(&self.log_prior);
         for (i, &f) in self.feats.iter().enumerate() {
             let v = data.code(f, row) as usize;
             let d = self.domain_sizes[i];
@@ -186,7 +194,6 @@ impl NaiveBayesModel {
                 *s += table[y * d + v];
             }
         }
-        scores
     }
 
     /// Log-priors `log P(y)` per class.

@@ -242,7 +242,15 @@ impl TanModel {
 
     /// Unnormalized log-posterior per class on one row.
     pub fn log_posterior<S: CodeSource>(&self, data: &S, row: usize) -> Vec<f64> {
-        let mut scores = self.log_prior.clone();
+        let mut scores = vec![0.0; self.log_prior.len()];
+        self.log_posterior_into(data, row, &mut scores);
+        scores
+    }
+
+    /// [`TanModel::log_posterior`] written into `scores` (one slot per
+    /// class) instead of a fresh vector.
+    pub fn log_posterior_into<S: CodeSource>(&self, data: &S, row: usize, scores: &mut [f64]) {
+        scores.copy_from_slice(&self.log_prior);
         for (i, &f) in self.feats.iter().enumerate() {
             let v = data.code(f, row) as usize;
             let d = self.domain_sizes[i];
@@ -263,7 +271,6 @@ impl TanModel {
                 }
             }
         }
-        scores
     }
 }
 

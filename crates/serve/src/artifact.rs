@@ -227,32 +227,41 @@ impl ServableModel {
         }
     }
 
-    /// Per-class scores on one row: the unnormalized log-posterior for
-    /// NB/TAN, the pre-softmax decision scores for logistic regression,
-    /// a one-hot indicator of the predicted leaf class for the tree,
-    /// and `-(F - y)^2` per class for GBT (whose argmax — strict
-    /// greater, ties to the lower class — is exactly its prediction).
-    pub fn scores<S: CodeSource>(&self, data: &S, row: usize) -> Vec<f64> {
+    /// Scores one row into `scores` (one slot per class) and returns
+    /// its class, in one pass over the row: the unnormalized
+    /// log-posterior for NB/TAN, the pre-softmax decision scores for
+    /// logistic regression, a one-hot indicator of the leaf class for
+    /// the tree, and `-(F - y)^2` per class for GBT. The class is the
+    /// argmax of the scores — strict greater, ties to the lower index —
+    /// which is exactly [`Model::predict_row`] for every family (the
+    /// tree returns its leaf class, the one-hot's argmax).
+    pub fn score_into<S: CodeSource>(&self, data: &S, row: usize, scores: &mut [f64]) -> u32 {
         match self {
-            ServableModel::NaiveBayes(m) => m.log_posterior(data, row),
-            ServableModel::LogisticRegression(m) => m.decision_scores(data, row),
-            ServableModel::Tan(m) => m.log_posterior(data, row),
+            ServableModel::NaiveBayes(m) => m.log_posterior_into(data, row, scores),
+            ServableModel::LogisticRegression(m) => m.decision_scores_into(data, row, scores),
+            ServableModel::Tan(m) => m.log_posterior_into(data, row, scores),
             ServableModel::Tree(m) => {
-                let class = m.predict_row(data, row) as usize;
-                (0..m.n_classes())
-                    .map(|y| if y == class { 1.0 } else { 0.0 })
-                    .collect()
+                let class = m.predict_row(data, row);
+                for (y, s) in scores.iter_mut().enumerate() {
+                    *s = if y == class as usize { 1.0 } else { 0.0 };
+                }
+                return class;
             }
             ServableModel::Gbt(m) => {
                 let f_val = m.raw_score(data, row);
-                (0..m.n_classes())
-                    .map(|y| {
-                        let d = f_val - y as f64;
-                        -(d * d)
-                    })
-                    .collect()
+                for (y, s) in scores.iter_mut().enumerate() {
+                    let d = f_val - y as f64;
+                    *s = -(d * d);
+                }
             }
         }
+        let mut best = 0;
+        for y in 1..scores.len() {
+            if scores[y] > scores[best] {
+                best = y;
+            }
+        }
+        best as u32
     }
 }
 
@@ -1302,6 +1311,7 @@ mod tests {
 
     #[test]
     fn mmap_and_buffered_loads_agree() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let a = nb_artifact();
         let path = std::env::temp_dir().join("hamlet_artifact_mmap_test.json");
         save(&a, &path).unwrap();
@@ -1317,6 +1327,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn mmap_path_verifies_checksum_over_mapped_bytes() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let a = nb_artifact();
         let path = std::env::temp_dir().join("hamlet_artifact_mmap_tamper_test.json");
         save(&a, &path).unwrap();
@@ -1335,6 +1346,7 @@ mod tests {
 
     #[test]
     fn zero_byte_artifact_is_typed_error() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let path = std::env::temp_dir().join("hamlet_artifact_mmap_empty_test.json");
         std::fs::write(&path, b"").unwrap();
         // mmap rejects len 0; the buffered fallback reports the typed
@@ -1346,6 +1358,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn non_utf8_artifact_falls_back_without_panicking() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let path = std::env::temp_dir().join("hamlet_artifact_mmap_utf8_test.json");
         std::fs::write(&path, [0xff, 0xfe, 0x00]).unwrap();
         // Mapped bytes are not UTF-8: the fast path declines, and the
@@ -1635,17 +1648,24 @@ mod tests {
                 0
             }
         }
-        let scores = a.model.scores(&One, 0);
-        let argmax = scores
-            .iter()
-            .enumerate()
-            .fold(0usize, |b, (i, &s)| if s > scores[b] { i } else { b });
-        assert_eq!(argmax as u32, a.model.predict_row(&One, 0));
+        let mut scores = [0.0; 3];
+        let argmax = a.model.score_into(&One, 0, &mut scores);
+        assert_eq!(argmax, a.model.predict_row(&One, 0));
         assert_eq!(argmax, 1);
+        for (y, &s) in scores.iter().enumerate() {
+            let d = 1.4 - y as f64;
+            assert_eq!(s, -(d * d));
+        }
+        // F = 0.5 ties classes 0 and 1: the tie goes to the lower class.
+        let tie =
+            ServableModel::Gbt(GbtModel::from_parts(vec![0], 3, 1, 0.5, 1.0, vec![]).unwrap());
+        assert_eq!(tie.score_into(&One, 0, &mut scores), 0);
+        assert_eq!(tie.predict_row(&One, 0), 0);
     }
 
     #[test]
     fn non_finite_parameters_refuse_to_save() {
+        let _fp = hamlet_chaos::failpoint::shared();
         // A NaN log-prior: renders as `null`, which would fail
         // finite_of on load — save must refuse up front.
         let mut a = nb_artifact();
@@ -1692,6 +1712,7 @@ mod tests {
 
     #[test]
     fn io_error_is_typed() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let err = load(Path::new("/nonexistent/artifact.json")).unwrap_err();
         assert!(matches!(err, ArtifactError::Io { .. }), "{err}");
     }

@@ -441,6 +441,7 @@ mod tests {
 
     #[test]
     fn responses_carry_the_requested_disposition() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
@@ -457,6 +458,7 @@ mod tests {
 
     #[test]
     fn extra_headers_land_in_the_head_not_the_body() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();

@@ -55,7 +55,7 @@ pub use artifact::{
     ArtifactError, FeatureSchema, FkColdStart, JoinDecision, ModelArtifact, ServableModel, MAGIC,
     SCHEMA_VERSION,
 };
-pub use batch::MicroBatcher;
+pub use batch::{CodedBatch, MicroBatcher, ScoredBatch};
 pub use conn::ConnReader;
 pub use degrade::{BreakerPolicy, CircuitBreaker};
 pub use export::{

@@ -389,6 +389,7 @@ mod tests {
 
     #[test]
     fn reload_from_disk_is_all_or_nothing() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let dir = std::env::temp_dir().join(format!("hamlet_registry_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("a.model");
@@ -480,6 +481,7 @@ mod tests {
 
     #[test]
     fn duplicate_ids_and_empty_sources_are_typed_errors() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let dir = std::env::temp_dir().join(format!("hamlet_registry_dup_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("a.model");

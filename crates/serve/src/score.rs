@@ -16,20 +16,29 @@
 //!    those features is semantically wrong — the caller joined
 //!    something the model promised not to need — and is rejected with
 //!    [`ScoreError::AvoidedFeature`] rather than silently ignored.
+//!
+//! A request takes one typed path: [`Scorer::decode_body`] reads the
+//! body text into a column-major [`CodedBatch`] (positional codes go
+//! from bytes to `u32` with no JSON node per value), [`Scorer::score`]
+//! scores each row once, and [`Scorer::render`] writes the response
+//! text directly.
 
 use std::collections::HashMap;
 
 use hamlet_core::ExecStrategy;
-use hamlet_ml::{CodeSource, Column, Model};
-use hamlet_obs::json::{obj, Json};
+use hamlet_obs::counter_add;
+use hamlet_obs::json::{obj, write_num, write_str, Json, Reader};
 
 use crate::artifact::{ModelArtifact, ServableModel};
+use crate::batch::{CodedBatch, ScoredBatch};
 
 /// A typed scoring failure. [`ScoreError::http_status`] maps each
 /// variant onto the HTTP plane: 400 for malformed requests, 422 for
 /// well-formed requests the model must refuse.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScoreError {
+    /// The request body is not JSON; carries the parser's message.
+    Syntax(String),
     /// The request body is not an object, array of rows, or
     /// `{"rows": [...]}`.
     NotAnObject,
@@ -94,7 +103,8 @@ impl ScoreError {
     /// semantically refuses.
     pub fn http_status(&self) -> u16 {
         match self {
-            ScoreError::NotAnObject
+            ScoreError::Syntax(_)
+            | ScoreError::NotAnObject
             | ScoreError::BadValue { .. }
             | ScoreError::WrongArity { .. } => 400,
             ScoreError::UnknownFeature { .. }
@@ -108,6 +118,7 @@ impl ScoreError {
     /// Stable snake-case kind tag for error bodies.
     pub fn kind(&self) -> &'static str {
         match self {
+            ScoreError::Syntax(_) => "bad_json",
             ScoreError::NotAnObject => "not_an_object",
             ScoreError::BadValue { .. } => "bad_value",
             ScoreError::UnknownFeature { .. } => "unknown_feature",
@@ -134,6 +145,7 @@ impl ScoreError {
 impl std::fmt::Display for ScoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ScoreError::Syntax(message) => write!(f, "request body: {message}"),
             ScoreError::NotAnObject => write!(
                 f,
                 "request body must be a row object, an array of rows, or {{\"rows\": [...]}}"
@@ -197,65 +209,41 @@ pub struct Prediction {
     pub scores: Vec<f64>,
 }
 
-impl Prediction {
-    /// Renders one prediction object.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("class", Json::Num(self.class as f64)),
-            (
-                "label",
-                match &self.label {
-                    Some(l) => Json::Str(l.clone()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "scores",
-                Json::Arr(self.scores.iter().map(|&s| Json::Num(s)).collect()),
-            ),
-        ])
+/// Writes `{"predictions":[…]}` (plus `"degraded":true` on degraded
+/// answers) for `(class, label, scores)` rows: byte for byte the
+/// rendering of the equivalent [`Json`] tree, through the same writers.
+fn render_rows<'p>(
+    rows: impl ExactSizeIterator<Item = (u32, Option<&'p str>, &'p [f64])>,
+    degraded: bool,
+) -> String {
+    let mut out = String::with_capacity(32 + rows.len() * 96);
+    out.push_str("{\"predictions\":[");
+    for (i, (class, label, scores)) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"class\":");
+        write_num(&mut out, class as f64);
+        out.push_str(",\"label\":");
+        match label {
+            Some(l) => write_str(&mut out, l),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"scores\":[");
+        for (j, &s) in scores.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write_num(&mut out, s);
+        }
+        out.push_str("]}");
     }
-}
-
-/// Column-major batch of coded rows implementing [`CodeSource`], so the
-/// fitted models score requests through the same trait they were
-/// trained against.
-struct RowBatch<'a> {
-    artifact: &'a ModelArtifact,
-    /// `codes[feature][row]`.
-    codes: Vec<Vec<u32>>,
-    n_rows: usize,
-}
-
-impl CodeSource for RowBatch<'_> {
-    fn n_examples(&self) -> usize {
-        self.n_rows
+    out.push(']');
+    if degraded {
+        out.push_str(",\"degraded\":true");
     }
-
-    fn n_classes(&self) -> usize {
-        self.artifact.n_classes
-    }
-
-    fn n_features(&self) -> usize {
-        self.artifact.features.len()
-    }
-
-    fn feature_domain_size(&self, f: usize) -> usize {
-        self.artifact.features[f].domain_size
-    }
-
-    fn feature_name(&self, f: usize) -> &str {
-        &self.artifact.features[f].name
-    }
-
-    fn column(&self, f: usize) -> Column<'_> {
-        Column::Rows(&self.codes[f])
-    }
-
-    fn label(&self, _row: usize) -> u32 {
-        // Requests carry no target; nothing in prediction reads this.
-        0
-    }
+    out.push('}');
+    out
 }
 
 /// A loaded artifact plus the lookup structures scoring needs.
@@ -330,250 +318,255 @@ impl Scorer {
         &self.artifact
     }
 
-    /// Resolves one JSON value to the trained code of feature `f`,
-    /// applying cold-start `Others` routing for FKs.
-    fn code_for(&self, f: usize, value: &Json) -> Result<u32, ScoreError> {
+    /// Routes an integer code of feature `f`: an FK code outside the
+    /// original domain is an unseen entity and becomes `Others`; any
+    /// other feature refuses a code outside its trained domain.
+    fn route_code(&self, f: usize, code: u32) -> Result<u32, ScoreError> {
         let fs = &self.artifact.features[f];
-        match value {
-            Json::Num(n) => {
-                if !n.is_finite() || *n < 0.0 || n.fract() != 0.0 || *n > u32::MAX as f64 {
-                    return Err(ScoreError::BadValue {
-                        feature: fs.name.clone(),
-                        message: format!("expected a non-negative integer code, got {n}"),
-                    });
-                }
-                let code = *n as u32;
-                match &fs.fk {
-                    Some(fk) => {
-                        // Cold start: anything outside the original FK
-                        // domain is an unseen entity -> Others.
-                        if (code as usize) >= fk.original_domain {
-                            Ok(fk.others_code)
-                        } else {
-                            Ok(code)
-                        }
-                    }
-                    None => {
-                        if (code as usize) < fs.domain_size {
-                            Ok(code)
-                        } else {
-                            Err(ScoreError::UnknownCategory {
-                                feature: fs.name.clone(),
-                                value: code.to_string(),
-                                domain_size: fs.domain_size,
-                            })
-                        }
-                    }
-                }
-            }
-            Json::Str(s) => match &self.label_codes[f] {
-                Some(codes) => match codes.get(s) {
-                    Some(&c) => Ok(c),
-                    None => match &fs.fk {
-                        Some(fk) => Ok(fk.others_code),
-                        None => Err(ScoreError::UnknownCategory {
-                            feature: fs.name.clone(),
-                            value: format!("'{s}'"),
-                            domain_size: fs.domain_size,
-                        }),
-                    },
-                },
-                None => Err(ScoreError::BadValue {
-                    feature: fs.name.clone(),
-                    message: format!(
-                        "'{s}' is a string but this feature has no label vocabulary; \
-                         send an integer code"
-                    ),
-                }),
-            },
-            other => Err(ScoreError::BadValue {
+        match &fs.fk {
+            Some(fk) if (code as usize) >= fk.original_domain => Ok(fk.others_code),
+            Some(_) => Ok(code),
+            None if (code as usize) < fs.domain_size => Ok(code),
+            None => Err(ScoreError::UnknownCategory {
                 feature: fs.name.clone(),
+                value: code.to_string(),
+                domain_size: fs.domain_size,
+            }),
+        }
+    }
+
+    /// Resolves a JSON number to the trained code of feature `f`.
+    fn code_of_num(&self, f: usize, n: f64) -> Result<u32, ScoreError> {
+        if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n > u32::MAX as f64 {
+            return Err(ScoreError::BadValue {
+                feature: self.artifact.features[f].name.clone(),
+                message: format!("expected a non-negative integer code, got {n}"),
+            });
+        }
+        self.route_code(f, n as u32)
+    }
+
+    /// Resolves a JSON string (a value label) to the trained code of
+    /// feature `f`; an unknown label of an FK is an unseen entity.
+    fn code_of_str(&self, f: usize, s: &str) -> Result<u32, ScoreError> {
+        let fs = &self.artifact.features[f];
+        let Some(codes) = &self.label_codes[f] else {
+            return Err(ScoreError::BadValue {
+                feature: fs.name.clone(),
+                message: format!(
+                    "'{s}' is a string but this feature has no label vocabulary; \
+                     send an integer code"
+                ),
+            });
+        };
+        match (codes.get(s), &fs.fk) {
+            (Some(&c), _) => Ok(c),
+            (None, Some(fk)) => Ok(fk.others_code),
+            (None, None) => Err(ScoreError::UnknownCategory {
+                feature: fs.name.clone(),
+                value: format!("'{s}'"),
+                domain_size: fs.domain_size,
+            }),
+        }
+    }
+
+    /// Resolves any JSON value to the trained code of feature `f`.
+    fn code_of(&self, f: usize, value: &Json) -> Result<u32, ScoreError> {
+        match value {
+            Json::Num(n) => self.code_of_num(f, *n),
+            Json::Str(s) => self.code_of_str(f, s),
+            other => Err(ScoreError::BadValue {
+                feature: self.artifact.features[f].name.clone(),
                 message: format!("expected a number or string, got {other}"),
             }),
         }
     }
 
-    /// Decodes one row (named object or positional array) into the
-    /// model's per-feature codes, in schema order. The flag reports
-    /// whether a degraded-table feature was ignored (`allow_degraded`
-    /// only; otherwise such a feature is a typed refusal).
-    fn decode_row_allow(
+    /// Decodes one parsed row into `codes` (schema order); `Ok(true)`
+    /// reports a degraded-table feature ignored under `allow_degraded`.
+    /// A named row's member names are all checked before any value.
+    fn decode_row(
         &self,
         row: &Json,
         allow_degraded: bool,
-    ) -> Result<(Vec<u32>, bool), ScoreError> {
-        let d = self.artifact.features.len();
-        match row {
-            Json::Obj(members) => {
-                let mut row_degraded = false;
-                for (name, _) in members {
-                    if !self.by_name.contains_key(name) {
-                        // Features of degraded (train-time-absent)
-                        // tables: ignored under the fallback chain,
-                        // refused with ROR evidence otherwise. Checked
-                        // before the avoid-join refusal — a degraded
-                        // table's decision may also be an avoid.
-                        if let Some(&di) = self.degraded_of.get(name) {
-                            if allow_degraded {
-                                row_degraded = true;
-                                continue;
-                            }
-                            let dec = &self.artifact.decisions[di];
-                            return Err(ScoreError::DegradedFeature {
-                                name: name.clone(),
-                                table: dec.table.clone(),
-                                ror: dec.ror,
-                            });
-                        }
-                        // Refuse foreign features of avoided joins with a
-                        // specific error before the generic unknown one.
-                        if let Some(table) = self.avoided_of.get(name) {
-                            return Err(ScoreError::AvoidedFeature {
-                                name: name.clone(),
-                                table: table.clone(),
-                            });
-                        }
-                        return Err(ScoreError::UnknownFeature { name: name.clone() });
-                    }
-                }
-                let mut codes = Vec::with_capacity(d);
-                for (f, fs) in self.artifact.features.iter().enumerate() {
-                    let value = row
-                        .get(&fs.name)
-                        .ok_or_else(|| ScoreError::MissingFeature {
-                            name: fs.name.clone(),
-                        })?;
-                    codes.push(self.code_for(f, value)?);
-                }
-                Ok((codes, row_degraded))
+        codes: &mut [u32],
+    ) -> Result<bool, ScoreError> {
+        let members = match row {
+            Json::Obj(members) => members,
+            Json::Arr(values) if values.len() != codes.len() => {
+                return Err(ScoreError::WrongArity {
+                    got: values.len(),
+                    expected: codes.len(),
+                })
             }
             Json::Arr(values) => {
-                if values.len() != d {
-                    return Err(ScoreError::WrongArity {
-                        got: values.len(),
-                        expected: d,
-                    });
+                for (f, value) in values.iter().enumerate() {
+                    codes[f] = self.code_of(f, value)?;
                 }
-                values
-                    .iter()
-                    .enumerate()
-                    .map(|(f, value)| self.code_for(f, value))
-                    .collect::<Result<Vec<u32>, ScoreError>>()
-                    .map(|codes| (codes, false))
+                return Ok(false);
             }
-            _ => Err(ScoreError::NotAnObject),
-        }
-    }
-
-    /// Decodes a request body into fully validated row-major codes
-    /// (`rows[i][f]` in schema order) without scoring them. This is the
-    /// first half of [`Scorer::predict_body`], split out so the server's
-    /// micro-batcher can validate each request on its own worker and
-    /// coalesce only the (infallible) scoring step across requests.
-    ///
-    /// Body shapes and the `rows`-feature disambiguation rule are
-    /// documented on [`Scorer::predict_body`].
-    pub fn decode_body(&self, body: &Json) -> Result<Vec<Vec<u32>>, ScoreError> {
-        self.decode_body_degraded(body, false).map(|(rows, _)| rows)
-    }
-
-    /// [`Scorer::decode_body`] with the degraded-mode fallback chain:
-    /// when `allow_degraded`, named values for features of
-    /// train-time-absent tables are ignored instead of refused, and the
-    /// returned flag reports whether any row was downgraded that way.
-    /// With `allow_degraded = false` this is exactly `decode_body`.
-    pub fn decode_body_degraded(
-        &self,
-        body: &Json,
-        allow_degraded: bool,
-    ) -> Result<(Vec<Vec<u32>>, bool), ScoreError> {
-        let rows_is_feature = self.by_name.contains_key("rows");
-        let rows: Vec<&Json> = match body {
-            Json::Obj(_) if !rows_is_feature => match body.get("rows") {
-                Some(Json::Arr(rows)) => rows.iter().collect(),
-                Some(_) => {
-                    return Err(ScoreError::BadValue {
-                        feature: "rows".into(),
-                        message: "expected an array of rows".into(),
-                    })
-                }
-                // A single named row.
-                None => vec![body],
-            },
-            // A single named row (schema has a feature named "rows").
-            Json::Obj(_) => vec![body],
-            Json::Arr(rows) => rows.iter().collect(),
             _ => return Err(ScoreError::NotAnObject),
         };
-        let mut any_degraded = false;
-        let decoded = rows
+        let mut row_degraded = false;
+        for (name, _) in members
             .iter()
-            .map(|row| {
-                let (codes, row_degraded) = self.decode_row_allow(row, allow_degraded)?;
-                any_degraded |= row_degraded;
-                Ok(codes)
-            })
-            .collect::<Result<Vec<Vec<u32>>, ScoreError>>()?;
-        Ok((decoded, any_degraded))
+            .filter(|(n, _)| !self.by_name.contains_key(n))
+        {
+            // Features of degraded (train-time-absent) tables: ignored
+            // under the fallback chain, refused with ROR evidence
+            // otherwise. Checked before the avoid-join refusal — a
+            // degraded table's decision may also be an avoid.
+            if let Some(&di) = self.degraded_of.get(name) {
+                if allow_degraded {
+                    row_degraded = true;
+                    continue;
+                }
+                let dec = &self.artifact.decisions[di];
+                return Err(ScoreError::DegradedFeature {
+                    name: name.clone(),
+                    table: dec.table.clone(),
+                    ror: dec.ror,
+                });
+            }
+            // Refuse foreign features of avoided joins with a specific
+            // error before the generic unknown one.
+            return Err(match self.avoided_of.get(name) {
+                Some(table) => ScoreError::AvoidedFeature {
+                    name: name.clone(),
+                    table: table.clone(),
+                },
+                None => ScoreError::UnknownFeature { name: name.clone() },
+            });
+        }
+        for (f, fs) in self.artifact.features.iter().enumerate() {
+            let value = row
+                .get(&fs.name)
+                .ok_or_else(|| ScoreError::MissingFeature {
+                    name: fs.name.clone(),
+                })?;
+            codes[f] = self.code_of(f, value)?;
+        }
+        Ok(row_degraded)
     }
 
-    /// Scores already-validated row-major codes (each row produced by
-    /// [`Scorer::decode_body`], in schema order). Scoring a coalesced
-    /// batch is bit-for-bit identical to scoring each row alone: every
-    /// model reads only its own row's codes through [`CodeSource`].
-    pub fn predict_coded_rows(&self, rows: &[Vec<u32>]) -> Vec<Prediction> {
-        let d = self.artifact.features.len();
-        let mut codes = vec![Vec::with_capacity(rows.len()); d];
-        for row in rows {
-            debug_assert_eq!(row.len(), d, "decode_body guarantees arity");
-            for (f, &code) in row.iter().enumerate() {
-                codes[f].push(code);
-            }
-        }
-        let batch = RowBatch {
-            artifact: &self.artifact,
-            codes,
-            n_rows: rows.len(),
+    /// Decodes a request body into a validated [`CodedBatch`] without
+    /// scoring it: `{"rows": [...]}`, a bare array of rows, or a single
+    /// named row; a row is a named object or a positional array in
+    /// schema order. The flag reports whether `allow_degraded` ignored
+    /// a named value of a train-time-absent table's feature (refused
+    /// otherwise).
+    ///
+    /// An object body is the batch envelope only when `rows` is *not* a
+    /// feature of the model's schema; a model with a feature literally
+    /// named `rows` scores such a body as one named row, and its batches
+    /// use the bare-array form.
+    ///
+    /// Errors name the first offending row or feature; nothing is
+    /// decoded on error. The body is read to its end first, so a syntax
+    /// error anywhere wins over a refusal, and within a positional row
+    /// a wrong arity wins over a bad value.
+    pub fn decode_body(
+        &self,
+        body: &str,
+        allow_degraded: bool,
+    ) -> Result<(CodedBatch<'_>, bool), ScoreError> {
+        let mut dec = Decode {
+            scorer: self,
+            allow_degraded,
+            batch: CodedBatch::with_capacity(&self.artifact, 0),
+            row: vec![0; self.artifact.features.len()],
+            text: String::new(),
+            first_err: None,
+            degraded: false,
+            positional: 0,
+            named: 0,
         };
-        (0..batch.n_rows)
+        let mut r = Reader::new(body);
+        r.skip_ws();
+        let read = if r.peek() == Some(b'[') {
+            dec.rows(&mut r)
+        } else {
+            r.value(0).map(|doc| dec.document(&doc))
+        };
+        read.and_then(|()| r.finish()).map_err(ScoreError::Syntax)?;
+        if let Some(e) = dec.first_err {
+            return Err(e);
+        }
+        counter_add!("hamlet_serve_rows_decoded_positional_total", dec.positional);
+        counter_add!("hamlet_serve_rows_decoded_named_total", dec.named);
+        Ok((dec.batch, dec.degraded))
+    }
+
+    /// Validates pre-coded rows (`rows[i][f]` in schema order) into a
+    /// batch, routing unseen FK codes through `Others`.
+    pub fn code_rows(&self, rows: &[Vec<u32>]) -> Result<CodedBatch<'_>, ScoreError> {
+        let d = self.artifact.features.len();
+        let mut batch = CodedBatch::with_capacity(&self.artifact, rows.len());
+        let mut codes = vec![0; d];
+        for row in rows {
+            if row.len() != d {
+                return Err(ScoreError::WrongArity {
+                    got: row.len(),
+                    expected: d,
+                });
+            }
+            for (f, &code) in row.iter().enumerate() {
+                codes[f] = self.route_code(f, code)?;
+            }
+            batch.push_row(&codes);
+        }
+        Ok(batch)
+    }
+
+    /// Scores every row of a batch once
+    /// ([`ServableModel::score_into`]). A row's result depends on its
+    /// own codes alone, so a coalesced batch scores bit-for-bit like
+    /// its rows one by one.
+    pub fn score(&self, batch: &CodedBatch<'_>) -> ScoredBatch {
+        let model = &self.artifact.model;
+        let width = model.n_classes();
+        let mut scores = vec![0.0; batch.n_rows() * width];
+        let classes = (0..batch.n_rows())
+            .map(|r| model.score_into(batch, r, &mut scores[r * width..(r + 1) * width]))
+            .collect();
+        ScoredBatch::new(width, classes, scores)
+    }
+
+    fn label_of(&self, class: u32) -> Option<&str> {
+        let labels = self.artifact.class_labels.as_ref()?;
+        labels.get(class as usize).map(String::as_str)
+    }
+
+    /// Renders the response body `{"predictions": [...]}`, with the
+    /// `"degraded": true` member only on degraded answers. Labels are
+    /// borrowed from the artifact.
+    pub fn render(&self, scored: &ScoredBatch, degraded: bool) -> String {
+        let rows = (0..scored.n_rows()).map(|r| {
+            let (class, scores) = scored.row(r);
+            (class, self.label_of(class), scores)
+        });
+        render_rows(rows, degraded)
+    }
+
+    /// The scored rows as owned [`Prediction`]s.
+    pub fn predictions(&self, scored: &ScoredBatch) -> Vec<Prediction> {
+        (0..scored.n_rows())
             .map(|r| {
-                let class = self.artifact.model.predict_row(&batch, r);
+                let (class, scores) = scored.row(r);
                 Prediction {
                     class,
-                    label: self
-                        .artifact
-                        .class_labels
-                        .as_ref()
-                        .and_then(|ls| ls.get(class as usize).cloned()),
-                    scores: self.artifact.model.scores(&batch, r),
+                    label: self.label_of(class).map(str::to_string),
+                    scores: scores.to_vec(),
                 }
             })
             .collect()
     }
 
-    /// Scores a request body: `{"rows": [...]}`, a bare array of rows,
-    /// or a single row object. Errors identify the first offending row
-    /// or feature; on error nothing is predicted (all-or-nothing).
-    ///
-    /// Disambiguation: an object body is the batch envelope only when
-    /// `rows` is *not* a feature of the model's schema. A model trained
-    /// with a feature literally named `rows` is still scorable as a
-    /// single named row — its `rows` member is the feature value, and
-    /// batches must use the bare-array form.
-    pub fn predict_body(&self, body: &Json) -> Result<Vec<Prediction>, ScoreError> {
-        Ok(self.predict_coded_rows(&self.decode_body(body)?))
-    }
-
     /// Scores pre-coded rows (`rows[i][f]` in schema order), routing
-    /// unseen FK codes through `Others`. This is the path the offline
-    /// `hamlet predict` command and the benchmarks use.
+    /// unseen FK codes through `Others`. This is the path the
+    /// benchmarks use.
     pub fn predict_codes(&self, rows: &[Vec<u32>]) -> Result<Vec<Prediction>, ScoreError> {
-        let body = Json::Arr(
-            rows.iter()
-                .map(|r| Json::Arr(r.iter().map(|&c| Json::Num(c as f64)).collect()))
-                .collect(),
-        );
-        self.predict_body(&body)
+        Ok(self.predictions(&self.score(&self.code_rows(rows)?)))
     }
 
     /// The prior-only surrogate prediction: what the model knows before
@@ -623,28 +616,182 @@ impl Scorer {
         }
         Prediction {
             class,
-            label: self
-                .artifact
-                .class_labels
-                .as_ref()
-                .and_then(|ls| ls.get(class as usize).cloned()),
+            label: self.label_of(class).map(str::to_string),
             scores,
         }
     }
 
-    /// Renders the response body `{"predictions": [...]}`.
-    pub fn render_predictions(preds: &[Prediction]) -> Json {
-        obj(vec![(
-            "predictions",
-            Json::Arr(preds.iter().map(Prediction::to_json).collect()),
-        )])
+    /// Renders `n_rows` surrogate predictions, marked degraded: the
+    /// terminal of the serving fallback chain.
+    pub fn render_surrogate(&self, n_rows: usize) -> String {
+        let p = self.surrogate_prediction();
+        let rows = (0..n_rows).map(|_| (p.class, p.label.as_deref(), &p.scores[..]));
+        render_rows(rows, true)
     }
+
+    /// Renders `{"predictions": [...]}` for owned predictions: what
+    /// [`Scorer::render`] writes for the same rows.
+    pub fn render_predictions(preds: &[Prediction]) -> String {
+        let rows = preds
+            .iter()
+            .map(|p| (p.class, p.label.as_deref(), &p.scores[..]));
+        render_rows(rows, false)
+    }
+}
+
+/// One body being decoded: the batch so far, the first refusal (after
+/// which the rest is read for syntax only) and per-row scratch.
+struct Decode<'s> {
+    scorer: &'s Scorer,
+    allow_degraded: bool,
+    batch: CodedBatch<'s>,
+    /// The current row's codes, schema order.
+    row: Vec<u32>,
+    /// Scratch for a string value.
+    text: String,
+    first_err: Option<ScoreError>,
+    degraded: bool,
+    positional: u64,
+    named: u64,
+}
+
+impl Decode<'_> {
+    /// A parsed body that is not a bare array: the `{"rows": [...]}`
+    /// envelope, a single named row, or a refusal.
+    fn document(&mut self, body: &Json) {
+        match (body, body.get("rows")) {
+            (Json::Obj(_), _) if self.scorer.by_name.contains_key("rows") => self.tree_row(body),
+            (Json::Obj(_), Some(Json::Arr(rows))) => rows.iter().for_each(|row| self.tree_row(row)),
+            (Json::Obj(_), Some(_)) => {
+                self.first_err = Some(ScoreError::BadValue {
+                    feature: "rows".into(),
+                    message: "expected an array of rows".into(),
+                })
+            }
+            (Json::Obj(_), None) => self.tree_row(body),
+            _ => self.first_err = Some(ScoreError::NotAnObject),
+        }
+    }
+
+    /// One parsed row, unless a refusal is already recorded.
+    fn tree_row(&mut self, row: &Json) {
+        if self.first_err.is_some() {
+            return;
+        }
+        match self
+            .scorer
+            .decode_row(row, self.allow_degraded, &mut self.row)
+        {
+            Ok(row_degraded) => {
+                self.degraded |= row_degraded;
+                match row {
+                    Json::Obj(_) => self.named += 1,
+                    _ => self.positional += 1,
+                }
+                self.batch.push_row(&self.row);
+            }
+            Err(e) => self.first_err = Some(e),
+        }
+    }
+
+    /// The bare-array body (depth 0), whose `[` is next: positional
+    /// rows stream into the batch, any other row is read as a tree.
+    fn rows(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        if r.begin_array()? {
+            return Ok(());
+        }
+        loop {
+            r.enter(1)?;
+            r.skip_ws();
+            if r.peek() == Some(b'[') {
+                self.positional_row(r)?;
+            } else {
+                let row = r.value(1)?;
+                self.tree_row(&row);
+            }
+            if !r.next_item()? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// One positional row of the bare-array body (depth 1), whose `[`
+    /// is next, read value by value: plain digit codes never leave
+    /// `u32`, strings reuse one buffer, and any other value is read as
+    /// a tree and refused.
+    fn positional_row(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        let s = self.scorer;
+        let d = self.row.len();
+        let live = self.first_err.is_none();
+        let mut got = 0;
+        let mut bad = None;
+        let mut empty = r.begin_array()?;
+        while !empty {
+            r.enter(2)?;
+            r.skip_ws();
+            let f = got;
+            got += 1;
+            let check = live && bad.is_none() && f < d;
+            let code = match r.peek() {
+                Some(b'-' | b'0'..=b'9') => {
+                    let text = r.number_text();
+                    match small_code(text) {
+                        Some(code) => check.then(|| s.route_code(f, code)),
+                        None => {
+                            let n = Reader::parse_number(text)?;
+                            check.then(|| s.code_of_num(f, n))
+                        }
+                    }
+                }
+                Some(b'"') => {
+                    self.text.clear();
+                    r.string_into(&mut self.text)?;
+                    check.then(|| s.code_of_str(f, &self.text))
+                }
+                _ => {
+                    let value = r.value(2)?;
+                    check.then(|| s.code_of(f, &value))
+                }
+            };
+            match code {
+                Some(Ok(code)) => self.row[f] = code,
+                Some(Err(e)) => bad = Some(e),
+                None => {}
+            }
+            empty = !r.next_item()?;
+        }
+        if live {
+            if got != d {
+                self.first_err = Some(ScoreError::WrongArity { got, expected: d });
+            } else if bad.is_some() {
+                self.first_err = bad;
+            } else {
+                self.positional += 1;
+                self.batch.push_row(&self.row);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A number token of at most nine plain digits as the code it names —
+/// the integer its `f64` parse gives; `None` sends any other token
+/// through the full number parse.
+#[inline]
+fn small_code(text: &str) -> Option<u32> {
+    if text.len() > 9 {
+        return None;
+    }
+    text.bytes().try_fold(0u32, |acc, b| {
+        b.is_ascii_digit().then(|| acc * 10 + u32::from(b - b'0'))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::artifact::{FeatureSchema, FkColdStart, JoinDecision, ModelArtifact, ServableModel};
+    use crate::batch::CodedBatch;
     use hamlet_ml::NaiveBayesModel;
 
     /// 2 classes; feature 0 "color" labelled {red,blue}; feature 1 "fk"
@@ -704,19 +851,31 @@ mod tests {
         })
     }
 
-    fn parse(s: &str) -> Json {
-        Json::parse(s).unwrap()
+    /// Decodes and scores `body` the way the server does, without the
+    /// HTTP plane.
+    fn predict(s: &Scorer, body: &str) -> Result<Vec<Prediction>, ScoreError> {
+        match s.decode_body(body, false) {
+            Ok((batch, _)) => Ok(s.predictions(&s.score(&batch))),
+            Err(ScoreError::Syntax(e)) => panic!("test body is not JSON: {e}"),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn rows_of(batch: &CodedBatch<'_>) -> Vec<Vec<u32>> {
+        (0..batch.n_rows())
+            .map(|r| batch.row(r).collect())
+            .collect()
     }
 
     #[test]
     fn named_and_positional_rows_agree() {
         let s = scorer();
-        let named = s
-            .predict_body(&parse(
-                r#"{"rows":[{"color":"blue","fk":1},{"color":"red","fk":0}]}"#,
-            ))
-            .unwrap();
-        let positional = s.predict_body(&parse(r#"[[1,1],[0,0]]"#)).unwrap();
+        let named = predict(
+            &s,
+            r#"{"rows":[{"color":"blue","fk":1},{"color":"red","fk":0}]}"#,
+        )
+        .unwrap();
+        let positional = predict(&s, r#"[[1,1],[0,0]]"#).unwrap();
         assert_eq!(named, positional);
         assert_eq!(named[0].class, 1);
         assert_eq!(named[0].label.as_deref(), Some("yes"));
@@ -726,9 +885,7 @@ mod tests {
     #[test]
     fn single_object_body_is_one_row() {
         let s = scorer();
-        let preds = s
-            .predict_body(&parse(r#"{"color":"blue","fk":0}"#))
-            .unwrap();
+        let preds = predict(&s, r#"{"color":"blue","fk":0}"#).unwrap();
         assert_eq!(preds.len(), 1);
         assert_eq!(preds[0].scores.len(), 2);
     }
@@ -738,22 +895,20 @@ mod tests {
         let s = scorer();
         // Codes 2, 7, 1000 are all unseen entities; they must score
         // exactly like the trained Others code 2.
-        let unseen = s.predict_body(&parse(r#"[[0,2],[0,7],[0,1000]]"#)).unwrap();
+        let unseen = predict(&s, r#"[[0,2],[0,7],[0,1000]]"#).unwrap();
         for p in &unseen {
             assert_eq!(p, &unseen[0]);
         }
         // Unknown *labels* on a labelled FK would also route to Others;
         // this FK is unlabelled, so strings are a BadValue instead.
-        let err = s.predict_body(&parse(r#"[[0,"acme"]]"#)).unwrap_err();
+        let err = predict(&s, r#"[[0,"acme"]]"#).unwrap_err();
         assert_eq!(err.kind(), "bad_value");
     }
 
     #[test]
     fn unseen_category_on_non_fk_is_typed_422() {
         let s = scorer();
-        let err = s
-            .predict_body(&parse(r#"[{"color":"green","fk":0}]"#))
-            .unwrap_err();
+        let err = predict(&s, r#"[{"color":"green","fk":0}]"#).unwrap_err();
         assert_eq!(
             err,
             ScoreError::UnknownCategory {
@@ -763,16 +918,14 @@ mod tests {
             }
         );
         assert_eq!(err.http_status(), 422);
-        let err = s.predict_body(&parse(r#"[[5,0]]"#)).unwrap_err();
+        let err = predict(&s, r#"[[5,0]]"#).unwrap_err();
         assert_eq!(err.kind(), "unknown_category");
     }
 
     #[test]
     fn avoided_foreign_feature_is_refused() {
         let s = scorer();
-        let err = s
-            .predict_body(&parse(r#"[{"color":"red","fk":0,"country":"US"}]"#))
-            .unwrap_err();
+        let err = predict(&s, r#"[{"color":"red","fk":0,"country":"US"}]"#).unwrap_err();
         assert_eq!(
             err,
             ScoreError::AvoidedFeature {
@@ -797,16 +950,14 @@ mod tests {
             (r#"{"rows":3}"#, "bad_value"),
             (r#"[3]"#, "not_an_object"),
         ] {
-            let err = s.predict_body(&parse(body)).unwrap_err();
+            let err = predict(&s, body).unwrap_err();
             assert_eq!(err.kind(), kind, "body {body}");
             assert_eq!(err.http_status(), 400, "body {body}");
         }
         // Missing + unknown named features are 422.
-        let err = s.predict_body(&parse(r#"[{"color":"red"}]"#)).unwrap_err();
+        let err = predict(&s, r#"[{"color":"red"}]"#).unwrap_err();
         assert_eq!(err, ScoreError::MissingFeature { name: "fk".into() });
-        let err = s
-            .predict_body(&parse(r#"[{"color":"red","fk":0,"bogus":1}]"#))
-            .unwrap_err();
+        let err = predict(&s, r#"[{"color":"red","fk":0,"bogus":1}]"#).unwrap_err();
         assert_eq!(
             err,
             ScoreError::UnknownFeature {
@@ -862,18 +1013,18 @@ mod tests {
             model: ServableModel::NaiveBayes(model),
         });
         // A single named row whose only member is the feature "rows".
-        let named = s.predict_body(&parse(r#"{"rows":2}"#)).unwrap();
-        let positional = s.predict_body(&parse(r#"[[2]]"#)).unwrap();
+        let named = predict(&s, r#"{"rows":2}"#).unwrap();
+        let positional = predict(&s, r#"[[2]]"#).unwrap();
         assert_eq!(named, positional);
         // Batches still work via the bare-array form.
-        assert_eq!(s.predict_body(&parse(r#"[[0],[1]]"#)).unwrap().len(), 2);
+        assert_eq!(predict(&s, r#"[[0],[1]]"#).unwrap().len(), 2);
     }
 
     #[test]
-    fn predict_codes_matches_predict_body() {
+    fn predict_codes_matches_decode_body() {
         let s = scorer();
         let a = s.predict_codes(&[vec![1, 0], vec![0, 9]]).unwrap();
-        let b = s.predict_body(&parse(r#"[[1,0],[0,9]]"#)).unwrap();
+        let b = predict(&s, r#"[[1,0],[0,9]]"#).unwrap();
         assert_eq!(a, b);
     }
 
@@ -889,9 +1040,7 @@ mod tests {
     fn degraded_feature_is_refused_with_ror_evidence() {
         let s = degraded_scorer();
         assert!(s.trained_degraded());
-        let err = s
-            .predict_body(&parse(r#"[{"color":"red","fk":0,"country":"US"}]"#))
-            .unwrap_err();
+        let err = predict(&s, r#"[{"color":"red","fk":0,"country":"US"}]"#).unwrap_err();
         assert_eq!(
             err,
             ScoreError::DegradedFeature {
@@ -910,24 +1059,144 @@ mod tests {
     fn allow_degraded_ignores_the_feature_and_flags_the_batch() {
         let s = degraded_scorer();
         let (rows, degraded) = s
-            .decode_body_degraded(&parse(r#"[{"color":"red","fk":0,"country":"US"}]"#), true)
+            .decode_body(r#"[{"color":"red","fk":0,"country":"US"}]"#, true)
             .unwrap();
         assert!(degraded);
         // The surviving codes are exactly the schema features.
-        let (clean, clean_degraded) = s
-            .decode_body_degraded(&parse(r#"[{"color":"red","fk":0}]"#), true)
-            .unwrap();
+        let (clean, clean_degraded) = s.decode_body(r#"[{"color":"red","fk":0}]"#, true).unwrap();
         assert!(!clean_degraded);
-        assert_eq!(rows, clean);
-        // decode_body (no fallback) still refuses.
+        assert_eq!(rows_of(&rows), rows_of(&clean));
+        // Without the fallback the feature is still refused.
         assert!(s
-            .decode_body(&parse(r#"[{"color":"red","fk":0,"country":"US"}]"#))
+            .decode_body(r#"[{"color":"red","fk":0,"country":"US"}]"#, false)
             .is_err());
         // Unknown features stay unknown even under the fallback.
         let err = s
-            .decode_body_degraded(&parse(r#"[{"color":"red","fk":0,"bogus":1}]"#), true)
+            .decode_body(r#"[{"color":"red","fk":0,"bogus":1}]"#, true)
             .unwrap_err();
         assert_eq!(err.kind(), "unknown_feature");
+    }
+
+    #[test]
+    fn a_syntax_error_anywhere_beats_an_earlier_refusal() {
+        let s = scorer();
+        for body in [
+            r#"[[5,0]] x"#,
+            r#"[[5,0],[0,"#,
+            r#"[[true,0,0],[0,0] 1]"#,
+            r#"[{"bogus":1},[0,0],]"#,
+            r#"{"rows":[[9,9]], "x": tru}"#,
+        ] {
+            let err = s.decode_body(body, false).unwrap_err();
+            assert_eq!(
+                err,
+                ScoreError::Syntax(Json::parse(body).unwrap_err()),
+                "body {body}"
+            );
+        }
+    }
+
+    #[test]
+    fn arity_beats_a_bad_value_and_names_beat_values() {
+        let s = scorer();
+        // Positional: the arity of the row wins over its first bad value.
+        let err = predict(&s, r#"[[0,0],[true,"x",0]]"#).unwrap_err();
+        assert_eq!(err.kind(), "wrong_arity");
+        // ...but an earlier row's bad value wins over a later arity.
+        let err = predict(&s, r#"[[0.5,0],[0]]"#).unwrap_err();
+        assert_eq!(err.kind(), "bad_value");
+        // Named: an unknown name wins over a bad value before it.
+        let err = predict(&s, r#"[{"color":"green","bogus":1}]"#).unwrap_err();
+        assert_eq!(err.kind(), "unknown_feature");
+        // Values in every position go through the same validation.
+        let err = predict(&s, r#"[[0,[1]]]"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "feature 'fk': expected a number or string, got [1]"
+        );
+        let err = predict(&s, r#"[[1e3,0]]"#).unwrap_err();
+        assert_eq!(err.kind(), "unknown_category");
+        let err = predict(&s, r#"[[4294967296,0]]"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "feature 'color': expected a non-negative integer code, got 4294967296"
+        );
+    }
+
+    #[test]
+    fn streamed_rows_equal_code_rows_across_growth() {
+        let s = scorer();
+        let rows: Vec<Vec<u32>> = (0..100u32).map(|r| vec![r % 2, r % 7]).collect();
+        let body = format!(
+            "[{}]",
+            rows.iter()
+                .map(|r| format!("[ {} , {} ]", r[0], r[1]))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let (streamed, _) = s.decode_body(&body, false).unwrap();
+        let direct = s.code_rows(&rows).unwrap();
+        assert_eq!(rows_of(&streamed), rows_of(&direct));
+        assert_eq!(s.score(&streamed), s.score(&direct));
+        // Labels and codes mix freely in one positional row.
+        let (labelled, _) = s.decode_body(r#"[["blue", 1], [0, 1]]"#, false).unwrap();
+        assert_eq!(rows_of(&labelled), vec![vec![1, 1], vec![0, 1]]);
+    }
+
+    #[test]
+    fn rendering_matches_the_json_tree_byte_for_byte() {
+        let mut artifact = scorer().artifact;
+        artifact.class_labels = Some(vec!["n\"o\\".into(), "y\u{e9}s\n".into()]);
+        let s = Scorer::new(artifact);
+        let preds = s.predict_codes(&[vec![1, 0], vec![0, 9]]).unwrap();
+        let tree = |preds: &[Prediction], degraded: bool| {
+            let mut members = vec![(
+                "predictions",
+                Json::Arr(
+                    preds
+                        .iter()
+                        .map(|p| {
+                            obj(vec![
+                                ("class", Json::Num(p.class as f64)),
+                                ("label", p.label.clone().map_or(Json::Null, Json::Str)),
+                                (
+                                    "scores",
+                                    Json::Arr(p.scores.iter().map(|&x| Json::Num(x)).collect()),
+                                ),
+                            ])
+                        })
+                        .collect(),
+                ),
+            )];
+            if degraded {
+                members.push(("degraded", Json::Bool(true)));
+            }
+            obj(members).to_string()
+        };
+        assert_eq!(Scorer::render_predictions(&preds), tree(&preds, false));
+        let batch = s.code_rows(&[vec![1, 0], vec![0, 9]]).unwrap();
+        assert_eq!(s.render(&s.score(&batch), true), tree(&preds, true));
+        let surrogate = vec![s.surrogate_prediction(); 3];
+        assert_eq!(s.render_surrogate(3), tree(&surrogate, true));
+    }
+
+    #[test]
+    fn decode_counters_name_the_path_taken() {
+        use hamlet_obs::metrics::counter;
+        let s = scorer();
+        let positional = counter("hamlet_serve_rows_decoded_positional_total");
+        let named = counter("hamlet_serve_rows_decoded_named_total");
+        let (p0, n0) = (positional.get(), named.get());
+        s.decode_body(r#"[[0,0],[1,1],{"color":"red","fk":1}]"#, false)
+            .unwrap();
+        // Other tests decode concurrently, so the deltas are lower bounds.
+        assert!(positional.get() - p0 >= 2);
+        assert!(named.get() - n0 >= 1);
+        let (p1, n1) = (positional.get(), named.get());
+        s.decode_body(r#"{"rows":[[0,0]]}"#, false).unwrap();
+        assert!(positional.get() - p1 >= 1);
+        s.decode_body(r#"{"color":"red","fk":1}"#, false).unwrap();
+        assert!(named.get() - n1 >= 1);
     }
 
     #[test]

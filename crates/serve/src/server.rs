@@ -46,10 +46,11 @@ use std::time::{Duration, Instant};
 use hamlet_obs::json::{obj, Json};
 use hamlet_obs::{counter_add, histogram_observe, span};
 
+use crate::batch::{CodedBatch, ScoredBatch};
 use crate::conn::{ConnReader, IDLE_DEADLINE};
 use crate::http::{write_response, write_response_with, Request, READ_DEADLINE};
 use crate::registry::{ModelEntry, Registry};
-use crate::score::{Prediction, Scorer};
+use crate::score::Scorer;
 
 /// Failpoint armed in the accept loop
 /// (`HAMLET_FAILPOINTS=serve.accept=panic` for the join-surfacing
@@ -636,19 +637,6 @@ fn health_body(entry: &ModelEntry) -> String {
     .to_string()
 }
 
-/// Renders the `{"predictions": [...]}` body, appending the
-/// `"degraded": true` member only on degraded answers so non-degraded
-/// responses stay byte-identical to the pre-fallback format.
-fn render_predictions_marked(preds: &[Prediction], degraded: bool) -> String {
-    let mut rendered = Scorer::render_predictions(preds);
-    if degraded {
-        if let Json::Obj(members) = &mut rendered {
-            members.push(("degraded".into(), Json::Bool(true)));
-        }
-    }
-    rendered.to_string()
-}
-
 /// Why one full-scoring attempt did not produce predictions.
 enum ScoreFault {
     /// The `serve.model_score` failpoint (or a future IO-backed scorer)
@@ -671,19 +659,21 @@ impl ScoreFault {
 /// One attempt at full scoring: the `serve.model_score` failpoint, then
 /// the (possibly micro-batched) scorer under `catch_unwind` so a
 /// scoring panic is a recordable fault, not a torn connection.
-fn score_full(entry: &ModelEntry, mut rows: Vec<Vec<u32>>) -> Result<Vec<Prediction>, ScoreFault> {
+fn score_full(entry: &ModelEntry, batch: &CodedBatch<'_>) -> Result<ScoredBatch, ScoreFault> {
+    let _span = span!("serve.score");
     // The failpoint lives *inside* the unwind guard so its panic mode
     // exercises the same recovery path as a real scoring panic.
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<Vec<Prediction>, String> {
+        || -> Result<ScoredBatch, String> {
             hamlet_chaos::fail_at!(MODEL_SCORE_FAILPOINT).map_err(|e| e.to_string())?;
-            Ok(if rows.len() == 1 && !entry.batcher.window().is_zero() {
-                counter_add!("hamlet_serve_batched_rows_total", 1);
-                let row = rows.pop().unwrap_or_default();
-                vec![entry.batcher.predict_one(&entry.scorer, row)]
-            } else {
-                entry.scorer.predict_coded_rows(&rows)
-            })
+            Ok(
+                if batch.n_rows() == 1 && !entry.batcher.window().is_zero() {
+                    counter_add!("hamlet_serve_batched_rows_total", 1);
+                    entry.batcher.score(&entry.scorer, batch)
+                } else {
+                    entry.scorer.score(batch)
+                },
+            )
         },
     ));
     match attempt {
@@ -697,8 +687,8 @@ fn score_full(entry: &ModelEntry, mut rows: Vec<Vec<u32>>) -> Result<Vec<Predict
 /// the prior-only surrogate, marked degraded.
 fn surrogate_response(entry: &ModelEntry, n_rows: usize) -> (u16, &'static str, String, bool) {
     counter_add!("hamlet_serve_degraded_total", 1);
-    let preds = vec![entry.scorer.surrogate_prediction(); n_rows];
-    (200, "OK", render_predictions_marked(&preds, true), true)
+    let _span = span!("serve.render");
+    (200, "OK", entry.scorer.render_surrogate(n_rows), true)
 }
 
 /// Scores one `/predict` body against an entry, micro-batching lone
@@ -719,18 +709,12 @@ fn predict_body_for(
     req: &Request,
     fallback: bool,
 ) -> (u16, &'static str, String, bool) {
-    let doc = match Json::parse(&String::from_utf8_lossy(&req.body)) {
-        Ok(doc) => doc,
-        Err(e) => {
-            return (
-                400,
-                "Bad Request",
-                error_body("bad_json", format!("request body: {e}")),
-                false,
-            )
-        }
+    let text = String::from_utf8_lossy(&req.body);
+    let decoded = {
+        let _span = span!("serve.decode");
+        entry.scorer.decode_body(&text, fallback)
     };
-    match entry.scorer.decode_body_degraded(&doc, fallback) {
+    match decoded {
         Err(e) => {
             let status = e.http_status();
             let reason = if status == 400 {
@@ -740,23 +724,24 @@ fn predict_body_for(
             };
             (status, reason, e.to_json().to_string(), false)
         }
-        Ok((rows, rows_degraded)) => {
-            let n_rows = rows.len();
+        Ok((batch, rows_degraded)) => {
+            let n_rows = batch.n_rows();
             if !entry.breaker.admit_full() {
                 // Open breaker, not a probe turn: straight to the
                 // surrogate without touching the faulting score path.
                 return surrogate_response(entry, n_rows);
             }
-            match score_full(entry, rows) {
-                Ok(preds) => {
+            match score_full(entry, &batch) {
+                Ok(scored) => {
                     entry.breaker.record_success();
                     if rows_degraded {
                         counter_add!("hamlet_serve_degraded_total", 1);
                     }
+                    let _span = span!("serve.render");
                     (
                         200,
                         "OK",
-                        render_predictions_marked(&preds, rows_degraded),
+                        entry.scorer.render(&scored, rows_degraded),
                         rows_degraded,
                     )
                 }
@@ -1149,6 +1134,7 @@ mod tests {
 
     #[test]
     fn healthz_metrics_predict_and_drain() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let h = start_test_server(2, 16);
         let port = h.port();
 
@@ -1201,6 +1187,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let h = start_test_server(2, 16);
         let port = h.port();
         let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
@@ -1227,6 +1214,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_all_answered_in_order() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let h = start_test_server(1, 8);
         let port = h.port();
         let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
@@ -1255,6 +1243,7 @@ mod tests {
 
     #[test]
     fn request_cap_closes_the_connection_politely() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let h = start(
             scorer(),
             ServerConfig {
@@ -1282,6 +1271,7 @@ mod tests {
 
     #[test]
     fn model_routes_resolve_and_unknown_ids_are_404() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let h = start_test_server(1, 8);
         let port = h.port();
 
@@ -1318,6 +1308,7 @@ mod tests {
 
     #[test]
     fn micro_batched_single_rows_match_unbatched_bit_for_bit() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let batched = start(
             scorer(),
             ServerConfig {
@@ -1357,6 +1348,7 @@ mod tests {
 
     #[test]
     fn hot_swap_under_concurrent_load_drops_nothing() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let registry = Arc::new(Registry::single(
             Scorer::new(artifact_with_labels("yes", "no")),
             Duration::ZERO,
@@ -1414,6 +1406,7 @@ mod tests {
 
     #[test]
     fn deeply_nested_predict_body_is_400_and_the_worker_survives() {
+        let _fp = hamlet_chaos::failpoint::shared();
         // Without the parser depth cap this body would overflow the
         // worker's stack — a SIGSEGV/abort killing the whole process,
         // not a catchable panic. It must instead be a typed 400.
@@ -1435,6 +1428,7 @@ mod tests {
 
     #[test]
     fn saturated_queue_sheds_load_with_503() {
+        let _fp = hamlet_chaos::failpoint::shared();
         // No workers draining the queue fast: one worker wedged by slow
         // clients, capacity 1. A short idle deadline keeps the post-test
         // drain quick without racing the shed assertion below.
@@ -1520,6 +1514,7 @@ mod tests {
 
     #[test]
     fn external_stop_signal_drains() {
+        let _fp = hamlet_chaos::failpoint::shared();
         static STOP: AtomicBool = AtomicBool::new(false);
         STOP.store(false, Ordering::SeqCst);
         let h = start(
@@ -1539,6 +1534,7 @@ mod tests {
 
     #[test]
     fn external_reload_signal_triggers_a_hot_swap() {
+        let _fp = hamlet_chaos::failpoint::shared();
         static STOP: AtomicBool = AtomicBool::new(false);
         static RELOAD: AtomicBool = AtomicBool::new(false);
         STOP.store(false, Ordering::SeqCst);
@@ -1682,6 +1678,7 @@ mod tests {
 
     #[test]
     fn corrupt_artifact_reload_keeps_the_old_generation_serving() {
+        let _fp = hamlet_chaos::failpoint::shared();
         let dir = std::env::temp_dir().join(format!("hamlet_srv_reload_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.model");

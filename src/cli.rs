@@ -45,7 +45,8 @@ use hamlet_relational::{
     Manifest, StarLoad, StarSchema, TablePolicy,
 };
 use hamlet_serve::{
-    artifact, build_artifact, build_artifact_with_availability, ModelKind, Scorer, ServerConfig,
+    artifact, build_artifact, build_artifact_with_availability, ModelKind, ScoreError, Scorer,
+    ServerConfig,
 };
 use hamlet_trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
 
@@ -1058,19 +1059,18 @@ fn predict_cmd(rest: &[String]) -> Result<String, CliError> {
     let scorer = Scorer::new(a);
     let text = std::fs::read_to_string(in_path)
         .map_err(|e| CliError(format!("cannot read {in_path}: {e}")))?;
-    let body = hamlet_obs::json::Json::parse(&text)
-        .map_err(|e| CliError(format!("{in_path}: not valid JSON: {e}")))?;
-    let preds = scorer
-        .predict_body(&body)
-        .map_err(|e| CliError(e.to_string()))?;
-    let rendered = Scorer::render_predictions(&preds).to_string();
+    let (batch, _) = scorer.decode_body(&text, false).map_err(|e| match e {
+        ScoreError::Syntax(e) => CliError(format!("{in_path}: not valid JSON: {e}")),
+        e => CliError(e.to_string()),
+    })?;
+    let rendered = scorer.render(&scorer.score(&batch), false);
     match parse_flag(rest, "--out")? {
         Some(out_path) => {
             hamlet_obs::atomic_write(std::path::Path::new(out_path), rendered.as_bytes())
                 .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
             Ok(format!(
                 "wrote {} prediction(s) to {out_path}\n",
-                preds.len()
+                batch.n_rows()
             ))
         }
         None => Ok(format!("{rendered}\n")),

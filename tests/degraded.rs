@@ -22,7 +22,6 @@ use hamlet::chaos::corrupt::{corrupt_corpus, ChaosPlan, Corpus, FaultKind, FileP
 use hamlet::chaos::failpoint;
 use hamlet::core::advisor::AdvisorConfig;
 use hamlet::core::ModelFamily;
-use hamlet::obs::json::Json;
 use hamlet::relational::{
     DirtyPolicy, FkPolicy, LoadPolicy, Manifest, RelationalError, StarLoad, TablePolicy,
 };
@@ -167,12 +166,11 @@ fn probe_body(artifact: &ModelArtifact) -> String {
 
 /// Scores `body` against `artifact`, returning the canonical rendering.
 fn score(artifact: ModelArtifact, body: &str) -> String {
-    let doc = Json::parse(body).unwrap();
     let scorer = Scorer::new(artifact);
-    let preds = scorer
-        .predict_body(&doc)
+    let (batch, _) = scorer
+        .decode_body(body, false)
         .unwrap_or_else(|e| panic!("scoring failed: {e}"));
-    Scorer::render_predictions(&preds).to_string()
+    scorer.render(&scorer.score(&batch), false)
 }
 
 proptest! {
