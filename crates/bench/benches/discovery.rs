@@ -12,7 +12,13 @@
 //! After the gate, two stage rows time the layers inside the run over
 //! the same corpus: `ingest` (the all-nominal mining load of every
 //! file) and `verify` (every FD check the run reported, re-run on the
-//! loaded tables and required to reproduce its violation count).
+//! loaded tables and required to reproduce its violation count). A
+//! third, `ingest_yelp`, times the same mining load over the Yelp
+//! corpus at `INGEST_YELP_SCALE` (full size, 17.6 MB): its two key
+//! domains hold 11,537 and 43,873 labels, which its 215,879 review
+//! rows reference in scattered order, where Walmart's dictionaries are
+//! tiny. So it measures the label dictionary under cache pressure.
+//! Ingest is single-threaded; the row says so.
 //! `HAMLET_BENCH_QUICK=1` drops repetitions; emission is skipped under
 //! `--test` (the shim runs bodies once, timings would be nonsense).
 
@@ -22,12 +28,17 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use hamlet_bench::walmart;
+use hamlet_bench::{walmart, BENCH_SEED};
 use hamlet_core::advisor::{advise, AdvisorConfig};
+use hamlet_datagen::realistic::DatasetSpec;
 use hamlet_discovery::{check_fd, discover_corpus, DiscoveryConfig};
 use hamlet_experiments::discovery::corpus_of;
 use hamlet_obs::atomic_write;
 use hamlet_relational::{csv_header, read_csv, ColumnSpec, Table};
+
+/// Scale of the `ingest_yelp` stage's corpus: the full-size Yelp star,
+/// the one `perfbench`'s `pipeline-yelp` ingests.
+const INGEST_YELP_SCALE: f64 = 1.0;
 
 fn config() -> DiscoveryConfig {
     DiscoveryConfig {
@@ -146,6 +157,19 @@ fn emit_summary() {
     let end_to_end_s = time_secs(|| discover_corpus(&corpus, &cfg).unwrap(), reps);
     let ingest_s = time_secs(|| mining_loads(&corpus), reps);
     let verify_s = time_secs(verify_all, reps);
+
+    let yelp = corpus_of(
+        &DatasetSpec::yelp()
+            .generate(INGEST_YELP_SCALE, BENCH_SEED)
+            .star,
+    );
+    let yelp_bytes: usize = yelp.values().map(String::len).sum();
+    let yelp_labels: usize = mining_loads(&yelp)
+        .values()
+        .flat_map(|t| t.columns())
+        .map(|c| c.domain().size())
+        .sum();
+    let ingest_yelp_s = time_secs(|| mining_loads(&yelp), reps);
     let doc = format!(
         "{{\n\"bench\": \"discovery\",\n\"dataset\": \"Walmart (bench scale)\",\n\
          \"model_family\": \"naive_bayes\",\n\"threads\": {},\n\
@@ -155,7 +179,10 @@ fn emit_summary() {
          \"mb_per_s\": {:.1}, \"edges_recovered\": {}, \"fds_verified\": {}, \
          \"advisor_parity\": \"exact\"}},\n  \
          {{\"stage\": \"ingest\", \"median_s\": {ingest_s:.4}, \"mb_per_s\": {:.1}}},\n  \
-         {{\"stage\": \"verify\", \"median_s\": {verify_s:.5}, \"fd_checks\": {}}}\n]\n}}\n",
+         {{\"stage\": \"verify\", \"median_s\": {verify_s:.5}, \"fd_checks\": {}}},\n  \
+         {{\"stage\": \"ingest_yelp\", \"scale\": {INGEST_YELP_SCALE:.2}, \"threads\": 1, \
+         \"corpus_bytes\": {yelp_bytes}, \"distinct_labels\": {yelp_labels}, \
+         \"median_s\": {ingest_yelp_s:.4}, \"mb_per_s\": {:.1}}}\n]\n}}\n",
         cfg.threads,
         corpus.len(),
         g.star.n_s(),
@@ -164,6 +191,7 @@ fn emit_summary() {
         d.report.accepted_fds().count(),
         mb_per_s(ingest_s),
         d.report.fds.len(),
+        yelp_bytes as f64 / 1e6 / ingest_yelp_s,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_discovery.json");
     if let Err(e) = atomic_write(Path::new(path), doc.as_bytes()) {

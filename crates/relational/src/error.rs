@@ -61,6 +61,9 @@ pub enum RelationalError {
     Decomposition { reason: String },
     /// The table has no rows where at least one was required.
     EmptyTable { table: String },
+    /// A nominal column holds more distinct values than `u32` codes can
+    /// name.
+    DomainTooLarge { table: String, column: String },
     /// An IO fault while streaming or spilling chunked column data
     /// (ingest reads, spill-file writes, chunk reads from disk).
     Io {
@@ -160,6 +163,10 @@ impl fmt::Display for RelationalError {
             Self::Manifest { reason } => write!(f, "manifest: {reason}"),
             Self::Decomposition { reason } => write!(f, "decomposition: {reason}"),
             Self::EmptyTable { table } => write!(f, "table '{table}' is empty"),
+            Self::DomainTooLarge { table, column } => write!(
+                f,
+                "table '{table}': column '{column}' has more distinct values than u32 codes can name"
+            ),
             Self::DirtyBudgetExceeded {
                 table,
                 quarantined,

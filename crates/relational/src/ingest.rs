@@ -21,14 +21,17 @@
 //! field as a `Cow<str>` that borrows from that buffer unless it must
 //! drop quotes or unescape `""`; the count of such owned fields is
 //! added to `hamlet_ingest_unescaped_fields_total` once per load.
-//! Dictionaries are probed by `&str`, so a label is copied only on its
-//! first appearance, and the duplicate-key check probes the primary-key
-//! column's own dictionary. Numeric fields are parsed once, while the
-//! row is validated, and the sinks take those values. Only a
-//! quarantined row copies its raw line.
+//! Each nominal column encodes through one `LabelDict` (`dict.rs`),
+//! probed by `&str`, so a label is copied into its arena only on its
+//! first appearance; the duplicate-key check probes the primary-key
+//! column's own dictionary without inserting. Numeric fields are parsed
+//! once, while the row is validated, and the sinks take those values.
+//! Only a quarantined row copies its raw line.
 //!
 //! `tests/proptests_relational.rs` pins the reader against an oracle
-//! built on `lines()` and a char-by-char splitter;
+//! built on `lines()`, a char-by-char splitter and the
+//! `HashMap<String, u32>` encoder the dictionary replaced, at several
+//! morsel sizes and under a spill-forcing budget;
 //! `tests/proptests_dataplane.rs` pins that a budget-forced spilled
 //! load is bit-for-bit identical to the dense one.
 
@@ -43,6 +46,7 @@ use crate::chunk::{
     write_codes_chunk, write_values_chunk, Chunk, ChunkedColumn, ChunkedTable, SpillDir,
 };
 use crate::csv::{owned_fields, split_fields, ColumnSpec, DirtyPolicy, QuarantinedRow};
+use crate::dict::LabelDict;
 use crate::domain::Domain;
 use crate::error::{RelationalError, Result};
 use crate::schema::{Role, Schema};
@@ -132,9 +136,8 @@ enum ValuesChunk {
 enum Sink {
     Skip,
     Nominal {
-        /// First-appearance order, exactly like the dense reader.
-        labels: Vec<String>,
-        code_of: HashMap<String, u32>,
+        /// First-appearance codes, exactly like the dense reader.
+        dict: LabelDict,
         current: Vec<u32>,
         done: Vec<Chunk>,
     },
@@ -156,8 +159,7 @@ impl Sink {
         match spec {
             ColumnSpec::Skip => Sink::Skip,
             ColumnSpec::Nominal(_) => Sink::Nominal {
-                labels: Vec::new(),
-                code_of: HashMap::new(),
+                dict: LabelDict::new(),
                 current: Vec::new(),
                 done: Vec::new(),
             },
@@ -176,7 +178,7 @@ impl Sink {
     /// Whether a nominal sink has already coded `label` (for the primary
     /// key: whether an earlier clean row carried it).
     fn has_label(&self, label: &str) -> bool {
-        matches!(self, Sink::Nominal { code_of, .. } if code_of.contains_key(label))
+        matches!(self, Sink::Nominal { dict, .. } if dict.contains(label))
     }
 
     /// Bytes held by completed in-memory chunks.
@@ -278,7 +280,7 @@ pub fn read_csv_chunked<R: BufRead>(
     policy: DirtyPolicy,
     opts: &IngestOptions,
 ) -> Result<ChunkedCsvLoad> {
-    let _span = hamlet_obs::span!("relational.ingest_stream");
+    let _span = hamlet_obs::span!("relational.ingest_stream", table = name);
     let io_err = |e: std::io::Error| RelationalError::Io {
         context: format!("stream table '{name}'"),
         message: e.to_string(),
@@ -288,12 +290,15 @@ pub fn read_csv_chunked<R: BufRead>(
     // `reader.lines().filter(|l| !l.trim().is_empty())`: strip one `\n`
     // and then one `\r` before it.
     let mut line = String::new();
+    let mut bytes = 0usize;
     let mut next_line = |line: &mut String| -> Result<bool> {
         loop {
             line.clear();
-            if reader.read_line(line).map_err(io_err)? == 0 {
+            let n = reader.read_line(line).map_err(io_err)?;
+            if n == 0 {
                 return Ok(false);
             }
+            bytes += n;
             if line.ends_with('\n') {
                 line.pop();
                 if line.ends_with('\r') {
@@ -425,25 +430,16 @@ pub fn read_csv_chunked<R: BufRead>(
         match fault {
             None => {
                 let mut values = parsed.iter();
-                for (sink, f) in sinks.iter_mut().zip(fields.drain(..)) {
+                for (col, (sink, f)) in sinks.iter_mut().zip(fields.drain(..)).enumerate() {
                     match sink {
                         Sink::Skip => {}
-                        Sink::Nominal {
-                            labels,
-                            code_of,
-                            current,
-                            ..
-                        } => {
-                            let code = match code_of.get(&*f) {
-                                Some(&c) => c,
-                                None => {
-                                    let c = labels.len() as u32;
-                                    let f = f.into_owned();
-                                    labels.push(f.clone());
-                                    code_of.insert(f, c);
-                                    c
-                                }
-                            };
+                        Sink::Nominal { dict, current, .. } => {
+                            let code =
+                                dict.intern(&f)
+                                    .ok_or_else(|| RelationalError::DomainTooLarge {
+                                        table: name.to_string(),
+                                        column: header_fields[col].clone(),
+                                    })?;
                             current.push(code);
                         }
                         Sink::Numeric {
@@ -514,6 +510,7 @@ pub fn read_csv_chunked<R: BufRead>(
         }
         spare = recycle(fields);
     }
+    hamlet_obs::counter_add!("hamlet_ingest_bytes_total", bytes);
     hamlet_obs::counter_add!("hamlet_ingest_unescaped_fields_total", unescaped);
     if !quarantined.is_empty() {
         hamlet_obs::counter_add!("hamlet_dirty_rows_quarantined_total", quarantined.len());
@@ -528,16 +525,18 @@ pub fn read_csv_chunked<R: BufRead>(
     // the same first-error) as the dense reader's build loop.
     let mut defs = Vec::new();
     let mut columns = Vec::new();
+    let mut labels = 0usize;
     for (i, (spec, sink)) in col_specs.iter().zip(sinks).enumerate() {
         match (*spec, sink) {
             (ColumnSpec::Skip, _) => {}
-            (ColumnSpec::Nominal(def), Sink::Nominal { labels, done, .. }) => {
-                if labels.is_empty() {
+            (ColumnSpec::Nominal(def), Sink::Nominal { dict, done, .. }) => {
+                if dict.is_empty() {
                     return Err(RelationalError::EmptyTable {
                         table: name.to_string(),
                     });
                 }
-                let domain = Domain::labelled(&def.name, labels).shared();
+                labels += dict.len();
+                let domain = Domain::labelled(&def.name, dict.into_labels()).shared();
                 defs.push(def.clone());
                 columns.push(ChunkedColumn::from_parts(
                     domain,
@@ -619,6 +618,7 @@ pub fn read_csv_chunked<R: BufRead>(
     let schema = Schema::new(name, defs)?;
     let table = ChunkedTable::new(name, schema, columns)?;
     hamlet_obs::counter_add!("hamlet_ingest_rows_total", clean_rows);
+    hamlet_obs::counter_add!("hamlet_ingest_labels_total", labels);
     Ok(ChunkedCsvLoad {
         table,
         quarantined,
@@ -784,6 +784,30 @@ c4,yes,M,61.9,e3
             DirtyPolicy::Abort
         )
         .is_err());
+    }
+
+    #[test]
+    fn load_counts_bytes_and_labels_and_names_its_span() {
+        let counter = |name| hamlet_obs::metrics::counter(name).get();
+        let (bytes, labels) = (
+            counter("hamlet_ingest_bytes_total"),
+            counter("hamlet_ingest_labels_total"),
+        );
+        hamlet_obs::span::set_tracing(true);
+        chunked(CSV, &IngestOptions::dense()).unwrap();
+        hamlet_obs::span::set_tracing(false);
+        // Sibling tests ingest concurrently into the same global
+        // counters, hence `>=`. Distinct labels: 4 ids, 2 churn values,
+        // 2 genders, 3 employers.
+        assert!(counter("hamlet_ingest_bytes_total") - bytes >= CSV.len() as u64);
+        assert!(counter("hamlet_ingest_labels_total") - labels >= 11);
+        let spans = hamlet_obs::span::drain_spans();
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == "relational.ingest_stream" && s.detail == "table=Customers"),
+            "no ingest span naming its table"
+        );
     }
 
     #[test]

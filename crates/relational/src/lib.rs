@@ -49,6 +49,7 @@ pub mod coldstart;
 pub mod column;
 pub mod csv;
 pub mod decompose;
+mod dict;
 pub mod domain;
 pub mod error;
 pub mod fd;

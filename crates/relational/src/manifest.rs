@@ -30,7 +30,6 @@
 //! the FK column's string values must be a subset of the key column's,
 //! and both are recoded onto the key's domain.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -40,6 +39,7 @@ use crate::catalog::{AttributeTable, StarSchema};
 use crate::coldstart::with_others_record;
 use crate::column::Column;
 use crate::csv::{ColumnSpec, DirtyPolicy, QuarantinedRow};
+use crate::dict::LabelDict;
 use crate::error::{RelationalError, Result};
 use crate::ingest::{read_csv_chunked, IngestOptions};
 use crate::join::FkPolicy;
@@ -485,16 +485,28 @@ impl Manifest {
                         .ok_or_else(|| RelationalError::UnknownTable { name: file.clone() })?;
                     let key = attr_table.column_by_name(key_col)?;
                     // Recode per FK-domain code, not per row: index the
-                    // key's labels once (borrowed where the domain is
-                    // labelled), resolve each FK code to its key code,
-                    // and each row becomes one array lookup.
-                    let key_code_of: HashMap<Cow<str>, u32> = key
-                        .codes()
-                        .iter()
-                        .map(|&c| (key.domain().label(c), c))
-                        .collect();
+                    // key's labels once, resolve each FK code to its key
+                    // code, and each row becomes one array lookup.
+                    let mut key_index = LabelDict::new();
+                    let mut key_code: Vec<u32> = Vec::new();
+                    for &c in key.codes() {
+                        let slot = key_index.intern(&key.domain().label(c)).ok_or_else(|| {
+                            RelationalError::DomainTooLarge {
+                                table: attr_table.name().to_string(),
+                                column: key_col.clone(),
+                            }
+                        })? as usize;
+                        // A repeated label keeps its last key code.
+                        match key_code.get_mut(slot) {
+                            Some(k) => *k = c,
+                            None => key_code.push(c),
+                        }
+                    }
                     let key_of_fk: Vec<Option<u32>> = (0..col.domain().size() as u32)
-                        .map(|c| key_code_of.get(&*col.domain().label(c)).copied())
+                        .map(|c| {
+                            let slot = key_index.get(&col.domain().label(c))?;
+                            Some(key_code[slot as usize])
+                        })
                         .collect();
                     let mut recoded = Vec::with_capacity(col.len());
                     let mut dangling: Vec<(usize, String)> = Vec::new();

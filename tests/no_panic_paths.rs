@@ -118,12 +118,13 @@ fn lenient_csv_reader_has_no_aborting_calls() {
 #[test]
 fn dataplane_modules_have_no_aborting_calls() {
     // The out-of-core data plane: chunk storage/spill, the streaming
-    // ingester, and the count primitive. Truncated spill files, exhausted
-    // budgets, and corrupt streams surface as typed errors (or
-    // quarantine entries) — never a panic — and spill files go through
-    // `atomic_write` with RAII cleanup.
+    // ingester and its label dictionary, and the count primitive.
+    // Truncated spill files, exhausted budgets, and corrupt streams
+    // surface as typed errors (or quarantine entries) — never a panic —
+    // and spill files go through `atomic_write` with RAII cleanup.
     for rel in [
         "crates/relational/src/chunk.rs",
+        "crates/relational/src/dict.rs",
         "crates/relational/src/ingest.rs",
         "crates/ml/src/source.rs",
     ] {

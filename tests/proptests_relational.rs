@@ -1,6 +1,8 @@
 //! Property-based tests for the relational operators: query algebra,
 //! manifests, lints, and profiles over randomly generated tables.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use hamlet::relational::{
@@ -131,36 +133,59 @@ proptest! {
 }
 
 /// One generated CSV line: `(kind, id, name, num, tag, ending)`, each a
-/// pick from the small menus in [`csv_line`].
+/// pick from the menus in [`csv_line`].
 type LineSpec = (u8, u8, u8, u8, u8, u8);
 
+/// Labels for the `name` column. The first eight mix quoted delimiters,
+/// `""` escapes, mid-field quotes, empty fields and padding; the rest
+/// stress a word-wise hash and an arena compare: 1-, 7-, 8- and 9-byte
+/// labels, pairs that differ only after byte 8 or only in the last
+/// byte, and more unicode.
+const NAMES: [&str; 16] = [
+    "alice",
+    "\"x,y\"",
+    "\"say \"\"hi\"\"\"",
+    "",
+    "\"\"",
+    "a\"b,c\"d",
+    "é ü",
+    " padded ",
+    "a",
+    "abcdefg",
+    "abcdefh",
+    "abcdefgh",
+    "abcdefghi",
+    "abcdefghj",
+    "abcdefgh-long-1",
+    "日本語ラベル",
+];
+/// Numerics: the first eight hold two unparseable ones, the rest parse.
+const NUMS: [&str; 16] = [
+    "1.5", " 2 ", "-3", "abc", "", "1e2", "\"4\"", "7", "0.25", "12", "-0.5", "8", "9.75", "3",
+    "5", "6",
+];
+const TAGS: [&str; 6] = ["t0", "t1", "", "\"t,2\"", "t1", "\"\"\"\""];
+
 /// Renders one generated line (without its ending). Kinds 0 and 1 are
-/// blank / whitespace-only, 2 and 3 are short / long rows; the field
-/// menus mix quoted delimiters, `""` escapes, mid-field quotes, empty
-/// and trailing-empty fields, bad numerics and (quoted) duplicate keys.
+/// blank / whitespace-only, 2 and 3 are short / long rows. An id of 9
+/// is the quoted duplicate of `k1`; a tag past the menu is one of a few
+/// hundred plain or unicode labels, so that column's dictionary grows.
 fn csv_line(&(kind, id, name, num, tag, _): &LineSpec) -> String {
-    const NAMES: [&str; 8] = [
-        "alice",
-        "\"x,y\"",
-        "\"say \"\"hi\"\"\"",
-        "",
-        "\"\"",
-        "a\"b,c\"d",
-        "é ü",
-        " padded ",
-    ];
-    const NUMS: [&str; 8] = ["1.5", " 2 ", "-3", "abc", "", "1e2", "\"4\"", "7"];
-    const TAGS: [&str; 6] = ["t0", "t1", "", "\"t,2\"", "t1", "\"\"\"\""];
     let id = if id == 9 {
         "\"k1\"".to_string()
     } else {
         format!("k{id}")
     };
+    let tag = match TAGS.get(tag as usize) {
+        Some(t) => t.to_string(),
+        None if tag % 3 == 0 => format!("ф{tag}"),
+        None => format!("f{tag}"),
+    };
     let row = [
         id.as_str(),
-        NAMES[name as usize],
-        NUMS[num as usize],
-        TAGS[tag as usize],
+        NAMES[name as usize % NAMES.len()],
+        NUMS[num as usize % NUMS.len()],
+        tag.as_str(),
     ];
     match kind {
         0 => String::new(),
@@ -202,11 +227,36 @@ fn oracle_specs() -> Vec<(&'static str, ColumnSpec)> {
     ]
 }
 
-/// The reader as it was before borrowed fields, kept as a test oracle:
-/// `BufRead::lines()`, a char-by-char splitter building one `String` per
-/// field, and the same validation order (width, numeric, duplicate key).
-/// Errors are compared by their `Debug` text.
+/// The reader as it was before borrowed fields and the arena
+/// dictionary, kept as a test oracle: `BufRead::lines()`, a
+/// char-by-char splitter building one `String` per field, the
+/// `HashMap<String, u32>` label encoder, and the same validation order
+/// (width, numeric, duplicate key). Errors are compared by their
+/// `Debug` text.
 type OracleLoad = (Vec<(Domain, Vec<u32>)>, Vec<QuarantinedRow>, usize);
+
+/// The label encoder streaming ingest used before its arena
+/// dictionary: a `HashMap<String, u32>` beside a first-appearance label
+/// list.
+#[derive(Default)]
+struct HashMapEncoder {
+    labels: Vec<String>,
+    code_of: HashMap<String, u32>,
+}
+
+impl HashMapEncoder {
+    fn code(&mut self, label: &str) -> u32 {
+        match self.code_of.get(label) {
+            Some(&c) => c,
+            None => {
+                let c = self.labels.len() as u32;
+                self.labels.push(label.to_string());
+                self.code_of.insert(label.to_string(), c);
+                c
+            }
+        }
+    }
+}
 
 fn oracle_split(line: &str) -> Vec<String> {
     let mut fields = Vec::new();
@@ -237,19 +287,33 @@ fn oracle_split(line: &str) -> Vec<String> {
     fields
 }
 
-fn oracle_load(text: &str, policy: DirtyPolicy) -> Result<OracleLoad, String> {
+fn oracle_load(bytes: &[u8], policy: DirtyPolicy) -> Result<OracleLoad, String> {
     let err = |e: RelationalError| format!("{e:?}");
-    let mut lines = std::io::BufRead::lines(std::io::Cursor::new(text.as_bytes()))
-        .map(|l| l.expect("in-memory read"))
-        .filter(|l| !l.trim().is_empty());
-    let header = oracle_split(&lines.next().expect("generated header"));
+    let mut lines = std::io::BufRead::lines(std::io::Cursor::new(bytes));
+    // Non-blank lines until the end or the first read error (invalid
+    // UTF-8), which the reader reports as a typed `Io` error.
+    let mut next_line = || loop {
+        match lines.next() {
+            None => return Ok(None),
+            Some(Err(e)) => {
+                return Err(err(RelationalError::Io {
+                    context: "stream table 'T'".into(),
+                    message: e.to_string(),
+                }))
+            }
+            Some(Ok(l)) if l.trim().is_empty() => {}
+            Some(Ok(l)) => return Ok(Some(l)),
+        }
+    };
+    let header = oracle_split(&next_line()?.expect("generated header"));
     assert_eq!(header, ["id", "name", "num", "tag"]);
-    let mut labels: [Vec<String>; 3] = Default::default();
+    let mut dicts: [HashMapEncoder; 3] = Default::default();
     let mut codes: [Vec<u32>; 3] = Default::default();
     let mut values: Vec<f64> = Vec::new();
     let mut quarantined = Vec::new();
     let mut total = 0;
-    for (lineno, line) in lines.enumerate() {
+    while let Some(line) = next_line()? {
+        let lineno = total;
         total += 1;
         let f = oracle_split(&line);
         let fault = if f.len() != 4 {
@@ -269,7 +333,7 @@ fn oracle_load(text: &str, policy: DirtyPolicy) -> Result<OracleLoad, String> {
                     reason: "column 'num' has non-numeric data".into(),
                 },
             ))
-        } else if labels[0].contains(&f[0]) {
+        } else if dicts[0].code_of.contains_key(&f[0]) {
             Some((
                 format!("duplicate primary key '{}' in column 'id'", f[0]),
                 RelationalError::PrimaryKeyNotUnique {
@@ -283,12 +347,7 @@ fn oracle_load(text: &str, policy: DirtyPolicy) -> Result<OracleLoad, String> {
         match (fault, policy) {
             (None, _) => {
                 for (k, col) in [0, 1, 3].into_iter().enumerate() {
-                    let pos = labels[k].iter().position(|l| *l == f[col]);
-                    let code = pos.unwrap_or_else(|| {
-                        labels[k].push(f[col].clone());
-                        labels[k].len() - 1
-                    });
-                    codes[k].push(code as u32);
+                    codes[k].push(dicts[k].code(&f[col]));
                 }
                 values.push(f[2].trim().parse().expect("validated"));
             }
@@ -312,20 +371,20 @@ fn oracle_load(text: &str, policy: DirtyPolicy) -> Result<OracleLoad, String> {
         }
     }
     // Finalize in header order: id, name, num, tag.
-    if labels[0].is_empty() {
+    if dicts[0].labels.is_empty() {
         return Err(err(RelationalError::EmptyTable { table: "T".into() }));
     }
     let binner = EqualWidthBinner::fit("num", &values, 3).map_err(err)?;
-    let [id_l, name_l, tag_l] = labels;
+    let [id_d, name_d, tag_d] = dicts;
     let [id_c, name_c, tag_c] = codes;
     let columns = vec![
-        (Domain::labelled("id", id_l), id_c),
-        (Domain::labelled("name", name_l), name_c),
+        (Domain::labelled("id", id_d.labels), id_c),
+        (Domain::labelled("name", name_d.labels), name_c),
         (
             binner.domain(),
             values.iter().map(|&v| binner.bin(v)).collect(),
         ),
-        (Domain::labelled("tag", tag_l), tag_c),
+        (Domain::labelled("tag", tag_d.labels), tag_c),
     ];
     Ok((columns, quarantined, total))
 }
@@ -341,6 +400,40 @@ fn as_oracle(load: Result<CsvLoad, RelationalError>) -> Result<OracleLoad, Strin
         .collect();
     Ok((columns, load.quarantined, load.total_rows))
 }
+
+/// The streaming reader over a `capacity`-byte read buffer, densified.
+fn streamed(
+    bytes: &[u8],
+    capacity: usize,
+    policy: DirtyPolicy,
+    opts: &IngestOptions,
+) -> Result<OracleLoad, String> {
+    as_oracle(
+        read_csv_chunked(
+            "T",
+            std::io::BufReader::with_capacity(capacity, bytes),
+            &oracle_specs(),
+            ',',
+            policy,
+            opts,
+        )
+        .and_then(|l| {
+            Ok(CsvLoad {
+                table: l.table.to_table()?,
+                quarantined: l.quarantined,
+                total_rows: l.total_rows,
+            })
+        }),
+    )
+}
+
+const POLICIES: [DirtyPolicy; 3] = [
+    DirtyPolicy::Abort,
+    DirtyPolicy::Quarantine { max_bad_rows: 2 },
+    DirtyPolicy::Quarantine {
+        max_bad_rows: usize::MAX,
+    },
+];
 
 proptest! {
     /// The borrowed-field reader loads exactly what the old `lines()` +
@@ -359,33 +452,50 @@ proptest! {
         policy_ix in 0..3usize,
     ) {
         let text = csv_text(lead, quoted_header, &lines);
-        let policy = [
-            DirtyPolicy::Abort,
-            DirtyPolicy::Quarantine { max_bad_rows: 2 },
-            DirtyPolicy::Quarantine { max_bad_rows: usize::MAX },
-        ][policy_ix];
-        let want = oracle_load(&text, policy);
+        let policy = POLICIES[policy_ix];
+        let want = oracle_load(text.as_bytes(), policy);
         let specs = oracle_specs();
         prop_assert_eq!(as_oracle(read_csv_lenient("T", &text, &specs, ',', policy)), want.clone());
         let opts = IngestOptions {
             morsel_rows: Some(3),
             ..IngestOptions::dense()
         };
-        let streamed = read_csv_chunked(
-            "T",
-            std::io::BufReader::with_capacity(5, text.as_bytes()),
-            &specs,
-            ',',
-            policy,
-            &opts,
-        )
-        .and_then(|l| {
-            Ok(CsvLoad {
-                table: l.table.to_table()?,
-                quarantined: l.quarantined,
-                total_rows: l.total_rows,
-            })
-        });
-        prop_assert_eq!(as_oracle(streamed), want);
+        prop_assert_eq!(streamed(text.as_bytes(), 5, policy, &opts), want);
+    }
+
+    /// The arena dictionary encodes exactly what the `HashMap` encoder
+    /// did, over dirty CSVs with word-boundary and unicode labels, a
+    /// few hundred distinct tags (several dictionary resizes), more
+    /// duplicate keys and an invalid UTF-8 line that may follow a bad
+    /// row: identical domains (label order and codes), quarantine list,
+    /// row count and first error, at morsel sizes 1, 7 and the default
+    /// and under a spill-forcing budget, with both dirty-row policies.
+    #[test]
+    fn arena_dictionary_ingest_matches_the_hashmap_oracle(
+        lines in proptest::collection::vec(
+            (0..16u8, 0..200u8, 0..16u8, 0..16u8, 0..=255u8, 0..4u8),
+            0..48,
+        ),
+        lead in any_bool(),
+        bad_utf8_at in 0..160usize,
+        policy_ix in 0..3usize,
+    ) {
+        let mut bytes = csv_text(lead, false, &lines).into_bytes();
+        let cut = bytes.iter().enumerate().filter(|&(_, &b)| b == b'\n').nth(bad_utf8_at);
+        if let Some((at, _)) = cut {
+            bytes.splice(at + 1..at + 1, b"k\xff,a,1,t0\n".iter().copied());
+        }
+        let policy = POLICIES[policy_ix];
+        let want = oracle_load(&bytes, policy);
+        for (morsel_rows, mem_budget) in [(Some(1), None), (Some(7), None), (None, None), (None, Some(64))] {
+            let opts = IngestOptions { morsel_rows, mem_budget, spill_dir: None };
+            prop_assert_eq!(
+                streamed(&bytes, 7, policy, &opts),
+                want.clone(),
+                "morsel {:?} budget {:?}",
+                morsel_rows,
+                mem_budget
+            );
+        }
     }
 }
