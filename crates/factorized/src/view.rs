@@ -13,13 +13,13 @@
 
 use hamlet_ml::{CodeSource, Column};
 use hamlet_relational::catalog::StarSchema;
-use hamlet_relational::{RelationalError, Result, Role};
+use hamlet_relational::{Domain, RelationalError, Result, Role};
 
 /// An entity-table column served directly (features and foreign keys).
 #[derive(Debug)]
 struct BaseCol<'a> {
     name: &'a str,
-    domain_size: usize,
+    domain: &'a Domain,
     codes: &'a [u32],
 }
 
@@ -27,7 +27,7 @@ struct BaseCol<'a> {
 #[derive(Debug)]
 struct JoinedCol<'a> {
     name: &'a str,
-    domain_size: usize,
+    domain: &'a Domain,
     /// Codes of the column in its attribute table `R` (length `n_R`).
     codes: &'a [u32],
     /// Which [`FkIndex`] resolves entity rows into `R` rows.
@@ -97,7 +97,7 @@ impl<'a> FactorizedView<'a> {
             if def.role.is_ml_input() {
                 base.push(BaseCol {
                     name: def.name.as_str(),
-                    domain_size: col.domain().size(),
+                    domain: col.domain(),
                     codes: col.codes(),
                 });
             }
@@ -144,7 +144,7 @@ impl<'a> FactorizedView<'a> {
                 if def.role == Role::Feature {
                     joined.push(JoinedCol {
                         name: def.name.as_str(),
-                        domain_size: col.domain().size(),
+                        domain: col.domain(),
                         codes: col.codes(),
                         fk,
                     });
@@ -188,6 +188,15 @@ impl<'a> FactorizedView<'a> {
         self.base.len()
     }
 
+    /// The domain of feature `f` (its labels, when it has them), as
+    /// stored in the entity or attribute table.
+    pub fn feature_domain(&self, f: usize) -> &'a Domain {
+        match f.checked_sub(self.base.len()) {
+            None => self.base[f].domain,
+            Some(j) => self.joined[j].domain,
+        }
+    }
+
     /// Position of the feature named `name`, if present.
     pub fn feature_index(&self, name: &str) -> Option<usize> {
         self.base
@@ -219,10 +228,7 @@ impl CodeSource for FactorizedView<'_> {
     }
 
     fn feature_domain_size(&self, f: usize) -> usize {
-        match f.checked_sub(self.base.len()) {
-            None => self.base[f].domain_size,
-            Some(j) => self.joined[j].domain_size,
-        }
+        self.feature_domain(f).size()
     }
 
     fn feature_name(&self, f: usize) -> &str {
@@ -371,6 +377,77 @@ pub(crate) mod tests {
                 for r in 0..mat.n_examples() {
                     assert_eq!(view.code(f, r), mat.feature(f).codes[r]);
                 }
+            }
+        }
+    }
+
+    /// TAN's pairwise CMI and `(y, parent, v)` CPTs read the view's
+    /// columns through the FK; the model must be the materialized fit,
+    /// bit for bit, for every join subset, row subset and CPT budget
+    /// (a budget of 40 cells drops the pairs with an FK from the tree).
+    #[test]
+    fn tan_fit_source_on_a_view_equals_the_materialized_fit() {
+        use hamlet_ml::{Classifier, Tan};
+
+        let spec = hamlet_datagen::realistic::DatasetSpec::yelp();
+        for star in [two_table_star(), spec.generate(0.002, 3).star] {
+            let all: Vec<usize> = (0..star.n_s()).collect();
+            let evens: Vec<usize> = (0..star.n_s()).step_by(2).collect();
+            for join_set in [vec![], vec![0], vec![1], vec![0, 1]] {
+                let view = FactorizedView::with_join_set(&star, &join_set).unwrap();
+                let mat = Dataset::from_table(&star.materialize(&join_set).unwrap());
+                let feats: Vec<usize> = (0..mat.n_features()).collect();
+                for max_cpt_cells in [40, Tan::default().max_cpt_cells] {
+                    let tan = Tan {
+                        max_cpt_cells,
+                        ..Tan::default()
+                    };
+                    for rows in [&all, &evens] {
+                        let m_mat = tan.fit(&mat, rows, &feats);
+                        let m_view = tan.fit_source(&view, rows, &feats);
+                        assert_eq!(
+                            format!("{m_mat:?}"),
+                            format!("{m_view:?}"),
+                            "joins {join_set:?}, budget {max_cpt_cells}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Naive Bayes' blocked holdout scorer reads `Via` columns through
+    /// a per-block gather; its error must equal the row-at-a-time
+    /// metric on the view and the materialized scorer, on contiguous
+    /// and scattered row sets longer than one block.
+    #[test]
+    fn nb_batch_error_on_a_view_equals_the_row_path() {
+        use hamlet_ml::{rmse, zero_one_error, ErrorMetric, NaiveBayes};
+
+        let star = hamlet_datagen::realistic::DatasetSpec::yelp()
+            .generate(0.02, 5)
+            .star;
+        let view = FactorizedView::new(&star).unwrap();
+        let mat = Dataset::from_table(&star.materialize_all().unwrap());
+        let n = star.n_s();
+        assert!(n > 3000, "rows must span several blocks");
+        let train: Vec<usize> = (0..n / 2).collect();
+        let feats: Vec<usize> = (0..mat.n_features()).collect();
+        let model = NaiveBayes::default().fit_source(&view, &train, &feats);
+        let scattered: Vec<usize> = (0..n).rev().step_by(3).collect();
+        let tail: Vec<usize> = (n / 2..n).collect();
+        let subset: Vec<usize> = feats.iter().copied().rev().step_by(2).collect();
+        let sub_model = NaiveBayes::default().fit_source(&view, &train, &subset);
+        for rows in [&tail, &scattered, &Vec::new()] {
+            for m in [&model, &sub_model] {
+                let bits = m.batch_error(&view, rows, ErrorMetric::ZeroOne).to_bits();
+                assert_eq!(bits, zero_one_error(m, &view, rows).to_bits());
+                assert_eq!(
+                    bits,
+                    m.batch_error(&mat, rows, ErrorMetric::ZeroOne).to_bits()
+                );
+                let bits = m.batch_error(&view, rows, ErrorMetric::Rmse).to_bits();
+                assert_eq!(bits, rmse(m, &view, rows).to_bits());
             }
         }
     }

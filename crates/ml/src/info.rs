@@ -7,6 +7,8 @@
 //!
 //! All logarithms are base 2 (bits).
 
+use crate::source::Column;
+
 /// Entropy `H(X)` in bits of the empirical distribution of `codes` over a
 /// domain of `domain_size` values, restricted to `rows`.
 pub fn entropy(codes: &[u32], domain_size: usize, rows: &[usize]) -> f64 {
@@ -94,13 +96,16 @@ pub fn information_gain_ratio(
 }
 
 /// Conditional mutual information `I(A;B|C)` in bits — the edge weight of
-/// TAN's Chow–Liu tree (`I(X_i;X_j|Y)`, appendix E).
+/// TAN's Chow–Liu tree (`I(X_i;X_j|Y)`, appendix E). Each column is read
+/// through [`Column::code`], so a foreign feature of a factorized view
+/// counts through its FK into the same integer tables a materialized
+/// column would fill.
 pub fn conditional_mutual_information(
-    a_codes: &[u32],
+    a_col: Column<'_>,
     a_size: usize,
-    b_codes: &[u32],
+    b_col: Column<'_>,
     b_size: usize,
-    c_codes: &[u32],
+    c_col: Column<'_>,
     c_size: usize,
     rows: &[usize],
 ) -> f64 {
@@ -112,9 +117,9 @@ pub fn conditional_mutual_information(
     let mut bc = vec![0u64; b_size * c_size];
     let mut c_counts = vec![0u64; c_size];
     for &r in rows {
-        let a = a_codes[r] as usize;
-        let b = b_codes[r] as usize;
-        let c = c_codes[r] as usize;
+        let a = a_col.code(r) as usize;
+        let b = b_col.code(r) as usize;
+        let c = c_col.code(r) as usize;
         joint[(a * b_size + b) * c_size + c] += 1;
         ac[a * c_size + c] += 1;
         bc[b * c_size + c] += 1;
@@ -246,7 +251,15 @@ mod tests {
         let b = vec![0u32, 1, 1, 1, 0, 0];
         let c = vec![0u32; 6];
         let rows: Vec<usize> = (0..6).collect();
-        let cmi = conditional_mutual_information(&a, 2, &b, 2, &c, 1, &rows);
+        let cmi = conditional_mutual_information(
+            Column::Rows(&a),
+            2,
+            Column::Rows(&b),
+            2,
+            Column::Rows(&c),
+            1,
+            &rows,
+        );
         let mi = mutual_information(&a, 2, &b, 2, &rows);
         assert!((cmi - mi).abs() < EPS);
     }
@@ -259,7 +272,15 @@ mod tests {
         let b = c.clone();
         let rows: Vec<usize> = (0..4).collect();
         // I(A;B|C) = 0 because A and B are functions of C.
-        let cmi = conditional_mutual_information(&a, 2, &b, 2, &c, 2, &rows);
+        let cmi = conditional_mutual_information(
+            Column::Rows(&a),
+            2,
+            Column::Rows(&b),
+            2,
+            Column::Rows(&c),
+            2,
+            &rows,
+        );
         assert!(cmi.abs() < EPS);
     }
 

@@ -8,7 +8,7 @@
 
 use crate::classifier::{Classifier, ErrorMetric, Model};
 use crate::dataset::Dataset;
-use crate::source::{class_count_tables, class_histogram, CodeSource};
+use crate::source::{class_count_tables, class_histogram, is_contiguous, CodeSource, Column};
 
 /// Naive Bayes learner configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,27 +228,31 @@ impl NaiveBayesModel {
     }
 
     /// Validation error on `rows`, **bitwise identical** to
-    /// `metric.eval(self, data, rows)` but allocation-free: one score
-    /// buffer reused across rows, and each selected feature's code
-    /// column resolved once instead of per `(row, feature)` access.
-    /// The float operations and their order are exactly those of
-    /// [`Model::predict_row`] composed with
+    /// `metric.eval(self, data, rows)` but without a per-row allocation
+    /// or per-cell column dispatch. The float operations and their
+    /// order are exactly those of [`Model::predict_row`] composed with
     /// [`crate::classifier::zero_one_error`] / [`crate::classifier::rmse`],
     /// which is what lets the candidate sweeps in `hamlet-fs` score
     /// through this path and still select the same subsets as the
-    /// row-at-a-time reference. Scoring dominates a sweep's cost once
-    /// fits assemble from cached count tables, so this is the other
-    /// half of the sweep speedup.
-    pub fn batch_error(&self, data: &Dataset, rows: &[usize], metric: ErrorMetric) -> f64 {
+    /// row-at-a-time reference, and what lets an export score its
+    /// holdout on a factorized view.
+    ///
+    /// Rows are scored in blocks of `EVAL_BLOCK`. Each feature's
+    /// [`Column`] is resolved once; per block it becomes one `&[u32]`
+    /// of the block's codes: a [`Column::Rows`] slice when the block is
+    /// a contiguous row range, otherwise a gather into a reused buffer
+    /// (through the FK for a [`Column::Via`] feature). The inner loop
+    /// then reads plain code slices.
+    pub fn batch_error<S: CodeSource + ?Sized>(
+        &self,
+        data: &S,
+        rows: &[usize],
+        metric: ErrorMetric,
+    ) -> f64 {
         if rows.is_empty() {
             return 0.0;
         }
-        let labels = data.labels();
-        let cols: Vec<&[u32]> = self
-            .feats
-            .iter()
-            .map(|&f| data.feature(f).codes.as_slice())
-            .collect();
+        let cols: Vec<Column<'_>> = self.feats.iter().map(|&f| data.column(f)).collect();
         let c = self.n_classes;
         // Transpose each log-conditional table from `[y * d + v]` to
         // `[v * c + y]` once, so scoring a row reads `c` contiguous
@@ -260,30 +264,46 @@ impl NaiveBayesModel {
             .zip(&self.domain_sizes)
             .map(|(table, &d)| transposed(table, c, d))
             .collect();
+        let mut gathered: Vec<Vec<u32>> = vec![Vec::new(); cols.len()];
         let mut scores = vec![0f64; c];
         let mut wrong = 0usize;
         let mut sq_sum = 0.0;
-        for &r in rows {
-            scores.copy_from_slice(&self.log_prior);
-            for (col, tt) in cols.iter().zip(&t_tables) {
-                let v = col[r] as usize;
-                let block = &tt[v * c..v * c + c];
-                for (s, &l) in scores.iter_mut().zip(block) {
-                    *s += l;
+        for block in rows.chunks(EVAL_BLOCK) {
+            let first = block[0];
+            let contiguous = is_contiguous(block);
+            for (col, buf) in cols.iter().zip(&mut gathered) {
+                buf.clear();
+                match *col {
+                    Column::Rows(_) if contiguous => {}
+                    Column::Rows(codes) => buf.extend(block.iter().map(|&r| codes[r])),
+                    via => buf.extend(block.iter().map(|&r| via.code(r))),
                 }
             }
-            // Deterministic tie-break: lowest class wins (as predict_row).
-            let mut best = 0usize;
-            for y in 1..self.n_classes {
-                if scores[y] > scores[best] {
-                    best = y;
+            let block_cols: Vec<&[u32]> = cols
+                .iter()
+                .zip(&gathered)
+                .map(|(col, buf)| match *col {
+                    Column::Rows(codes) if contiguous => &codes[first..first + block.len()],
+                    _ => buf.as_slice(),
+                })
+                .collect();
+            for (i, &r) in block.iter().enumerate() {
+                scores.copy_from_slice(&self.log_prior);
+                for (col, tt) in block_cols.iter().zip(&t_tables) {
+                    let v = col[i] as usize;
+                    let addends = &tt[v * c..v * c + c];
+                    for (s, &l) in scores.iter_mut().zip(addends) {
+                        *s += l;
+                    }
                 }
-            }
-            match metric {
-                ErrorMetric::ZeroOne => wrong += usize::from(best as u32 != labels[r]),
-                ErrorMetric::Rmse => {
-                    let diff = best as f64 - labels[r] as f64;
-                    sq_sum += diff * diff;
+                let best = argmax(&scores);
+                let label = data.label(r);
+                match metric {
+                    ErrorMetric::ZeroOne => wrong += usize::from(best != label),
+                    ErrorMetric::Rmse => {
+                        let diff = best as f64 - label as f64;
+                        sq_sum += diff * diff;
+                    }
                 }
             }
         }
@@ -294,17 +314,38 @@ impl NaiveBayesModel {
     }
 }
 
-impl Model for NaiveBayesModel {
-    fn predict_row<S: CodeSource>(&self, data: &S, row: usize) -> u32 {
-        let scores = self.log_posterior(data, row);
-        // Deterministic tie-break: lowest class wins.
-        let mut best = 0usize;
-        for y in 1..self.n_classes {
-            if scores[y] > scores[best] {
-                best = y;
-            }
+/// Rows per block of [`NaiveBayesModel::batch_error`]: enough to amortize
+/// resolving each column, few enough that a block's gathered codes stay
+/// in cache.
+const EVAL_BLOCK: usize = 256;
+
+/// Index of the largest score; ties go to the lowest class.
+fn argmax(scores: &[f64]) -> u32 {
+    let mut best = 0usize;
+    for y in 1..scores.len() {
+        if scores[y] > scores[best] {
+            best = y;
         }
-        best as u32
+    }
+    best as u32
+}
+
+impl Model for NaiveBayesModel {
+    /// Scores into a stack buffer for up to 16 classes (a heap one
+    /// beyond), with the additions of [`NaiveBayesModel::log_posterior`].
+    /// Deterministic tie-break: lowest class wins.
+    fn predict_row<S: CodeSource>(&self, data: &S, row: usize) -> u32 {
+        let c = self.log_prior.len();
+        let mut stack = [0f64; 16];
+        let mut heap = Vec::new();
+        let scores = if c <= stack.len() {
+            &mut stack[..c]
+        } else {
+            heap.resize(c, 0.0);
+            &mut heap[..]
+        };
+        self.log_posterior_into(data, row, scores);
+        argmax(scores)
     }
 
     fn features(&self) -> &[usize] {

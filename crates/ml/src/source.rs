@@ -38,7 +38,9 @@
 //!   in `O(n_R)`. FK codes with no attribute row (`rid_to_row ==
 //!   u32::MAX`) contribute nothing, exactly as the inner join drops
 //!   them. No join output is touched; the extra memory is the
-//!   `n_R × |D_Y|` FK table.
+//!   `n_R × |D_Y|` FK table. A row set smaller than the attribute
+//!   table (a deep tree node) skips the fold and reads each row's code
+//!   through the FK instead, in `O(rows)`; the integers are the same.
 //!
 //! Large scans split into at most `threads` morsels (never finer than
 //! [`hamlet_obs::resolved_morsel_rows`], so about one dense partial
@@ -213,6 +215,18 @@ pub(crate) fn count_table<S: CodeSource + Sync + ?Sized>(
         } => {
             hamlet_obs::counter_add!("hamlet_count_rows_via_fk_total", rows.len());
             let n_r = rid_to_row.len();
+            if rows.len() < n_r {
+                // Fewer rows than attribute rows: reading each row's code
+                // through the FK costs less than the `O(n_R)` fold.
+                let mut counts = vec![0u64; src.n_classes() * d];
+                for &r in rows {
+                    let row = rid_to_row[fk_codes[r] as usize];
+                    if row != u32::MAX {
+                        counts[src.label(r) as usize * d + codes[row as usize] as usize] += 1;
+                    }
+                }
+                return counts;
+            }
             let (_, by_fk) = match last_fk.take() {
                 Some((j, table)) if j == join => last_fk.insert((j, table)),
                 _ => {

@@ -13,11 +13,13 @@
 //! unhelpful Kronecker deltas — our reproduction of that effect lives in
 //! the experiments crate.
 
+use std::borrow::Cow;
+
 use crate::classifier::{Classifier, Model};
 use crate::dataset::Dataset;
 use crate::info::conditional_mutual_information;
 use crate::naive_bayes::smoothed_log_table;
-use crate::source::{class_count_table, class_histogram, CodeSource};
+use crate::source::{class_count_table, class_histogram, CodeSource, Column};
 
 /// TAN learner configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,37 +57,48 @@ pub struct TanModel {
     domain_sizes: Vec<usize>,
 }
 
-impl Classifier for Tan {
-    type Fitted = TanModel;
-
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> TanModel {
-        let n_classes = data.n_classes();
-        let labels = data.labels();
+impl Tan {
+    /// Fits over any [`CodeSource`]: the materialized [`Dataset`] or a
+    /// factorized view. The pairwise CMI and every CPT fill integer
+    /// tables through [`Column::code`], so two sources presenting the
+    /// same codes give the same counts, hence the same floats and the
+    /// same model.
+    pub fn fit_source<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> TanModel {
+        let n_classes = src.n_classes();
         let alpha = self.smoothing;
         let m = feats.len();
+        let labels: Cow<'_, [u32]> = match src.labels() {
+            Some(labels) => Cow::Borrowed(labels),
+            None => (0..src.n_examples()).map(|r| src.label(r)).collect(),
+        };
+        let cols: Vec<Column<'_>> = feats.iter().map(|&f| src.column(f)).collect();
+        let domain_sizes: Vec<usize> = feats.iter().map(|&f| src.feature_domain_size(f)).collect();
 
         // Class priors.
         let threads = hamlet_obs::env::resolved_threads();
-        let class_counts = class_histogram(data, rows);
+        let class_counts = class_histogram(src, rows);
         let log_prior = smoothed_log_table(&class_counts, &[rows.len() as u64], n_classes, alpha);
 
         // Pairwise conditional MI, skipping over-budget pairs.
         let parents = if m >= 2 {
             let mut cmi = vec![f64::NEG_INFINITY; m * m];
             for i in 0..m {
-                let fi = data.feature(feats[i]);
                 for j in (i + 1)..m {
-                    let fj = data.feature(feats[j]);
-                    let cells = fi.domain_size * fj.domain_size * n_classes;
+                    let cells = domain_sizes[i] * domain_sizes[j] * n_classes;
                     if cells > self.max_cpt_cells {
                         continue;
                     }
                     let w = conditional_mutual_information(
-                        &fi.codes,
-                        fi.domain_size,
-                        &fj.codes,
-                        fj.domain_size,
-                        labels,
+                        cols[i],
+                        domain_sizes[i],
+                        cols[j],
+                        domain_sizes[j],
+                        Column::Rows(&labels),
                         n_classes,
                         rows,
                     );
@@ -100,26 +113,22 @@ impl Classifier for Tan {
 
         // CPTs.
         let mut log_cond = Vec::with_capacity(m);
-        let mut domain_sizes = Vec::with_capacity(m);
         for (i, &f) in feats.iter().enumerate() {
-            let feature = data.feature(f);
-            let d = feature.domain_size;
-            domain_sizes.push(d);
+            let d = domain_sizes[i];
             let (table, row_totals) = match parents[i] {
                 // P(X | Y) as in Naive Bayes.
                 None => (
-                    class_count_table(data, f, rows, threads),
+                    class_count_table(src, f, rows, threads),
                     class_counts.clone(),
                 ),
                 // P(X | parent, Y): one table row per (y, parent value).
                 Some(p) => {
-                    let parent = data.feature(feats[p]);
-                    let dp = parent.domain_size;
+                    let dp = domain_sizes[p];
                     let mut counts = vec![0u64; n_classes * dp * d];
                     let mut margins = vec![0u64; n_classes * dp];
                     for &r in rows {
-                        let row = labels[r] as usize * dp + parent.codes[r] as usize;
-                        counts[row * d + feature.codes[r] as usize] += 1;
+                        let row = labels[r] as usize * dp + cols[p].code(r) as usize;
+                        counts[row * d + cols[i].code(r) as usize] += 1;
                         margins[row] += 1;
                     }
                     (counts, margins)
@@ -136,6 +145,14 @@ impl Classifier for Tan {
             log_cond,
             domain_sizes,
         }
+    }
+}
+
+impl Classifier for Tan {
+    type Fitted = TanModel;
+
+    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> TanModel {
+        self.fit_source(data, rows, feats)
     }
 }
 

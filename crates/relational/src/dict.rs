@@ -74,9 +74,15 @@ impl LabelDict {
     /// The code of `label`, interning it under the next code if it is
     /// new. `None` once all `u32::MAX` codes are taken.
     pub(crate) fn intern(&mut self, label: &str) -> Option<u32> {
+        self.intern_new(label).map(|(code, _)| code)
+    }
+
+    /// [`LabelDict::intern`], also saying whether `label` was new: one
+    /// probe answers both "was it here?" and "what is its code?".
+    pub(crate) fn intern_new(&mut self, label: &str) -> Option<(u32, bool)> {
         let h = self.hash(label.as_bytes());
         let slot = match self.find(label.as_bytes(), h) {
-            Ok(code) => return Some(code),
+            Ok(code) => return Some((code, false)),
             Err(slot) => slot,
         };
         let code = next_code(self.len())?;
@@ -87,18 +93,13 @@ impl LabelDict {
         if self.len() * 2 > self.slots.len() {
             self.grow();
         }
-        Some(code)
+        Some((code, true))
     }
 
     /// The code of `label`, if it was interned. Never inserts.
     pub(crate) fn get(&self, label: &str) -> Option<u32> {
         self.find(label.as_bytes(), self.hash(label.as_bytes()))
             .ok()
-    }
-
-    /// Whether `label` was interned. Never inserts.
-    pub(crate) fn contains(&self, label: &str) -> bool {
-        self.get(label).is_some()
     }
 
     /// Every label in code order.
@@ -262,11 +263,11 @@ mod tests {
     #[test]
     fn empty_label_is_a_label() {
         let mut dict = LabelDict::new();
-        assert!(!dict.contains(""));
+        assert_eq!(dict.get(""), None);
         assert_eq!(dict.intern("x"), Some(0));
         assert_eq!(dict.intern(""), Some(1));
         assert_eq!(dict.intern(""), Some(1));
-        assert!(dict.contains(""));
+        assert_eq!(dict.get(""), Some(1));
         assert_eq!(dict.into_labels(), ["x", ""]);
     }
 
@@ -332,18 +333,20 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_get_never_insert() {
+    fn get_never_inserts_and_intern_new_reports_new() {
         let mut dict = LabelDict::new();
         assert!(dict.is_empty());
         for s in ["p", "q", "p"] {
-            assert!(!dict.contains(s));
             assert_eq!(dict.get(s), None);
         }
         assert!(dict.is_empty());
+        assert_eq!(dict.intern_new("q"), Some((0, true)));
+        assert_eq!(dict.intern_new("q"), Some((0, false)));
+        assert_eq!(dict.intern_new("r"), Some((1, true)));
         assert_eq!(dict.intern("q"), Some(0));
-        assert!(!dict.contains("p"));
-        assert_eq!(dict.len(), 1);
-        assert_eq!(dict.into_labels(), ["q"]);
+        assert_eq!(dict.get("p"), None);
+        assert_eq!(dict.len(), 2);
+        assert_eq!(dict.into_labels(), ["q", "r"]);
     }
 
     #[test]

@@ -175,10 +175,23 @@ impl Sink {
         }
     }
 
-    /// Whether a nominal sink has already coded `label` (for the primary
-    /// key: whether an earlier clean row carried it).
-    fn has_label(&self, label: &str) -> bool {
-        matches!(self, Sink::Nominal { dict, .. } if dict.contains(label))
+    /// Codes a primary-key `label` in one probe: `Some(code)` if no
+    /// earlier clean row carried it (it is interned now, and the row's
+    /// push reuses `code`), `None` for a duplicate, which leaves the
+    /// dictionary as it was. `Err` once the domain is full.
+    fn intern_key(&mut self, label: &str, table: &str, column: &str) -> Result<Option<u32>> {
+        let full = || RelationalError::DomainTooLarge {
+            table: table.to_string(),
+            column: column.to_string(),
+        };
+        match self {
+            Sink::Nominal { dict, .. } => match dict.intern_new(label).ok_or_else(full)? {
+                (code, true) => Ok(Some(code)),
+                (_, false) => Ok(None),
+            },
+            // Only nominal columns can be the primary key.
+            Sink::Skip | Sink::Numeric { .. } => Err(full()),
+        }
     }
 
     /// Bytes held by completed in-memory chunks.
@@ -389,6 +402,7 @@ pub fn read_csv_chunked<R: BufRead>(
         fields.extend(split_fields(&line, delimiter));
         unescaped += fields.iter().filter(|f| matches!(f, Cow::Owned(_))).count();
         parsed.clear();
+        let mut key_code = None;
         let fault: Option<(String, RelationalError)> = if fields.len() != header_fields.len() {
             Some((
                 format!(
@@ -416,14 +430,21 @@ pub fn read_csv_chunked<R: BufRead>(
                     reason: format!("column '{col}' has non-numeric data"),
                 },
             ))
-        } else if let Some((i, col)) = pk_col.filter(|&(i, _)| sinks[i].has_label(&fields[i])) {
-            Some((
-                format!("duplicate primary key '{}' in column '{}'", fields[i], col),
-                RelationalError::PrimaryKeyNotUnique {
-                    table: name.to_string(),
-                    attribute: col.to_string(),
-                },
-            ))
+        } else if let Some((i, col)) = pk_col {
+            // Last, so only a row that is otherwise clean interns its key.
+            match sinks[i].intern_key(&fields[i], name, col)? {
+                Some(code) => {
+                    key_code = Some((i, code));
+                    None
+                }
+                None => Some((
+                    format!("duplicate primary key '{}' in column '{}'", fields[i], col),
+                    RelationalError::PrimaryKeyNotUnique {
+                        table: name.to_string(),
+                        attribute: col.to_string(),
+                    },
+                )),
+            }
         } else {
             None
         };
@@ -434,12 +455,15 @@ pub fn read_csv_chunked<R: BufRead>(
                     match sink {
                         Sink::Skip => {}
                         Sink::Nominal { dict, current, .. } => {
-                            let code =
-                                dict.intern(&f)
-                                    .ok_or_else(|| RelationalError::DomainTooLarge {
+                            let code = match key_code {
+                                Some((key_col, code)) if key_col == col => code,
+                                _ => dict.intern(&f).ok_or_else(|| {
+                                    RelationalError::DomainTooLarge {
                                         table: name.to_string(),
                                         column: header_fields[col].clone(),
-                                    })?;
+                                    }
+                                })?,
+                            };
                             current.push(code);
                         }
                         Sink::Numeric {
@@ -808,6 +832,52 @@ c4,yes,M,61.9,e3
                 .any(|s| s.name == "relational.ingest_stream" && s.detail == "table=Customers"),
             "no ingest span naming its table"
         );
+    }
+
+    /// The key is interned by the duplicate check itself, so a repeat
+    /// must neither take a code nor grow the key domain, and a row
+    /// rejected before the key check must not intern its key.
+    #[test]
+    fn duplicate_key_keeps_the_first_code_and_the_domain_size() {
+        let text = "\
+CustomerID,Churn,Gender,Age,EmployerID
+c1,yes,F,34.5,e1
+c2,no,M,51.0,e2
+c1,no,M,28.2,e3
+c9,no,F,oops,e1
+c3,yes,M,61.9,e3
+";
+        let load = |policy| {
+            read_csv_chunked(
+                "Customers",
+                std::io::Cursor::new(text.as_bytes()),
+                &specs(),
+                ',',
+                policy,
+                &IngestOptions::dense(),
+            )
+        };
+        let err = load(DirtyPolicy::Abort).unwrap_err();
+        assert!(
+            matches!(err, RelationalError::PrimaryKeyNotUnique { .. }),
+            "{err}"
+        );
+
+        let load = load(DirtyPolicy::Quarantine { max_bad_rows: 5 }).unwrap();
+        let rows: Vec<usize> = load.quarantined.iter().map(|q| q.row).collect();
+        assert_eq!(rows, [2, 3]);
+        assert!(load.quarantined[0]
+            .reason
+            .contains("duplicate primary key 'c1'"));
+        let table = load.table.to_table().unwrap();
+        let key = table.column_by_name("CustomerID").unwrap();
+        assert_eq!(key.codes(), [0, 1, 2]);
+        assert_eq!(key.domain().size(), 3);
+        let labels: Vec<String> = (0..3).map(|c| key.domain().label(c).into_owned()).collect();
+        assert_eq!(labels, ["c1", "c2", "c3"]);
+        // The quarantined duplicate's other cells were not coded either.
+        let employer = table.column_by_name("EmployerID").unwrap();
+        assert_eq!(employer.codes(), [0, 1, 2]);
     }
 
     #[test]

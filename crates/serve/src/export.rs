@@ -3,16 +3,27 @@
 //! This is the bridge between training and serving: it runs the join
 //! advisor over the star, applies the cold-start `Others` revision to
 //! every foreign key (so the deployed model has a trained bucket for
-//! unseen entities), materializes only the joins the advisor kept, fits
-//! the requested classifier family under the paper's 50/25/25 protocol,
-//! and packages the result — model parameters, feature vocabulary,
-//! cold-start mapping, and the advisor's decisions with their TR/ROR
-//! evidence — into one artifact.
+//! unseen entities), fits the requested classifier family under the
+//! paper's 50/25/25 protocol, and packages the result — model
+//! parameters, feature vocabulary, cold-start mapping, and the
+//! advisor's decisions with their TR/ROR evidence — into one artifact.
+//!
+//! No join output is ever built. Training, the holdout error and the
+//! feature schema all read a [`FactorizedView`] over the revised star
+//! with only the advisor's kept joins: avoided FKs stay as
+//! representatives (the paper's central move), and kept ones are
+//! resolved through the FK at read time (Factorize). Every family fits
+//! through its `fit_source`, whose integer tables are exactly those of
+//! the materialized join, so the artifact is the one a materialized
+//! build would produce, byte for byte.
 
 use hamlet_core::advisor::{advise, AdvisorConfig, AdvisorError};
 use hamlet_core::rules::Decision;
-use hamlet_ml::{zero_one_error, Classifier, Dataset, LogisticRegression, NaiveBayes, Tan};
-use hamlet_relational::{DomainRevision, Role, StarSchema, Table, TableSubstitution};
+use hamlet_factorized::FactorizedView;
+use hamlet_ml::{zero_one_error, CodeSource, ErrorMetric, LogisticRegression, NaiveBayes, Tan};
+use hamlet_relational::{
+    DomainRevision, RelationalError, Role, StarSchema, Table, TableSubstitution,
+};
 
 use crate::artifact::{FeatureSchema, FkColdStart, JoinDecision, ModelArtifact, ServableModel};
 
@@ -118,6 +129,44 @@ fn evidence(d: &Decision) -> Option<f64> {
     }
 }
 
+/// The schema errors a join of `star` over `join_set` would raise,
+/// checked on names alone, so the view refuses exactly what a
+/// materialized join would: a foreign feature whose name is already
+/// taken, then a missing target. Each error names the table the join
+/// would have built (`<entity>_join_<table>...`).
+fn check_joined_schema(star: &StarSchema, join_set: &[usize]) -> Result<(), RelationalError> {
+    let entity = star.entity();
+    let mut table = entity.name().to_string();
+    let mut names: Vec<&str> = entity
+        .schema()
+        .attributes()
+        .iter()
+        .map(|a| a.name.as_str())
+        .collect();
+    for at in join_set.iter().filter_map(|&i| star.attributes().get(i)) {
+        table = format!("{table}_join_{}", at.table.name());
+        for def in at.table.schema().attributes() {
+            if def.role != Role::Feature {
+                continue;
+            }
+            if names.contains(&def.name.as_str()) {
+                return Err(RelationalError::DuplicateAttribute {
+                    table,
+                    attribute: def.name.clone(),
+                });
+            }
+            names.push(&def.name);
+        }
+    }
+    if entity.schema().target().is_none() {
+        return Err(RelationalError::MissingRole {
+            table,
+            role: "target",
+        });
+    }
+    Ok(())
+}
+
 /// Runs the advisor, widens every FK domain with the `Others` record,
 /// fits `kind` on the advisor-approved view, and packages everything a
 /// server needs into a [`ModelArtifact`].
@@ -175,24 +224,40 @@ pub fn build_artifact_with_availability(
         revisions.push(DomainRevision::new(at, &vec![0u32; at.n_features()]).map_err(rel)?);
     }
     let entity = star.entity();
-    let mut cols = entity.columns().to_vec();
+    let mut remapped = vec![None; entity.columns().len()];
     for rev in &revisions {
         let pos = entity
             .schema()
             .index_of(&rev.attribute.fk)
             .ok_or_else(|| rel(format!("entity has no FK column '{}'", rev.attribute.fk)))?;
-        cols[pos] = rev.remap_fk(entity.column(pos).codes());
+        remapped[pos] = Some(rev.remap_fk(entity.column(pos).codes()));
     }
+    let cols = remapped
+        .into_iter()
+        .zip(entity.columns())
+        .map(|(fk, col)| fk.unwrap_or_else(|| col.clone()))
+        .collect();
     let entity =
         Table::new(entity.name().to_string(), entity.schema().clone(), cols).map_err(rel)?;
-    let star = StarSchema::new(
-        entity,
-        revisions.iter().map(|r| r.attribute.clone()).collect(),
-    )
-    .map_err(rel)?;
+    // The revised tables move into the star; each FK keeps its
+    // cold-start mapping for the feature schema.
+    let cold_starts: Vec<(String, FkColdStart)> = revisions
+        .iter()
+        .map(|r| {
+            let cold_start = FkColdStart {
+                table: r.attribute.table.name().to_string(),
+                original_domain: r.original_domain,
+                others_code: r.others_code,
+            };
+            (r.attribute.fk.clone(), cold_start)
+        })
+        .collect();
+    let star = StarSchema::new(entity, revisions.into_iter().map(|r| r.attribute).collect())
+        .map_err(rel)?;
 
-    // Materialize only the joins the advisor kept; avoided FKs stay as
-    // representatives (the paper's central move).
+    // Train on a view with only the joins the advisor kept; avoided FKs
+    // stay as representatives (the paper's central move), kept ones
+    // resolve through the FK without a join output.
     let joined: Vec<usize> = report
         .joins
         .iter()
@@ -200,63 +265,57 @@ pub fn build_artifact_with_availability(
         .filter(|(_, j)| !j.avoid)
         .map(|(i, _)| i)
         .collect();
-    let wide = star.materialize(&joined).map_err(rel)?;
-    let data = Dataset::try_from_table(&wide).map_err(rel)?;
+    check_joined_schema(&star, &joined).map_err(rel)?;
+    let view = FactorizedView::with_join_set(&star, &joined).map_err(rel)?;
 
     // 50/25/25 holdout over the (already shuffled) generator order.
     let perm: Vec<usize> = (0..star.n_s()).collect();
     let split = star.split_rows(&perm, 0.5, 0.25);
-    let all_feats: Vec<usize> = (0..data.n_features()).collect();
+    let all_feats: Vec<usize> = (0..view.n_features()).collect();
+    let (train, feats) = (&split.train, &all_feats);
     let model = match kind {
         ModelKind::NaiveBayes => {
-            ServableModel::NaiveBayes(NaiveBayes::default().fit(&data, &split.train, &all_feats))
+            ServableModel::NaiveBayes(NaiveBayes::default().fit_source(&view, train, feats))
         }
         ModelKind::LogisticRegression => ServableModel::LogisticRegression(
-            LogisticRegression::default().fit(&data, &split.train, &all_feats),
+            LogisticRegression::default().fit_source(&view, train, feats),
         ),
-        ModelKind::Tan => ServableModel::Tan(Tan::default().fit(&data, &split.train, &all_feats)),
-        ModelKind::Tree => ServableModel::Tree(hamlet_trees::CartTree::default().fit(
-            &data,
-            &split.train,
-            &all_feats,
-        )),
+        ModelKind::Tan => ServableModel::Tan(Tan::default().fit_source(&view, train, feats)),
+        ModelKind::Tree => {
+            ServableModel::Tree(hamlet_trees::CartTree::default().fit_source(&view, train, feats))
+        }
         ModelKind::Gbt => {
-            ServableModel::Gbt(hamlet_trees::Gbt::from_env().fit(&data, &split.train, &all_feats))
+            ServableModel::Gbt(hamlet_trees::Gbt::from_env().fit_source(&view, train, feats))
         }
     };
-    let holdout_error = zero_one_error(&model, &data, &split.test);
+    let holdout_error = match &model {
+        ServableModel::NaiveBayes(m) => m.batch_error(&view, &split.test, ErrorMetric::ZeroOne),
+        _ => zero_one_error(&model, &view, &split.test),
+    };
 
-    // Feature schema in Dataset order (Feature | ForeignKey columns of
-    // the wide table, in schema order — exactly how try_from_table
-    // numbers them).
-    let mut features = Vec::new();
-    for (def, col) in wide.schema().attributes().iter().zip(wide.columns()) {
-        if !matches!(def.role, Role::Feature | Role::ForeignKey { .. }) {
-            continue;
-        }
-        let dom = col.domain();
-        let labels = dom.is_labelled().then(|| {
-            (0..dom.size() as u32)
-                .map(|c| dom.label(c).into_owned())
-                .collect()
-        });
-        let fk = revisions
-            .iter()
-            .find(|r| r.attribute.fk == def.name)
-            .map(|r| FkColdStart {
-                table: r.attribute.table.name().to_string(),
-                original_domain: r.original_domain,
-                others_code: r.others_code,
-            });
-        features.push(FeatureSchema {
-            name: def.name.clone(),
-            domain_size: dom.size(),
-            labels,
-            fk,
-        });
-    }
+    // Feature schema in the view's layout: the entity's features and
+    // FKs in schema order, then each kept table's features in join
+    // order.
+    let features = (0..view.n_features())
+        .map(|f| {
+            let (name, dom) = (view.feature_name(f), view.feature_domain(f));
+            FeatureSchema {
+                name: name.to_string(),
+                domain_size: dom.size(),
+                labels: dom.is_labelled().then(|| {
+                    (0..dom.size() as u32)
+                        .map(|c| dom.label(c).into_owned())
+                        .collect()
+                }),
+                fk: cold_starts
+                    .iter()
+                    .find(|(fk, _)| fk == name)
+                    .map(|(_, cold_start)| cold_start.clone()),
+            }
+        })
+        .collect();
 
-    let class_labels = wide.target_column().and_then(|y| {
+    let class_labels = star.entity().target_column().and_then(|y| {
         let dom = y.domain();
         dom.is_labelled().then(|| {
             (0..dom.size() as u32)
@@ -300,7 +359,7 @@ pub fn build_artifact_with_availability(
     Ok(BuiltModel {
         artifact: ModelArtifact {
             dataset: dataset_name.to_string(),
-            n_classes: data.n_classes(),
+            n_classes: view.n_classes(),
             class_labels,
             features,
             decisions,
@@ -316,7 +375,7 @@ mod tests {
     use super::*;
     use crate::artifact;
     use crate::score::Scorer;
-    use hamlet_ml::Model;
+    use hamlet_ml::{Dataset, Model};
     use hamlet_obs::json::Json;
     use hamlet_relational::{AttributeTable, Domain, TableBuilder};
 

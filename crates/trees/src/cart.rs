@@ -8,7 +8,8 @@
 //! class-conditional count table `count(X = v, Y = y | node rows)`,
 //! and those integer tables can be assembled either by scanning the
 //! materialized join output or by folding pushed-down per-table counts
-//! through the FK (the JoinBoost recipe, `hamlet_ml::class_count_table`).
+//! through the FK (the JoinBoost recipe, `hamlet_ml::class_count_tables`,
+//! which counts each FK once per node for all the features behind it).
 //! Identical integer tables ⇒ identical float gains ⇒ identical splits
 //! ⇒ **bit-for-bit identical trees** on both paths.
 //!
@@ -20,7 +21,7 @@ use std::borrow::Cow;
 
 use hamlet_ml::classifier::{Classifier, Model};
 use hamlet_ml::dataset::Dataset;
-use hamlet_ml::{class_count_table, CodeSource};
+use hamlet_ml::{class_count_tables, CodeSource};
 use hamlet_obs::parallel::run_indexed;
 
 /// Gains at or below this are noise, not structure — the same cutoff the
@@ -39,22 +40,23 @@ pub(crate) trait SplitCounts {
     fn label(&self, row: usize) -> u32;
     fn code(&self, f: usize, row: usize) -> u32;
 
-    /// Class-conditional counts of feature `f` over `rows`, flattened
-    /// `[y * d + v]` (the `SuffStats::table` layout), scanning with up
-    /// to `threads` workers.
-    fn count_table(&self, f: usize, rows: &[usize], threads: usize) -> Vec<u64>;
-
-    /// Same as [`SplitCounts::count_table`] but called exactly once per
-    /// feature, at the root, with the full training row set — the hook
-    /// that lets the sweep path serve cached `SuffStats` tables without
-    /// a row scan.
-    fn root_table(&self, f: usize, rows: &[usize], threads: usize) -> Cow<'_, [u64]> {
-        Cow::Owned(self.count_table(f, rows, threads))
-    }
+    /// Class-conditional counts of each of `feats` over `rows`, in
+    /// order, each flattened `[y * d + v]` (the `SuffStats::table`
+    /// layout) and built as the iterator is consumed, scanning with up
+    /// to `threads` workers. `root` marks the call at the root, over the
+    /// full training row set — the hook that lets the sweep path serve
+    /// cached `SuffStats` tables without a row scan.
+    fn count_tables<'s>(
+        &'s self,
+        feats: &'s [usize],
+        rows: &'s [usize],
+        threads: usize,
+        root: bool,
+    ) -> Box<dyn Iterator<Item = Cow<'s, [u64]>> + 's>;
 }
 
 /// The direct provider: count any [`CodeSource`] with
-/// [`class_count_table`], which folds a factorized view's foreign
+/// [`class_count_tables`], which folds a factorized view's foreign
 /// features through their FK instead of joining.
 pub(crate) struct ScanCounts<'a, S: CodeSource + ?Sized> {
     pub src: &'a S,
@@ -77,8 +79,16 @@ impl<S: CodeSource + Sync + ?Sized> SplitCounts for ScanCounts<'_, S> {
         self.src.code(f, row)
     }
 
-    fn count_table(&self, f: usize, rows: &[usize], threads: usize) -> Vec<u64> {
-        class_count_table(self.src, f, rows, threads)
+    /// Through [`class_count_tables`], so the features behind one FK
+    /// share a single `count(FK, Y)` scan of the node's rows.
+    fn count_tables<'s>(
+        &'s self,
+        feats: &'s [usize],
+        rows: &'s [usize],
+        threads: usize,
+        _root: bool,
+    ) -> Box<dyn Iterator<Item = Cow<'s, [u64]>> + 's> {
+        Box::new(class_count_tables(self.src, feats, rows, threads).map(Cow::Owned))
     }
 }
 
@@ -409,17 +419,14 @@ fn grow<C: SplitCounts + Sync + ?Sized>(
     let n_chunks = feats.len().div_ceil(chunk);
     let per_chunk = run_indexed(n_chunks, threads, &|ci| {
         let lo = ci * chunk;
-        let hi = (lo + chunk).min(feats.len());
-        feats[lo..hi]
-            .iter()
-            .map(|&f| {
-                let d = counts.domain_size(f);
-                let table: Cow<'_, [u64]> = if depth == 0 {
-                    counts.root_table(f, rows, threads)
-                } else {
-                    Cow::Owned(counts.count_table(f, rows, threads))
-                };
-                best_value_split(&table, d, &class_counts, n, parent_gini).map(|(v, g)| (f, v, g))
+        let part = &feats[lo..(lo + chunk).min(feats.len())];
+        // Each table is scored as soon as it is built, while it is
+        // still in cache.
+        part.iter()
+            .zip(counts.count_tables(part, rows, threads, depth == 0))
+            .map(|(&f, table)| {
+                best_value_split(&table, counts.domain_size(f), &class_counts, n, parent_gini)
+                    .map(|(v, g)| (f, v, g))
             })
             .collect::<Vec<_>>()
     });
@@ -465,7 +472,7 @@ impl CartTree {
     /// Fits over any [`CodeSource`] — the materialized path when handed
     /// a [`Dataset`], the zero-materialization path when handed a
     /// `FactorizedView`, whose foreign-feature count tables
-    /// [`class_count_table`] pushes down through the FK.
+    /// [`class_count_tables`] pushes down through the FK.
     pub fn fit_source<S: CodeSource + Sync + ?Sized>(
         &self,
         src: &S,

@@ -6,10 +6,11 @@
 //! here are the materialized code handed a view.
 //!
 //! CART split scoring needs one class-conditional count table per
-//! (node, candidate feature), and [`hamlet_ml::class_count_table`]
+//! (node, candidate feature), and [`hamlet_ml::class_count_tables`]
 //! builds a foreign feature's table by the JoinBoost fold: a dense
-//! `count(FK, Y | node rows)` table counted on the entity table, mapped
-//! through the attribute column in `O(n_R)`. The integers are exactly
+//! `count(FK, Y | node rows)` table counted on the entity table once
+//! per node (and worker chunk) for every feature behind that FK, mapped
+//! through each attribute column in `O(n_R)`. The integers are exactly
 //! those a scan of the materialized join would produce, so the shared
 //! growth code emits the identical tree. Peak extra allocation is the
 //! `n_R × |D_Y|` FK table — independent of join fanout.

@@ -13,9 +13,10 @@
 
 use std::borrow::Cow;
 
+use hamlet_ml::class_count_tables;
 use hamlet_ml::suffstats::{SuffStats, SweepFit};
 
-use crate::cart::{CartModel, CartTree, ScanCounts, SplitCounts};
+use crate::cart::{CartModel, CartTree, SplitCounts};
 use crate::gbt::Gbt;
 
 /// [`SplitCounts`] over a [`SuffStats`] cache: root tables from the
@@ -43,18 +44,21 @@ impl SplitCounts for StatsCounts<'_, '_> {
         self.stats.data().feature(f).codes[row]
     }
 
-    fn count_table(&self, f: usize, rows: &[usize], threads: usize) -> Vec<u64> {
-        ScanCounts {
-            src: self.stats.data(),
+    fn count_tables<'s>(
+        &'s self,
+        feats: &'s [usize],
+        rows: &'s [usize],
+        threads: usize,
+        root: bool,
+    ) -> Box<dyn Iterator<Item = Cow<'s, [u64]>> + 's> {
+        if root {
+            // The cache was built over (data, train) and fit_swept grows
+            // over exactly those training rows, so the cached tables
+            // *are* the root tables.
+            Box::new(feats.iter().map(|&f| Cow::Borrowed(self.stats.table(f))))
+        } else {
+            Box::new(class_count_tables(self.stats.data(), feats, rows, threads).map(Cow::Owned))
         }
-        .count_table(f, rows, threads)
-    }
-
-    fn root_table(&self, f: usize, _rows: &[usize], _threads: usize) -> Cow<'_, [u64]> {
-        // The cache was built over (data, train) and fit_swept grows
-        // over exactly those training rows, so the cached table *is*
-        // the root table.
-        Cow::Borrowed(self.stats.table(f))
     }
 }
 

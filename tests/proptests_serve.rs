@@ -1055,3 +1055,361 @@ proptest! {
         server.join().unwrap();
     }
 }
+
+/// One random two-table star for the export differential. `A` has few
+/// keys, so its join is often avoidable; `B` has many, so it is often
+/// kept. `B` may be an FK-only surrogate (a degraded load) or carry a
+/// feature whose name is already taken, which a join must refuse.
+#[derive(Debug, Clone)]
+struct ExportCase {
+    star: StarSchema,
+    substitutions: Vec<hamlet::relational::TableSubstitution>,
+    config: AdvisorConfig,
+}
+
+fn export_case() -> impl Strategy<Value = ExportCase> {
+    (
+        2usize..6,
+        2usize..40,
+        30usize..160,
+        2usize..4,
+        0u64..u64::MAX,
+    )
+        .prop_map(|(n_a, n_b, n_s, n_classes, seed)| {
+            let mut rng = Rng(seed);
+            let labelled = rng.chance(50);
+            let variant = rng.below(10);
+            let sparse_keys = rng.chance(50);
+            // The paper's thresholds, or ones that keep every join, or
+            // ones that avoid every join the skew check allows.
+            let thresholds = rng.below(3);
+            let mut codes =
+                |n: usize, d: usize| -> Vec<u32> { (0..n).map(|_| rng.below(d) as u32).collect() };
+            let fk_a = codes(n_s, n_a);
+            let fk_b = codes(n_s, n_b);
+            let xs = codes(n_s, 3);
+            let ys = codes(n_s, n_classes);
+            let a1 = codes(n_a, 4);
+            let a2 = codes(n_a, 2);
+            let b1 = codes(n_b, 5);
+            // `A` stores its keys in reverse order; a sparse `B` keeps
+            // only the keys the entity references.
+            let rid_a = Domain::indexed("AID", n_a).shared();
+            let rid_b = if labelled {
+                Domain::labelled("BID", (0..n_b).map(|i| format!("b{i}")).collect())
+            } else {
+                Domain::indexed("BID", n_b)
+            }
+            .shared();
+            let a = TableBuilder::new("A")
+                .primary_key("AID", rid_a.clone(), (0..n_a as u32).rev().collect())
+                .feature(
+                    "a1",
+                    Domain::indexed("a1", 4).shared(),
+                    a1.into_iter().rev().collect(),
+                )
+                .feature(
+                    "a2",
+                    Domain::boolean("a2").shared(),
+                    a2.into_iter().rev().collect(),
+                )
+                .build()
+                .unwrap();
+            let kept_keys: Vec<u32> = (0..n_b as u32)
+                .filter(|k| !sparse_keys || fk_b.contains(k))
+                .collect();
+            let b1: Vec<u32> = kept_keys.iter().map(|&k| b1[k as usize]).collect();
+            let (b, substitutions) = match variant {
+                // An FK-only surrogate for an unreadable `B`.
+                6 | 7 => (
+                    TableBuilder::new("B")
+                        .primary_key("BID", rid_b.clone(), (0..n_b as u32).collect())
+                        .build()
+                        .unwrap(),
+                    vec![hamlet::relational::TableSubstitution {
+                        table: "B".into(),
+                        fk: "fk_b".into(),
+                        file: "b.csv".into(),
+                        n_entities: n_b,
+                        declared_features: vec!["b1".into()],
+                        reason: "unreadable".into(),
+                    }],
+                ),
+                // A feature named like one already in the join.
+                8 | 9 => (
+                    TableBuilder::new("B")
+                        .primary_key("BID", rid_b.clone(), kept_keys)
+                        .feature(
+                            if variant == 8 { "xs" } else { "a1" },
+                            Domain::indexed("b1", 5).shared(),
+                            b1,
+                        )
+                        .build()
+                        .unwrap(),
+                    Vec::new(),
+                ),
+                _ => (
+                    TableBuilder::new("B")
+                        .primary_key("BID", rid_b.clone(), kept_keys)
+                        .feature("b1", Domain::indexed("b1", 5).shared(), b1)
+                        .build()
+                        .unwrap(),
+                    Vec::new(),
+                ),
+            };
+            let y = if labelled {
+                Domain::labelled("y", (0..n_classes).map(|c| format!("class {c}")).collect())
+            } else {
+                Domain::indexed("y", n_classes)
+            };
+            let s = TableBuilder::new("S")
+                .feature(
+                    "xs",
+                    Domain::from_labels("xs", &["lo", "mid", "hi"]).shared(),
+                    xs,
+                )
+                .foreign_key("fk_a", "A", rid_a, fk_a)
+                .target("y", y.shared(), ys)
+                .foreign_key("fk_b", "B", rid_b, fk_b)
+                .build()
+                .unwrap();
+            let star = StarSchema::new(
+                s,
+                vec![
+                    AttributeTable {
+                        fk: "fk_a".into(),
+                        table: a,
+                    },
+                    AttributeTable {
+                        fk: "fk_b".into(),
+                        table: b,
+                    },
+                ],
+            )
+            .unwrap();
+            let mut config = AdvisorConfig::default();
+            match thresholds {
+                1 => config.tr.tau = f64::INFINITY,
+                2 => (config.tr.tau, config.ror.rho) = (0.0, f64::INFINITY),
+                _ => {}
+            }
+            ExportCase {
+                star,
+                substitutions,
+                config,
+            }
+        })
+}
+
+/// The export as it was before it trained on a view, kept as the
+/// differential oracle: materialize the kept joins, copy the wide table
+/// into a `Dataset`, fit and score that, and read the feature schema
+/// off the wide table.
+mod materialized_export {
+    use hamlet::core::advisor::{advise, AdvisorConfig};
+    use hamlet::core::rules::{Decision, JoinReason};
+    use hamlet::ml::{zero_one_error, Classifier, Dataset, LogisticRegression, NaiveBayes, Tan};
+    use hamlet::relational::{DomainRevision, Role, StarSchema, Table, TableSubstitution};
+    use hamlet::serve::{
+        BuildError, BuiltModel, FeatureSchema, FkColdStart, JoinDecision, ModelArtifact, ModelKind,
+        ServableModel,
+    };
+
+    fn rel(e: impl std::fmt::Display) -> BuildError {
+        BuildError::Relational(e.to_string())
+    }
+
+    fn evidence(d: &Decision) -> Option<f64> {
+        match d {
+            Decision::Avoid { value } => Some(*value),
+            Decision::Join(JoinReason::Threshold { value, .. }) => Some(*value),
+            Decision::Join(_) => None,
+        }
+    }
+
+    pub fn build(
+        star: &StarSchema,
+        kind: ModelKind,
+        config: &AdvisorConfig,
+        dataset_name: &str,
+        substitutions: &[TableSubstitution],
+    ) -> Result<BuiltModel, BuildError> {
+        let n_train = star.n_s() / 2;
+        let report = advise(star, n_train, config)?;
+        let mut revisions = Vec::with_capacity(star.attributes().len());
+        for at in star.attributes() {
+            revisions.push(DomainRevision::new(at, &vec![0u32; at.n_features()]).map_err(rel)?);
+        }
+        let entity = star.entity();
+        let mut cols = entity.columns().to_vec();
+        for rev in &revisions {
+            let pos = entity
+                .schema()
+                .index_of(&rev.attribute.fk)
+                .ok_or_else(|| rel(format!("entity has no FK column '{}'", rev.attribute.fk)))?;
+            cols[pos] = rev.remap_fk(entity.column(pos).codes());
+        }
+        let entity =
+            Table::new(entity.name().to_string(), entity.schema().clone(), cols).map_err(rel)?;
+        let star = StarSchema::new(
+            entity,
+            revisions.iter().map(|r| r.attribute.clone()).collect(),
+        )
+        .map_err(rel)?;
+
+        let joined: Vec<usize> = report
+            .joins
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| !j.avoid)
+            .map(|(i, _)| i)
+            .collect();
+        let wide = star.materialize(&joined).map_err(rel)?;
+        let data = Dataset::try_from_table(&wide).map_err(rel)?;
+
+        let perm: Vec<usize> = (0..star.n_s()).collect();
+        let split = star.split_rows(&perm, 0.5, 0.25);
+        let all_feats: Vec<usize> = (0..data.n_features()).collect();
+        let model = match kind {
+            ModelKind::NaiveBayes => ServableModel::NaiveBayes(NaiveBayes::default().fit(
+                &data,
+                &split.train,
+                &all_feats,
+            )),
+            ModelKind::LogisticRegression => ServableModel::LogisticRegression(
+                LogisticRegression::default().fit(&data, &split.train, &all_feats),
+            ),
+            ModelKind::Tan => {
+                ServableModel::Tan(Tan::default().fit(&data, &split.train, &all_feats))
+            }
+            ModelKind::Tree => ServableModel::Tree(hamlet::trees::CartTree::default().fit(
+                &data,
+                &split.train,
+                &all_feats,
+            )),
+            ModelKind::Gbt => ServableModel::Gbt(hamlet::trees::Gbt::from_env().fit(
+                &data,
+                &split.train,
+                &all_feats,
+            )),
+        };
+        let holdout_error = zero_one_error(&model, &data, &split.test);
+
+        let mut features = Vec::new();
+        for (def, col) in wide.schema().attributes().iter().zip(wide.columns()) {
+            if !matches!(def.role, Role::Feature | Role::ForeignKey { .. }) {
+                continue;
+            }
+            let dom = col.domain();
+            let labels = dom.is_labelled().then(|| {
+                (0..dom.size() as u32)
+                    .map(|c| dom.label(c).into_owned())
+                    .collect()
+            });
+            let fk = revisions
+                .iter()
+                .find(|r| r.attribute.fk == def.name)
+                .map(|r| FkColdStart {
+                    table: r.attribute.table.name().to_string(),
+                    original_domain: r.original_domain,
+                    others_code: r.others_code,
+                });
+            features.push(FeatureSchema {
+                name: def.name.clone(),
+                domain_size: dom.size(),
+                labels,
+                fk,
+            });
+        }
+        let class_labels = wide.target_column().and_then(|y| {
+            let dom = y.domain();
+            dom.is_labelled().then(|| {
+                (0..dom.size() as u32)
+                    .map(|c| dom.label(c).into_owned())
+                    .collect()
+            })
+        });
+        let decisions = report
+            .joins
+            .iter()
+            .enumerate()
+            .map(|(i, j)| {
+                let sub = substitutions.iter().find(|s| s.table == j.table);
+                JoinDecision {
+                    table: j.table.clone(),
+                    fk: j.fk.clone(),
+                    strategy: j.strategy,
+                    tuple_ratio: if j.stats.n_r == 0 {
+                        0.0
+                    } else {
+                        j.stats.n_train as f64 / j.stats.n_r as f64
+                    },
+                    ror: evidence(&j.ror_decision),
+                    avoid: j.avoid,
+                    foreign_features: match sub {
+                        Some(s) => s.declared_features.clone(),
+                        None => star.attributes()[i]
+                            .feature_names()
+                            .iter()
+                            .map(|s| s.to_string())
+                            .collect(),
+                    },
+                    degraded: sub.is_some(),
+                }
+            })
+            .collect();
+        Ok(BuiltModel {
+            artifact: ModelArtifact {
+                dataset: dataset_name.to_string(),
+                n_classes: data.n_classes(),
+                class_labels,
+                features,
+                decisions,
+                model,
+            },
+            n_train: split.train.len(),
+            holdout_error,
+        })
+    }
+}
+
+proptest! {
+    /// The view-based export is the materialized one, byte for byte:
+    /// every family's artifact text, holdout error and training-row
+    /// count, and every refusal, over stars with avoided and kept
+    /// joins, FK-only surrogates and name clashes.
+    #[test]
+    fn view_export_matches_the_materialized_oracle(case in export_case()) {
+        for kind in FAMILIES {
+            let got = hamlet::serve::build_artifact_with_availability(
+                &case.star, kind, &case.config, "prop", &case.substitutions,
+            );
+            let want = materialized_export::build(
+                &case.star, kind, &case.config, "prop", &case.substitutions,
+            );
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(
+                        to_json_string(&got.artifact),
+                        to_json_string(&want.artifact),
+                        "{} artifact", kind.name()
+                    );
+                    prop_assert_eq!(
+                        got.holdout_error.to_bits(),
+                        want.holdout_error.to_bits(),
+                        "{} holdout error", kind.name()
+                    );
+                    prop_assert_eq!(got.n_train, want.n_train);
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => prop_assert!(
+                    false,
+                    "{}: view {:?} vs materialized {:?}",
+                    kind.name(),
+                    got.map(|b| b.holdout_error),
+                    want.map(|b| b.holdout_error)
+                ),
+            }
+        }
+    }
+}
