@@ -209,7 +209,7 @@ fn measure_budgeted_ingest(rows: usize, budget_mb: usize) -> String {
     let t = Instant::now();
     let dense = read_csv_file_chunked("wide", &csv, &specs, ',', policy, &IngestOptions::dense())
         .expect("dense ingest");
-    let dense_table = dense.table.to_table().expect("densify");
+    let dense_table = dense.table.into_table().expect("densify");
     let dense_s = t.elapsed().as_secs_f64();
     let dense_delta = hamlet_obs::alloc::peak_bytes()
         .unwrap_or(0)

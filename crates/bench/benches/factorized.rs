@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use hamlet_experiments::factorized::fanout_star;
-use hamlet_factorized::{fit_factorized_logreg, fit_factorized_nb, FactorizedView};
+use hamlet_factorized::FactorizedView;
 use hamlet_ml::classifier::Classifier;
 use hamlet_ml::dataset::Dataset;
 use hamlet_ml::logreg::LogisticRegression;
@@ -46,7 +46,7 @@ fn bench_factorized(c: &mut Criterion) {
             b.iter(|| {
                 let view = FactorizedView::new(&star).unwrap();
                 let feats: Vec<usize> = (0..view.n_features()).collect();
-                black_box(fit_factorized_nb(&view, &nb, &rows, &feats).unwrap())
+                black_box(nb.fit(&view, &rows, &feats))
             })
         });
         g.bench_with_input(
@@ -68,7 +68,7 @@ fn bench_factorized(c: &mut Criterion) {
                 b.iter(|| {
                     let view = FactorizedView::new(&star).unwrap();
                     let feats: Vec<usize> = (0..view.n_features()).collect();
-                    black_box(fit_factorized_logreg(&view, &lr, &rows, &feats))
+                    black_box(lr.fit(&view, &rows, &feats))
                 })
             },
         );

@@ -30,7 +30,7 @@ use hamlet_ml::classifier::Classifier;
 use hamlet_ml::dataset::Dataset;
 use hamlet_ml::CodeSource;
 use hamlet_obs::atomic_write;
-use hamlet_trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
+use hamlet_trees::{CartTree, Gbt};
 
 const N_S: usize = 10_000;
 const D_R: usize = 6;
@@ -61,12 +61,12 @@ fn bench_trees(c: &mut Criterion) {
             let view = FactorizedView::new(&star).unwrap();
             assert_eq!(
                 cart.fit(&data, &rows, &feats),
-                fit_factorized_tree(&view, &cart, &rows, &feats),
+                cart.fit(&view, &rows, &feats),
                 "CART parity broke at ratio {ratio}"
             );
             assert_eq!(
                 gbt.fit(&data, &rows, &feats),
-                fit_factorized_gbt(&view, &gbt, &rows, &feats),
+                gbt.fit(&view, &rows, &feats),
                 "GBT parity broke at ratio {ratio}"
             );
         }
@@ -90,7 +90,7 @@ fn bench_trees(c: &mut Criterion) {
                 b.iter(|| {
                     let view = FactorizedView::new(&star).unwrap();
                     let feats: Vec<usize> = (0..view.n_features()).collect();
-                    black_box(fit_factorized_tree(&view, &cart, &rows, &feats))
+                    black_box(cart.fit(&view, &rows, &feats))
                 })
             },
         );
@@ -110,7 +110,7 @@ fn bench_trees(c: &mut Criterion) {
             b.iter(|| {
                 let view = FactorizedView::new(&star).unwrap();
                 let feats: Vec<usize> = (0..view.n_features()).collect();
-                black_box(fit_factorized_gbt(&view, &gbt, &rows, &feats))
+                black_box(gbt.fit(&view, &rows, &feats))
             })
         });
     }
@@ -153,12 +153,12 @@ fn emit_summary() {
         let view = FactorizedView::new(&star).unwrap();
         assert_eq!(
             cart.fit(&data, &rows, &feats),
-            fit_factorized_tree(&view, &cart, &rows, &feats),
+            cart.fit(&view, &rows, &feats),
             "CART parity broke at ratio {ratio}"
         );
         assert_eq!(
             gbt.fit(&data, &rows, &feats),
-            fit_factorized_gbt(&view, &gbt, &rows, &feats),
+            gbt.fit(&view, &rows, &feats),
             "GBT parity broke at ratio {ratio}"
         );
 
@@ -175,7 +175,7 @@ fn emit_summary() {
             || {
                 let view = FactorizedView::new(&star).unwrap();
                 let feats: Vec<usize> = (0..view.n_features()).collect();
-                fit_factorized_tree(&view, &cart, &rows, &feats)
+                cart.fit(&view, &rows, &feats)
             },
             reps,
         );
@@ -192,7 +192,7 @@ fn emit_summary() {
             || {
                 let view = FactorizedView::new(&star).unwrap();
                 let feats: Vec<usize> = (0..view.n_features()).collect();
-                fit_factorized_gbt(&view, &gbt, &rows, &feats)
+                gbt.fit(&view, &rows, &feats)
             },
             reps,
         );

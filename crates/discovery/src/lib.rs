@@ -201,6 +201,43 @@ mod tests {
         assert!(!d.manifest_text.contains("table "));
     }
 
+    #[test]
+    fn single_table_fds_honor_the_violation_tolerance() {
+        // Region = f(Store) on 400 rows, then one row gives store s3 the
+        // wrong region. Noise varies inside every store and region.
+        let mut text = String::from("Y,Store,Region,Noise\n");
+        for i in 0..400 {
+            let store = i % 10;
+            text.push_str(&format!(
+                "y{},s{store},r{},n{}\n",
+                (i / 3) % 2,
+                store % 3,
+                (i / 10) % 4
+            ));
+        }
+        text.push_str("y0,s3,r1,n0\n");
+        let wide = corpus(&[("wide.csv", &text)]);
+        let cfg = |max_violations| DiscoveryConfig {
+            target: Some("Y".to_string()),
+            max_violations,
+            ..DiscoveryConfig::default()
+        };
+
+        let strict = discover_corpus(&wide, &cfg(0)).unwrap();
+        assert!(strict.report.fds.is_empty(), "{:?}", strict.report.fds);
+
+        let tolerant = discover_corpus(&wide, &cfg(2)).unwrap();
+        let fds: Vec<_> = tolerant
+            .report
+            .fds
+            .iter()
+            .map(|f| (f.determinant.as_str(), f.dependent.as_str(), f.violations))
+            .collect();
+        assert_eq!(fds, [("Store", "Region", 1)]);
+        assert!(tolerant.report.fds[0].accepted);
+        assert_eq!(tolerant.report.fds[0].examples[0].row, 400);
+    }
+
     impl Discovery {
         fn entity_analysis_outcome(&self) -> &str {
             &self.report.entity_analysis.decompose_outcome

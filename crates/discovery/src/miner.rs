@@ -768,8 +768,10 @@ fn analyze_entity_fds(entity: &Table, fds: &[FdEvidence]) -> EntityFdAnalysis {
 }
 
 /// Single-file corpora skip FK mining entirely: the wide CSV is the
-/// entity, and the inferred single-attribute FDs (canonically ordered by
-/// `infer_single_fds`) drive the appendix-C analysis instead.
+/// entity, and the single-attribute FDs that hold within
+/// `HAMLET_FD_MAX_VIOLATIONS` (canonically ordered, as
+/// `infer_single_fds` orders them) drive the appendix-C analysis
+/// instead.
 fn single_table_discovery(
     mined: &Mined,
     cfg: &DiscoveryConfig,
@@ -779,30 +781,29 @@ fn single_table_discovery(
         mined.table.column(c).distinct_count()
     })?;
 
-    // Inferred FDs, with the target barred from both sides, verified
-    // through the same sorted-partition check for uniform evidence.
-    let inferred = hamlet_relational::infer_single_fds(&mined.table, 2);
+    // The single-attribute FD candidates `infer_single_fds` would test,
+    // with the target barred from both sides, each checked once through
+    // the sorted-partition check and kept within the violation tolerance.
     let mut fds: Vec<FdEvidence> = Vec::new();
-    for fd in &inferred {
-        let det = &fd.determinant[0];
-        if *det == target {
+    for (det, dep) in hamlet_relational::single_fd_candidates(&mined.table, 2) {
+        if det == target || dep == target {
             continue;
         }
-        for dep in fd.dependents.iter().filter(|d| **d != target) {
-            let c = check_fd(&mined.table, det, dep)?;
-            let accepted = c.holds_within(cfg.max_violations);
-            fds.push(FdEvidence {
-                scope: FdScope::Entity,
-                table: c.table,
-                determinant: c.determinant,
-                dependent: c.dependent,
-                rows: c.rows,
-                groups: c.groups,
-                violations: c.violations,
-                examples: c.examples,
-                accepted,
-            });
+        let c = check_fd(&mined.table, det, dep)?;
+        if !c.holds_within(cfg.max_violations) {
+            continue;
         }
+        fds.push(FdEvidence {
+            scope: FdScope::Entity,
+            table: c.table,
+            determinant: c.determinant,
+            dependent: c.dependent,
+            rows: c.rows,
+            groups: c.groups,
+            violations: c.violations,
+            examples: c.examples,
+            accepted: true,
+        });
     }
     let entity_analysis = analyze_entity_fds(&mined.table, &fds);
     counter_add!(

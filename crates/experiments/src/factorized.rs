@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use hamlet_core::planner::{plan, ExecStrategy, PlanKind};
 use hamlet_core::rules::TrRule;
-use hamlet_factorized::{fit_factorized_logreg, fit_factorized_nb, view_for_plan};
+use hamlet_factorized::view_for_plan;
 use hamlet_ml::classifier::{zero_one_error, Classifier};
 use hamlet_ml::dataset::Dataset;
 use hamlet_ml::logreg::LogisticRegression;
@@ -154,9 +154,8 @@ pub fn compare_at(
         measure(meter, || {
             let view = view_for_plan(&star, &fac_plan).expect("view builds");
             let feats: Vec<usize> = (0..CodeSource::n_features(&view)).collect();
-            let m_nb =
-                fit_factorized_nb(&view, &nb, &split.train, &feats).expect("counts push down");
-            let m_lr = fit_factorized_logreg(&view, &lr, &split.train, &feats);
+            let m_nb = nb.fit(&view, &split.train, &feats);
+            let m_lr = lr.fit(&view, &split.train, &feats);
             let err = zero_one_error(&m_nb, &view, &split.test);
             (m_nb, m_lr, err, view.cells_avoided())
         });
@@ -165,7 +164,7 @@ pub fn compare_at(
     FanoutRow {
         ratio,
         nb_identical: nb_mat == nb_fac,
-        lr_identical: lr_mat.weights() == lr_fac.weights() && lr_mat.bias() == lr_fac.bias(),
+        lr_identical: lr_mat == lr_fac,
         error: mat_err,
         materialized,
         factorized,

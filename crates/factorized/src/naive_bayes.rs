@@ -7,31 +7,28 @@
 //! would give, and the smoothing is the one shared recipe, so the model
 //! is **exactly equal** to the materialized one.
 
-use hamlet_ml::{NaiveBayes, NaiveBayesModel};
+use hamlet_ml::{Classifier, NaiveBayes, NaiveBayesModel};
 use hamlet_relational::Result;
 
 use crate::view::FactorizedView;
 
-/// Fits naive Bayes over the star schema without materializing any join.
-///
-/// `rows` are entity-row positions (the same indices that drive the
-/// materialized path) and `feats` are logical feature positions in the
-/// view's layout. Returns a model exactly equal to
-/// `NaiveBayes::fit(&materialized_dataset, rows, feats)`.
+/// `nb.fit(view, rows, feats)`, kept only because the `perfbench`
+/// workloads call it by this name; new code calls [`Classifier::fit`]
+/// on the view directly.
 pub fn fit_factorized_nb(
     view: &FactorizedView<'_>,
     nb: &NaiveBayes,
     rows: &[usize],
     feats: &[usize],
 ) -> Result<NaiveBayesModel> {
-    Ok(nb.fit_source(view, rows, feats))
+    Ok(nb.fit(view, rows, feats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::view::tests::two_table_star;
-    use hamlet_ml::{Classifier, Dataset, Model};
+    use hamlet_ml::{Dataset, Model};
 
     #[test]
     fn exactly_equals_materialized_model() {
@@ -43,7 +40,7 @@ mod tests {
         let nb = NaiveBayes::default();
 
         let m_mat = nb.fit(&mat, &rows, &feats);
-        let m_fac = fit_factorized_nb(&view, &nb, &rows, &feats).unwrap();
+        let m_fac = nb.fit(&view, &rows, &feats);
         assert_eq!(m_mat, m_fac);
 
         for r in 0..star.n_s() {
@@ -64,7 +61,7 @@ mod tests {
         let nb = NaiveBayes::new(0.5);
 
         let m_mat = nb.fit(&mat, &rows, &feats);
-        let m_fac = fit_factorized_nb(&view, &nb, &rows, &feats).unwrap();
+        let m_fac = nb.fit(&view, &rows, &feats);
         assert_eq!(m_mat, m_fac);
         for r in 0..star.n_s() {
             assert_eq!(m_mat.log_posterior(&mat, r), m_fac.log_posterior(&view, r));
@@ -76,7 +73,7 @@ mod tests {
         let star = two_table_star();
         let view = FactorizedView::new(&star).unwrap();
         let rows: Vec<usize> = (0..star.n_s()).collect();
-        let m = fit_factorized_nb(&view, &NaiveBayes::default(), &rows, &[]).unwrap();
+        let m = NaiveBayes::default().fit(&view, &rows, &[]);
         // Majority class of y = [0,1,1,0,1,0] is 0 (ties break low); here
         // 3 vs 3 -> class 0 wins the tie.
         for r in 0..star.n_s() {

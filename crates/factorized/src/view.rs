@@ -386,7 +386,7 @@ pub(crate) mod tests {
     /// bit for bit, for every join subset, row subset and CPT budget
     /// (a budget of 40 cells drops the pairs with an FK from the tree).
     #[test]
-    fn tan_fit_source_on_a_view_equals_the_materialized_fit() {
+    fn tan_fit_on_a_view_equals_the_materialized_fit() {
         use hamlet_ml::{Classifier, Tan};
 
         let spec = hamlet_datagen::realistic::DatasetSpec::yelp();
@@ -404,7 +404,7 @@ pub(crate) mod tests {
                     };
                     for rows in [&all, &evens] {
                         let m_mat = tan.fit(&mat, rows, &feats);
-                        let m_view = tan.fit_source(&view, rows, &feats);
+                        let m_view = tan.fit(&view, rows, &feats);
                         assert_eq!(
                             format!("{m_mat:?}"),
                             format!("{m_view:?}"),
@@ -422,7 +422,7 @@ pub(crate) mod tests {
     /// and scattered row sets longer than one block.
     #[test]
     fn nb_batch_error_on_a_view_equals_the_row_path() {
-        use hamlet_ml::{rmse, zero_one_error, ErrorMetric, NaiveBayes};
+        use hamlet_ml::{rmse, zero_one_error, Classifier, ErrorMetric, NaiveBayes};
 
         let star = hamlet_datagen::realistic::DatasetSpec::yelp()
             .generate(0.02, 5)
@@ -433,11 +433,11 @@ pub(crate) mod tests {
         assert!(n > 3000, "rows must span several blocks");
         let train: Vec<usize> = (0..n / 2).collect();
         let feats: Vec<usize> = (0..mat.n_features()).collect();
-        let model = NaiveBayes::default().fit_source(&view, &train, &feats);
+        let model = NaiveBayes::default().fit(&view, &train, &feats);
         let scattered: Vec<usize> = (0..n).rev().step_by(3).collect();
         let tail: Vec<usize> = (n / 2..n).collect();
         let subset: Vec<usize> = feats.iter().copied().rev().step_by(2).collect();
-        let sub_model = NaiveBayes::default().fit_source(&view, &train, &subset);
+        let sub_model = NaiveBayes::default().fit(&view, &train, &subset);
         for rows in [&tail, &scattered, &Vec::new()] {
             for m in [&model, &sub_model] {
                 let bits = m.batch_error(&view, rows, ErrorMetric::ZeroOne).to_bits();
@@ -516,8 +516,7 @@ pub(crate) mod tests {
     /// table's join: zero features joined either way.
     #[test]
     fn fk_only_surrogate_trains_identically_to_excluding_the_join() {
-        use crate::fit_factorized_nb;
-        use hamlet_ml::NaiveBayes;
+        use hamlet_ml::{Classifier, NaiveBayes};
 
         let star = two_table_star();
         let without_b = FactorizedView::with_join_set(&star, &[0]).unwrap();
@@ -563,8 +562,8 @@ pub(crate) mod tests {
         let rows: Vec<usize> = (0..CodeSource::n_examples(&degraded)).collect();
         let feats: Vec<usize> = (0..CodeSource::n_features(&degraded)).collect();
         let nb = NaiveBayes::default();
-        let m_degraded = fit_factorized_nb(&degraded, &nb, &rows, &feats).unwrap();
-        let m_without = fit_factorized_nb(&without_b, &nb, &rows, &feats).unwrap();
+        let m_degraded = nb.fit(&degraded, &rows, &feats);
+        let m_without = nb.fit(&without_b, &rows, &feats);
         assert_eq!(format!("{m_degraded:?}"), format!("{m_without:?}"));
     }
 }

@@ -1,19 +1,21 @@
 //! Classifier traits.
 //!
 //! A [`Classifier`] is a *learner configuration* (hyper-parameters); its
-//! [`Classifier::fit`] produces a [`Model`]. Both operate on index sets
-//! over a shared [`Dataset`], so training a model on a feature subset
-//! (as greedy feature selection does thousands of times) copies nothing.
+//! [`Classifier::fit`] produces a [`Model`]. Both operate on row and
+//! feature index sets over any [`CodeSource`] — a materialized
+//! [`crate::Dataset`] or a factorized view that reads joined columns
+//! through the FK — so training a model on a feature subset (as greedy
+//! feature selection does thousands of times) copies nothing, and where
+//! the codes come from never changes the model.
 
-use crate::dataset::Dataset;
 use crate::source::CodeSource;
 
 /// A fitted model that predicts a class for any row of a dataset with the
 /// same feature layout it was trained on.
 ///
 /// Prediction is generic over [`CodeSource`], so a model fitted on a
-/// materialized [`Dataset`] can score rows of a factorized view with the
-/// same logical layout (and vice versa).
+/// materialized [`crate::Dataset`] can score rows of a factorized view
+/// with the same logical layout (and vice versa).
 pub trait Model {
     /// Predicts the class of one row.
     fn predict_row<S: CodeSource>(&self, data: &S, row: usize) -> u32;
@@ -32,10 +34,18 @@ pub trait Classifier {
     /// The model type this learner produces.
     type Fitted: Model;
 
-    /// Fits a model on `rows`, using only the feature positions in
-    /// `feats`. An empty `feats` must yield a majority-class predictor
-    /// (the empty subset is the starting point of forward selection).
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> Self::Fitted;
+    /// Fits a model on `rows` of `src`, using only the feature positions
+    /// in `feats`. An empty `feats` must yield a majority-class
+    /// predictor (the empty subset is the starting point of forward
+    /// selection). Two sources presenting the same codes and labels —
+    /// a materialized join and a factorized view of it — yield equal
+    /// models.
+    fn fit<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> Self::Fitted;
 }
 
 /// Zero-one error of `model` on `rows` (fraction misclassified).
@@ -107,7 +117,7 @@ impl ErrorMetric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Feature;
+    use crate::dataset::{Dataset, Feature};
 
     /// A constant-prediction stub for metric tests.
     struct Const(u32);

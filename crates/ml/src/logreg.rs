@@ -17,7 +17,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::classifier::{Classifier, Model};
-use crate::dataset::Dataset;
 use crate::source::CodeSource;
 
 /// Regularization penalty.
@@ -103,33 +102,28 @@ pub struct LogisticRegressionModel {
 impl Classifier for LogisticRegression {
     type Fitted = LogisticRegressionModel;
 
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> LogisticRegressionModel {
-        self.fit_source(data, rows, feats)
+    /// The SGD loop reads codes through [`CodeSource::code`], so the
+    /// flat [`crate::Dataset`] of a materialized join and a factorized view
+    /// resolving codes through FK indirection yield bitwise-identical
+    /// weights for the same seed and epochs.
+    fn fit<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> LogisticRegressionModel {
+        self.fit_warm(src, rows, feats, None)
     }
 }
 
 impl LogisticRegression {
-    /// Fits over any [`CodeSource`] — the flat [`Dataset`] of a
-    /// materialized join or a factorized view resolving codes through FK
-    /// indirection. The SGD loop is identical either way, so two sources
-    /// presenting the same codes yield bitwise-identical weights for the
-    /// same seed and epochs.
-    pub fn fit_source<S: CodeSource>(
-        &self,
-        data: &S,
-        rows: &[usize],
-        feats: &[usize],
-    ) -> LogisticRegressionModel {
-        self.fit_source_warm(data, rows, feats, None)
-    }
-
-    /// [`LogisticRegression::fit_source`] with an optional **warm start**:
-    /// weight blocks of features shared with `warm` (matched by dataset
+    /// [`Classifier::fit`] with an optional **warm start**: weight
+    /// blocks of features shared with `warm` (matched by dataset
     /// position) and the intercepts are copied in before SGD runs, so a
     /// candidate fit during greedy selection starts from the parent
     /// subset's solution instead of from zero. With `warm = None` this is
-    /// exactly `fit_source` — same seed, same shuffle, same trajectory.
-    pub fn fit_source_warm<S: CodeSource>(
+    /// exactly `fit` — same seed, same shuffle, same trajectory.
+    pub fn fit_warm<S: CodeSource + ?Sized>(
         &self,
         data: &S,
         rows: &[usize],
@@ -403,7 +397,7 @@ impl Model for LogisticRegressionModel {
 mod tests {
     use super::*;
     use crate::classifier::zero_one_error;
-    use crate::dataset::Feature;
+    use crate::dataset::{Dataset, Feature};
 
     fn deterministic_data(n: usize) -> Dataset {
         // y = x0 XOR-free: y = x0; x1 independent noise (alternating).
@@ -535,7 +529,7 @@ mod tests {
         let rows: Vec<usize> = (0..100).collect();
         let lr = LogisticRegression::l1(0.01).with_seed(11);
         let cold = lr.fit(&d, &rows, &[0, 1]);
-        let warm = lr.fit_source_warm(&d, &rows, &[0, 1], None);
+        let warm = lr.fit_warm(&d, &rows, &[0, 1], None);
         assert_eq!(cold, warm);
     }
 
@@ -545,7 +539,7 @@ mod tests {
         let rows: Vec<usize> = (0..400).collect();
         let lr = LogisticRegression::l2(0.05).with_seed(3);
         let parent = lr.fit(&d, &rows, &[0]);
-        let warm = lr.fit_source_warm(&d, &rows, &[0, 1], Some(&parent));
+        let warm = lr.fit_warm(&d, &rows, &[0, 1], Some(&parent));
         let cold = lr.fit(&d, &rows, &[0, 1]);
         for r in 0..400 {
             assert_eq!(warm.predict_row(&d, r), cold.predict_row(&d, r));
@@ -571,7 +565,7 @@ mod tests {
 
         let two = deterministic_data(200);
         let cold = lr.fit(&two, &rows, &[0, 1]);
-        let warm = lr.fit_source_warm(&two, &rows, &[0, 1], Some(&parent));
+        let warm = lr.fit_warm(&two, &rows, &[0, 1], Some(&parent));
         assert_eq!(cold, warm, "a 4-class parent cannot seed a 2-class fit");
     }
 

@@ -7,7 +7,6 @@
 //! absent from the training FK column (Sec 2.1, footnote 2).
 
 use crate::classifier::{Classifier, ErrorMetric, Model};
-use crate::dataset::Dataset;
 use crate::source::{class_count_tables, class_histogram, is_contiguous, CodeSource, Column};
 
 /// Naive Bayes learner configuration.
@@ -47,14 +46,15 @@ pub struct NaiveBayesModel {
     domain_sizes: Vec<usize>,
 }
 
-impl NaiveBayes {
-    /// Fits over any [`CodeSource`]: one count table per feature from
-    /// [`class_count_tables`], smoothed by
-    /// [`NaiveBayesModel::from_counts`]. A factorized view counts its
+impl Classifier for NaiveBayes {
+    type Fitted = NaiveBayesModel;
+
+    /// One count table per feature from [`class_count_tables`], smoothed
+    /// by [`NaiveBayesModel::from_counts`]. A factorized view counts its
     /// foreign features through the FK without a join, and the integer
-    /// tables — hence the model — are exactly those of the
-    /// materialized dataset.
-    pub fn fit_source<S: CodeSource + Sync + ?Sized>(
+    /// tables — hence the model — are exactly those of the materialized
+    /// dataset.
+    fn fit<S: CodeSource + Sync + ?Sized>(
         &self,
         src: &S,
         rows: &[usize],
@@ -72,14 +72,6 @@ impl NaiveBayes {
                 .map(|&f| src.feature_domain_size(f))
                 .zip(class_count_tables(src, feats, rows, threads)),
         )
-    }
-}
-
-impl Classifier for NaiveBayes {
-    type Fitted = NaiveBayesModel;
-
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> NaiveBayesModel {
-        self.fit_source(data, rows, feats)
     }
 }
 
@@ -357,7 +349,7 @@ impl Model for NaiveBayesModel {
 mod tests {
     use super::*;
     use crate::classifier::zero_one_error;
-    use crate::dataset::Feature;
+    use crate::dataset::{Dataset, Feature};
 
     fn xor_free_data() -> Dataset {
         // y = x0 (perfectly predictable from feature 0); x1 is noise.

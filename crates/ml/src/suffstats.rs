@@ -658,7 +658,7 @@ impl SweepFit for LogisticRegression {
         feats: &[usize],
         warm: Option<&Self::Fitted>,
     ) -> Self::Fitted {
-        self.fit_source_warm(stats.data(), stats.train(), feats, warm)
+        self.fit_warm(stats.data(), stats.train(), feats, warm)
     }
 }
 

@@ -16,7 +16,6 @@
 use std::borrow::Cow;
 
 use crate::classifier::{Classifier, Model};
-use crate::dataset::Dataset;
 use crate::info::conditional_mutual_information;
 use crate::naive_bayes::smoothed_log_table;
 use crate::source::{class_count_table, class_histogram, CodeSource, Column};
@@ -57,13 +56,13 @@ pub struct TanModel {
     domain_sizes: Vec<usize>,
 }
 
-impl Tan {
-    /// Fits over any [`CodeSource`]: the materialized [`Dataset`] or a
-    /// factorized view. The pairwise CMI and every CPT fill integer
-    /// tables through [`Column::code`], so two sources presenting the
-    /// same codes give the same counts, hence the same floats and the
-    /// same model.
-    pub fn fit_source<S: CodeSource + Sync + ?Sized>(
+impl Classifier for Tan {
+    type Fitted = TanModel;
+
+    /// The pairwise CMI and every CPT fill integer tables through
+    /// [`Column::code`], so two sources presenting the same codes give
+    /// the same counts, hence the same floats and the same model.
+    fn fit<S: CodeSource + Sync + ?Sized>(
         &self,
         src: &S,
         rows: &[usize],
@@ -145,14 +144,6 @@ impl Tan {
             log_cond,
             domain_sizes,
         }
-    }
-}
-
-impl Classifier for Tan {
-    type Fitted = TanModel;
-
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> TanModel {
-        self.fit_source(data, rows, feats)
     }
 }
 
@@ -312,7 +303,7 @@ impl Model for TanModel {
 mod tests {
     use super::*;
     use crate::classifier::zero_one_error;
-    use crate::dataset::Feature;
+    use crate::dataset::{Dataset, Feature};
 
     /// y = x0 XOR x1 — the classic concept NB cannot represent but TAN can
     /// (x1's CPT conditions on x0).

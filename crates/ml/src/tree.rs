@@ -13,9 +13,8 @@
 //! majority class.
 
 use crate::classifier::{Classifier, Model};
-use crate::dataset::Dataset;
 use crate::info::entropy_of_counts;
-use crate::source::CodeSource;
+use crate::source::{class_count_table, class_histogram, CodeSource};
 
 /// Decision-tree learner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +35,7 @@ impl Default for DecisionTree {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         class: u32,
@@ -52,7 +51,7 @@ enum Node {
 }
 
 /// A fitted decision tree (arena-allocated nodes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTreeModel {
     feats: Vec<usize>,
     nodes: Vec<Node>,
@@ -62,10 +61,19 @@ pub struct DecisionTreeModel {
 impl Classifier for DecisionTree {
     type Fitted = DecisionTreeModel;
 
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> DecisionTreeModel {
+    /// Node and split statistics come from [`class_histogram`] and
+    /// [`class_count_table`], so a factorized view counts its foreign
+    /// features through the FK and grows the tree a materialized
+    /// dataset grows.
+    fn fit<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> DecisionTreeModel {
         let mut nodes = Vec::new();
         let root = build(
-            data,
+            src,
             rows,
             feats,
             self.max_depth,
@@ -80,14 +88,6 @@ impl Classifier for DecisionTree {
     }
 }
 
-fn class_counts(data: &Dataset, rows: &[usize]) -> Vec<u64> {
-    let mut counts = vec![0u64; data.n_classes()];
-    for &r in rows {
-        counts[data.labels()[r] as usize] += 1;
-    }
-    counts
-}
-
 fn majority(counts: &[u64]) -> u32 {
     let mut best = 0usize;
     for (c, &n) in counts.iter().enumerate() {
@@ -98,37 +98,42 @@ fn majority(counts: &[u64]) -> u32 {
     best as u32
 }
 
-/// Information gain of splitting `rows` multiway on feature `f`.
-fn split_gain(data: &Dataset, rows: &[usize], f: usize, parent_entropy: f64) -> f64 {
-    let feature = data.feature(f);
-    let d = feature.domain_size;
-    let mut child_counts = vec![0u64; d * data.n_classes()];
-    let mut child_sizes = vec![0u64; d];
-    for &r in rows {
-        let v = feature.codes[r] as usize;
-        child_counts[v * data.n_classes() + data.labels()[r] as usize] += 1;
-        child_sizes[v] += 1;
-    }
+/// Information gain of splitting `rows` multiway on feature `f`: the
+/// entropy of each value's class counts, read in class order from the
+/// `[y * d + v]` count table.
+fn split_gain<S: CodeSource + Sync + ?Sized>(
+    src: &S,
+    rows: &[usize],
+    f: usize,
+    parent_entropy: f64,
+) -> f64 {
+    let d = src.feature_domain_size(f);
+    let c = src.n_classes();
+    let counts = class_count_table(src, f, rows, 1);
+    let mut child = vec![0u64; c];
     let mut cond = 0.0;
     for v in 0..d {
-        if child_sizes[v] == 0 {
+        for (y, k) in child.iter_mut().enumerate() {
+            *k = counts[y * d + v];
+        }
+        let size: u64 = child.iter().sum();
+        if size == 0 {
             continue;
         }
-        let slice = &child_counts[v * data.n_classes()..(v + 1) * data.n_classes()];
-        cond += (child_sizes[v] as f64 / rows.len() as f64) * entropy_of_counts(slice);
+        cond += (size as f64 / rows.len() as f64) * entropy_of_counts(&child);
     }
     parent_entropy - cond
 }
 
-fn build(
-    data: &Dataset,
+fn build<S: CodeSource + Sync + ?Sized>(
+    src: &S,
     rows: &[usize],
     feats: &[usize],
     depth_left: usize,
     min_split: usize,
     nodes: &mut Vec<Node>,
 ) -> usize {
-    let counts = class_counts(data, rows);
+    let counts = class_histogram(src, rows);
     let maj = majority(&counts);
     let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
     if pure || depth_left == 0 || rows.len() < min_split || feats.is_empty() {
@@ -150,7 +155,7 @@ fn build(
         let hi = (lo + chunk).min(feats.len());
         feats[lo..hi]
             .iter()
-            .map(|&f| split_gain(data, rows, f, parent_entropy))
+            .map(|&f| split_gain(src, rows, f, parent_entropy))
             .collect::<Vec<f64>>()
     });
     let mut best: Option<(usize, f64)> = None;
@@ -169,10 +174,11 @@ fn build(
     // available below (multiway splits make re-splitting useless, but
     // removing it would misindex sibling subtrees' feats — keep simple).
     let remaining: Vec<usize> = feats.iter().copied().filter(|&f| f != split_feat).collect();
-    let d = data.feature(split_feat).domain_size;
+    let column = src.column(split_feat);
+    let d = src.feature_domain_size(split_feat);
     let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); d];
     for &r in rows {
-        partitions[data.feature(split_feat).codes[r] as usize].push(r);
+        partitions[column.code(r) as usize].push(r);
     }
     let mut children = Vec::with_capacity(d);
     for part in &partitions {
@@ -180,7 +186,7 @@ fn build(
             nodes.push(Node::Leaf { class: maj });
             children.push(nodes.len() - 1);
         } else {
-            let child = build(data, part, &remaining, depth_left - 1, min_split, nodes);
+            let child = build(src, part, &remaining, depth_left - 1, min_split, nodes);
             children.push(child);
         }
     }
@@ -246,7 +252,7 @@ impl Model for DecisionTreeModel {
 mod tests {
     use super::*;
     use crate::classifier::zero_one_error;
-    use crate::dataset::Feature;
+    use crate::dataset::{Dataset, Feature};
 
     fn xor_data(n: usize) -> Dataset {
         let x0: Vec<u32> = (0..n as u32).map(|i| i % 2).collect();

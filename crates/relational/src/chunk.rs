@@ -452,8 +452,9 @@ pub fn gather_chunks<C: ColumnChunks + Sync>(fk: &C, attribute: &Column) -> Resu
 
 /// A table whose columns are chunked (possibly spilled): the product of
 /// a budgeted streaming CSV load. Schema and row count carry the same
-/// invariants as [`Table`]; [`to_table`](Self::to_table) materializes
-/// the dense form (and validates it) when a downstream path needs it.
+/// invariants as [`Table`]; [`into_table`](Self::into_table) turns it
+/// into the dense form (and validates it) when a downstream path needs
+/// it.
 #[derive(Debug, Clone)]
 pub struct ChunkedTable {
     name: String,
@@ -465,7 +466,7 @@ pub struct ChunkedTable {
 impl ChunkedTable {
     /// Builds a chunked table, validating column lengths against each
     /// other (content validation happens chunk-at-a-time in the scans,
-    /// or wholesale in [`to_table`](Self::to_table)).
+    /// or wholesale in [`into_table`](Self::into_table)).
     pub fn new(
         name: impl Into<String>,
         schema: Schema,
@@ -537,15 +538,17 @@ impl ChunkedTable {
         self.columns.iter().any(ChunkedColumn::is_spilled)
     }
 
-    /// Materializes the dense [`Table`] (reading spilled chunks back)
-    /// and runs full validation — the bridge to every downstream path
-    /// that wants the in-memory representation.
-    pub fn to_table(&self) -> Result<Table> {
+    /// Turns the chunks into the dense [`Table`] (reading spilled
+    /// chunks back) and runs full validation — the bridge to every
+    /// downstream path that wants the in-memory representation. Each
+    /// chunked column is freed as soon as its dense copy exists, so the
+    /// two forms of the whole table are never live at once.
+    pub fn into_table(self) -> Result<Table> {
         let mut cols = Vec::with_capacity(self.columns.len());
-        for c in &self.columns {
+        for c in self.columns {
             cols.push(c.to_column()?);
         }
-        Table::new(self.name.clone(), self.schema.clone(), cols)
+        Table::new(self.name, self.schema, cols)
     }
 }
 

@@ -287,7 +287,7 @@ pub fn read_csv_lenient(
         &crate::ingest::IngestOptions::dense(),
     )?;
     Ok(CsvLoad {
-        table: load.table.to_table()?,
+        table: load.table.into_table()?,
         quarantined: load.quarantined,
         total_rows: load.total_rows,
     })

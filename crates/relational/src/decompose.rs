@@ -174,49 +174,48 @@ pub fn decompose_star(table: &Table, fds: &[FunctionalDependency]) -> Result<Sta
 /// ordered by determinant name, so downstream decomposition is stable
 /// under column permutations of the input table.
 pub fn infer_single_fds(table: &Table, min_distinct: usize) -> Vec<FunctionalDependency> {
-    let schema = table.schema();
-    let candidates: Vec<usize> = schema
-        .attributes()
+    let mut fds: Vec<FunctionalDependency> = Vec::new();
+    for (det, dep) in single_fd_candidates(table, min_distinct) {
+        let fd = FunctionalDependency::new(&[det], &[dep]);
+        if !fd.holds_in(table).unwrap_or(false) {
+            continue;
+        }
+        match fds.last_mut() {
+            Some(last) if last.determinant == fd.determinant => {
+                last.dependents.push(dep.to_string())
+            }
+            _ => fds.push(fd),
+        }
+    }
+    fds
+}
+
+/// The `det -> dep` attribute pairs [`infer_single_fds`] tests, in its
+/// output order (by determinant name, then dependent name). Both sides
+/// are feature or FK attributes; the determinant has at least
+/// `min_distinct` distinct values and the dependent no more than the
+/// determinant (a necessary condition for the FD to hold).
+pub fn single_fd_candidates(table: &Table, min_distinct: usize) -> Vec<(&str, &str)> {
+    let attrs = table.schema().attributes();
+    let eligible: Vec<(&str, usize)> = attrs
         .iter()
         .enumerate()
         .filter(|(_, a)| matches!(a.role, Role::Feature | Role::ForeignKey { .. }))
-        .map(|(i, _)| i)
+        .map(|(i, a)| (a.name.as_str(), table.column(i).distinct_count()))
         .collect();
-    let mut fds = Vec::new();
-    for &det in &candidates {
-        let det_col = table.column(det);
-        if det_col.distinct_count() < min_distinct {
+    let mut pairs = Vec::new();
+    for &(det, det_distinct) in &eligible {
+        if det_distinct < min_distinct {
             continue;
         }
-        let mut dependents = Vec::new();
-        for &dep in &candidates {
-            if dep == det {
-                continue;
+        for &(dep, dep_distinct) in &eligible {
+            if dep != det && dep_distinct <= det_distinct {
+                pairs.push((det, dep));
             }
-            // dep must not have more distinct values than det (necessary
-            // condition) — cheap pre-check before the full scan.
-            if table.column(dep).distinct_count() > det_col.distinct_count() {
-                continue;
-            }
-            let fd = FunctionalDependency::new(
-                &[&schema.attributes()[det].name],
-                &[&schema.attributes()[dep].name],
-            );
-            if fd.holds_in(table).unwrap_or(false) {
-                dependents.push(schema.attributes()[dep].name.clone());
-            }
-        }
-        if !dependents.is_empty() {
-            dependents.sort();
-            dependents.dedup();
-            fds.push(FunctionalDependency {
-                determinant: vec![schema.attributes()[det].name.clone()],
-                dependents,
-            });
         }
     }
-    fds.sort_by(|a, b| a.determinant.cmp(&b.determinant));
-    fds
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Greedily selects a maximal star-compatible subset of the given FDs:

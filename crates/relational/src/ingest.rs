@@ -690,7 +690,7 @@ pub fn read_csv_file_lenient(
     let opts = IngestOptions::from_env()?;
     let load = read_csv_file_chunked(name, path, specs, delimiter, policy, &opts)?;
     Ok(crate::csv::CsvLoad {
-        table: load.table.to_table()?,
+        table: load.table.into_table()?,
         quarantined: load.quarantined,
         total_rows: load.total_rows,
     })
@@ -742,7 +742,7 @@ c4,yes,M,61.9,e3
                 ..IngestOptions::dense()
             };
             let load = chunked(CSV, &opts).unwrap();
-            let table = load.table.to_table().unwrap();
+            let table = load.table.into_table().unwrap();
             assert_eq!(table.n_rows(), dense.table.n_rows());
             for (a, b) in table.columns().iter().zip(dense.table.columns()) {
                 assert_eq!(a.codes(), b.codes());
@@ -774,7 +774,7 @@ c4,yes,M,61.9,e3
         };
         let load = chunked(&text, &opts).unwrap();
         assert!(load.table.is_spilled(), "128-byte budget must spill");
-        let table = load.table.to_table().unwrap();
+        let table = load.table.into_table().unwrap();
         for (a, b) in table.columns().iter().zip(dense.table.columns()) {
             assert_eq!(a.codes(), b.codes());
         }
@@ -869,7 +869,7 @@ c3,yes,M,61.9,e3
         assert!(load.quarantined[0]
             .reason
             .contains("duplicate primary key 'c1'"));
-        let table = load.table.to_table().unwrap();
+        let table = load.table.into_table().unwrap();
         let key = table.column_by_name("CustomerID").unwrap();
         assert_eq!(key.codes(), [0, 1, 2]);
         assert_eq!(key.domain().size(), 3);

@@ -58,7 +58,6 @@ pub mod join;
 pub mod lint;
 pub mod manifest;
 pub mod profile;
-pub mod query;
 pub mod schema;
 pub mod table;
 
@@ -75,7 +74,9 @@ pub use csv::{
     csv_header, csv_header_path, read_csv, read_csv_lenient, write_csv, ColumnSpec, CsvLoad,
     DirtyPolicy, QuarantinedRow,
 };
-pub use decompose::{decompose_star, infer_single_fds, select_compatible_fds};
+pub use decompose::{
+    decompose_star, infer_single_fds, select_compatible_fds, single_fd_candidates,
+};
 pub use domain::Domain;
 pub use error::{RelationalError, Result};
 pub use fd::{is_acyclic, redundant_attributes, FunctionalDependency};
@@ -86,6 +87,5 @@ pub use join::{kfk_join, kfk_join_all, kfk_join_policy, FkPolicy, JoinOutcome};
 pub use lint::{lint_star, Lint, LintConfig};
 pub use manifest::{LoadPolicy, Manifest, StarLoad, TableQuarantine};
 pub use profile::{profile_star, profile_table, ColumnProfile, StarProfile, TableProfile};
-pub use query::{fanout, filter, group_count, select_rows, sort_by, Group, Predicate};
 pub use schema::{AttributeDef, Role, Schema};
 pub use table::{Table, TableBuilder};

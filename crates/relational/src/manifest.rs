@@ -378,7 +378,7 @@ impl Manifest {
                 rows: load.quarantined,
                 total_rows: load.total_rows,
             });
-            attr_tables.insert(section.file.clone(), (load.table.to_table()?, key));
+            attr_tables.insert(section.file.clone(), (load.table.into_table()?, key));
         }
 
         // Load the entity; FK columns come in as plain nominal features
@@ -411,7 +411,7 @@ impl Manifest {
             rows: entity_load.quarantined,
             total_rows: entity_load.total_rows,
         });
-        let raw_entity = entity_load.table.to_table()?;
+        let raw_entity = entity_load.table.into_table()?;
 
         // Recode FK columns by label onto the referenced key domains,
         // applying the dangling-FK policy per column.

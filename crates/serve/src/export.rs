@@ -13,14 +13,16 @@
 //! with only the advisor's kept joins: avoided FKs stay as
 //! representatives (the paper's central move), and kept ones are
 //! resolved through the FK at read time (Factorize). Every family fits
-//! through its `fit_source`, whose integer tables are exactly those of
-//! the materialized join, so the artifact is the one a materialized
-//! build would produce, byte for byte.
+//! through [`Classifier::fit`] on the view, whose integer tables are
+//! exactly those of the materialized join, so the artifact is the one a
+//! materialized build would produce, byte for byte.
 
 use hamlet_core::advisor::{advise, AdvisorConfig, AdvisorError};
 use hamlet_core::rules::Decision;
 use hamlet_factorized::FactorizedView;
-use hamlet_ml::{zero_one_error, CodeSource, ErrorMetric, LogisticRegression, NaiveBayes, Tan};
+use hamlet_ml::{
+    zero_one_error, Classifier, CodeSource, ErrorMetric, LogisticRegression, NaiveBayes, Tan,
+};
 use hamlet_relational::{
     DomainRevision, RelationalError, Role, StarSchema, Table, TableSubstitution,
 };
@@ -275,17 +277,17 @@ pub fn build_artifact_with_availability(
     let (train, feats) = (&split.train, &all_feats);
     let model = match kind {
         ModelKind::NaiveBayes => {
-            ServableModel::NaiveBayes(NaiveBayes::default().fit_source(&view, train, feats))
+            ServableModel::NaiveBayes(NaiveBayes::default().fit(&view, train, feats))
         }
         ModelKind::LogisticRegression => ServableModel::LogisticRegression(
-            LogisticRegression::default().fit_source(&view, train, feats),
+            LogisticRegression::default().fit(&view, train, feats),
         ),
-        ModelKind::Tan => ServableModel::Tan(Tan::default().fit_source(&view, train, feats)),
+        ModelKind::Tan => ServableModel::Tan(Tan::default().fit(&view, train, feats)),
         ModelKind::Tree => {
-            ServableModel::Tree(hamlet_trees::CartTree::default().fit_source(&view, train, feats))
+            ServableModel::Tree(hamlet_trees::CartTree::default().fit(&view, train, feats))
         }
         ModelKind::Gbt => {
-            ServableModel::Gbt(hamlet_trees::Gbt::from_env().fit_source(&view, train, feats))
+            ServableModel::Gbt(hamlet_trees::Gbt::from_env().fit(&view, train, feats))
         }
     };
     let holdout_error = match &model {

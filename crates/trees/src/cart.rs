@@ -20,7 +20,6 @@
 use std::borrow::Cow;
 
 use hamlet_ml::classifier::{Classifier, Model};
-use hamlet_ml::dataset::Dataset;
 use hamlet_ml::{class_count_tables, CodeSource};
 use hamlet_obs::parallel::run_indexed;
 
@@ -469,19 +468,6 @@ fn grow<C: SplitCounts + Sync + ?Sized>(
 }
 
 impl CartTree {
-    /// Fits over any [`CodeSource`] — the materialized path when handed
-    /// a [`Dataset`], the zero-materialization path when handed a
-    /// `FactorizedView`, whose foreign-feature count tables
-    /// [`class_count_tables`] pushes down through the FK.
-    pub fn fit_source<S: CodeSource + Sync + ?Sized>(
-        &self,
-        src: &S,
-        rows: &[usize],
-        feats: &[usize],
-    ) -> CartModel {
-        self.fit_with(&ScanCounts { src }, rows, feats)
-    }
-
     /// Fits from an arbitrary statistics provider — the single growth
     /// path every frontend (materialized, sweep-cached, factorized)
     /// funnels through.
@@ -508,15 +494,24 @@ impl CartTree {
 impl Classifier for CartTree {
     type Fitted = CartModel;
 
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> CartModel {
-        self.fit_source(data, rows, feats)
+    /// The materialized path when handed a [`hamlet_ml::Dataset`], the
+    /// zero-materialization path when handed a `FactorizedView`, whose
+    /// foreign-feature count tables [`class_count_tables`] pushes down
+    /// through the FK.
+    fn fit<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> CartModel {
+        self.fit_with(&ScanCounts { src }, rows, feats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamlet_ml::dataset::Feature;
+    use hamlet_ml::dataset::{Dataset, Feature};
 
     fn xor_data() -> Dataset {
         // y = x0 OR x1: needs depth 2, and both root gains are positive

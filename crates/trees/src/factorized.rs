@@ -1,9 +1,10 @@
 //! Factorized tree training over a star schema — no join, same bits.
 //!
-//! Both learners are generic over [`hamlet_ml::CodeSource`], and
-//! [`hamlet_factorized::FactorizedView`] reports each foreign feature as
-//! a [`hamlet_ml::Column::Via`] keyed by its FK, so the factorized fits
-//! here are the materialized code handed a view.
+//! Both learners fit through [`Classifier::fit`] over any
+//! [`hamlet_ml::CodeSource`], and [`hamlet_factorized::FactorizedView`]
+//! reports each foreign feature as a [`hamlet_ml::Column::Via`] keyed
+//! by its FK, so a factorized fit is the materialized code handed a
+//! view.
 //!
 //! CART split scoring needs one class-conditional count table per
 //! (node, candidate feature), and [`hamlet_ml::class_count_tables`]
@@ -23,40 +24,25 @@
 //! one `n_R`-sized fold table per FK, never a wide table.
 
 use hamlet_factorized::FactorizedView;
+use hamlet_ml::Classifier;
 
-use crate::cart::{CartModel, CartTree};
 use crate::gbt::{Gbt, GbtModel};
 
-/// Trains a CART tree over the star schema without materializing any
-/// join. Bit-for-bit identical to
-/// `tree.fit(&materialized_dataset, rows, feats)` on the same logical
-/// data.
-pub fn fit_factorized_tree(
-    view: &FactorizedView<'_>,
-    tree: &CartTree,
-    rows: &[usize],
-    feats: &[usize],
-) -> CartModel {
-    tree.fit_source(view, rows, feats)
-}
-
-/// Trains a gradient-boosted ensemble over the star schema without
-/// materializing any join. Bit-for-bit identical to
-/// `gbt.fit(&materialized_dataset, rows, feats)` on the same logical
-/// data.
+/// `gbt.fit(view, rows, feats)`, kept only because the `perfbench`
+/// workloads call it by this name; new code calls [`Classifier::fit`]
+/// on the view directly.
 pub fn fit_factorized_gbt(
     view: &FactorizedView<'_>,
     gbt: &Gbt,
     rows: &[usize],
     feats: &[usize],
 ) -> GbtModel {
-    gbt.fit_source(view, rows, feats)
+    gbt.fit(view, rows, feats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamlet_ml::classifier::Classifier;
     use hamlet_ml::{CodeSource, Dataset};
     use hamlet_relational::catalog::{AttributeTable, StarSchema};
     use hamlet_relational::{Domain, TableBuilder};
@@ -116,7 +102,7 @@ mod tests {
         let via = counter("hamlet_gbt_scan_rows_via_fk_total");
         let folds = counter("hamlet_gbt_fk_folds_total");
         hamlet_obs::span::set_tracing(true);
-        let fac = fit_factorized_gbt(&view, &gbt, &rows, &feats);
+        let fac = gbt.fit(&view, &rows, &feats);
         hamlet_obs::span::set_tracing(false);
         assert_eq!(fac, gbt.fit(&data, &rows, &feats));
 

@@ -44,7 +44,6 @@
 //! subtraction). Each fit opens a `trees.gbt_fit` span.
 
 use hamlet_ml::classifier::{Classifier, Model};
-use hamlet_ml::dataset::Dataset;
 use hamlet_ml::{CodeSource, Column};
 use hamlet_obs::env::EnvError;
 use hamlet_obs::parallel::run_indexed;
@@ -317,7 +316,7 @@ fn fixed_point_shift(max_abs: f64, n: usize) -> i32 {
 
 /// Quantizes this round's residuals `label − score` of `rows` straight
 /// into `q` (`q[r] = round(residual · 2^s)`) and returns the shift `s`.
-fn quantize<S: CodeSource>(src: &S, rows: &[usize], scores: &[f64], q: &mut [i64]) -> i32 {
+fn quantize<S: CodeSource + ?Sized>(src: &S, rows: &[usize], scores: &[f64], q: &mut [i64]) -> i32 {
     let residual = |r: usize| src.label(r) as f64 - scores[r];
     let max_abs = rows.iter().fold(0.0f64, |m, &r| m.max(residual(r).abs()));
     let s = fixed_point_shift(max_abs, rows.len());
@@ -382,7 +381,7 @@ struct FkGroup<'a> {
 }
 
 impl<'a> Layout<'a> {
-    fn new<S: CodeSource>(src: &'a S, feats: &[usize]) -> Self {
+    fn new<S: CodeSource + ?Sized>(src: &'a S, feats: &[usize]) -> Self {
         let mut layout = Layout {
             widths: Vec::with_capacity(feats.len()),
             direct: Vec::new(),
@@ -589,7 +588,7 @@ fn partition(rows: &mut [usize], col: Column<'_>, value: u32, n_right: usize) ->
 }
 
 /// One round's tree growth.
-struct Grower<'a, S> {
+struct Grower<'a, S: ?Sized> {
     cfg: &'a Gbt,
     src: &'a S,
     feats: &'a [usize],
@@ -604,7 +603,7 @@ struct Grower<'a, S> {
     stats: &'a mut ScanStats,
 }
 
-impl<S: CodeSource + Sync> Grower<'_, S> {
+impl<S: CodeSource + Sync + ?Sized> Grower<'_, S> {
     /// Whether a node of `n` rows at `depth` is split-scored (and so
     /// needs histograms).
     fn scored(&self, n: usize, depth: usize) -> bool {
@@ -688,21 +687,8 @@ impl<S: CodeSource + Sync> Grower<'_, S> {
 }
 
 impl Gbt {
-    /// Fits over any [`CodeSource`]: hand it a `Dataset` for the
-    /// materialized path or a `FactorizedView` for the
-    /// zero-materialization path — both build the identical integer
-    /// histograms, so both produce the identical model.
-    pub fn fit_source<S: CodeSource + Sync>(
-        &self,
-        src: &S,
-        rows: &[usize],
-        feats: &[usize],
-    ) -> GbtModel {
-        self.fit_with_stats(src, rows, feats).0
-    }
-
-    /// [`Gbt::fit_source`], also returning the fit's scan tallies.
-    fn fit_with_stats<S: CodeSource + Sync>(
+    /// [`Classifier::fit`], also returning the fit's scan tallies.
+    fn fit_with_stats<S: CodeSource + Sync + ?Sized>(
         &self,
         src: &S,
         rows: &[usize],
@@ -801,15 +787,24 @@ impl Gbt {
 impl Classifier for Gbt {
     type Fitted = GbtModel;
 
-    fn fit(&self, data: &Dataset, rows: &[usize], feats: &[usize]) -> GbtModel {
-        self.fit_source(data, rows, feats)
+    /// Hand it a `Dataset` for the materialized path or a
+    /// `FactorizedView` for the zero-materialization path — both build
+    /// the identical integer histograms, so both produce the identical
+    /// model.
+    fn fit<S: CodeSource + Sync + ?Sized>(
+        &self,
+        src: &S,
+        rows: &[usize],
+        feats: &[usize],
+    ) -> GbtModel {
+        self.fit_with_stats(src, rows, feats).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hamlet_ml::dataset::Feature;
+    use hamlet_ml::dataset::{Dataset, Feature};
 
     fn ordinal_data() -> Dataset {
         // y tracks x0 with a deterministic wobble from x1.

@@ -1,8 +1,9 @@
 //! Tree learning over the star schema: CART decision trees and
-//! gradient-boosted trees, trained two bit-for-bit identical ways.
+//! gradient-boosted trees. Like every classifier in `hamlet_ml`, both
+//! fit through the one entry point, `Classifier::fit`, over any
+//! `CodeSource`, and the two sources give bit-for-bit identical models:
 //!
-//! * **Materialized** — from `Dataset` rows of the join output, like
-//!   every other classifier in `hamlet_ml`.
+//! * **Materialized** — from `Dataset` rows of the join output.
 //! * **Factorized** — over a `FactorizedView`, with CART split
 //!   statistics assembled from pushed-down per-table class-conditional
 //!   count aggregates (the JoinBoost recipe) and GBT's exact
@@ -29,5 +30,5 @@ pub mod gbt;
 pub mod sweep;
 
 pub use cart::{CartModel, CartNode, CartTree, TreeError};
-pub use factorized::{fit_factorized_gbt, fit_factorized_tree};
+pub use factorized::fit_factorized_gbt;
 pub use gbt::{Gbt, GbtModel, RegNode, RegTree, DEFAULT_GBT_ROUNDS};

@@ -36,7 +36,7 @@ use hamlet_core::rules::{RorRule, TrRule, RELAXED_RHO, RELAXED_TAU};
 use hamlet_core::ModelFamily;
 use hamlet_datagen::realistic::DatasetSpec;
 use hamlet_discovery::{discover_dir, DiscoveryConfig, DiscoveryReport, FdScope};
-use hamlet_factorized::{fit_factorized_logreg, fit_factorized_nb, FactorizedView};
+use hamlet_factorized::FactorizedView;
 use hamlet_ml::{zero_one_error, Classifier, Dataset, LogisticRegression, NaiveBayes};
 use hamlet_obs::RunJournal;
 use hamlet_relational::decompose::{decompose_star, infer_single_fds, select_compatible_fds};
@@ -48,7 +48,7 @@ use hamlet_serve::{
     artifact, build_artifact, build_artifact_with_availability, ModelKind, ScoreError, Scorer,
     ServerConfig,
 };
-use hamlet_trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt};
+use hamlet_trees::{CartTree, Gbt};
 
 /// CLI error: a user-facing message (exit code 2 in the binary).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1235,110 +1235,38 @@ fn reload_cmd(rest: &[String]) -> Result<String, CliError> {
 /// *identical*, not merely close, because both paths execute the same
 /// float operations on the same codes.
 pub fn train_star(star: &StarSchema, model: &str, factorize: bool) -> Result<String, CliError> {
-    let err = |e: hamlet_relational::RelationalError| CliError(e.to_string());
-    if matches!(model, "tree" | "gbt") {
-        return train_star_trees(star, model, factorize);
-    }
-    let perm: Vec<usize> = (0..star.n_s()).collect();
-    let split = star.split_rows(&perm, 0.5, 0.25);
-
-    // Materialized path: the subject under --strategy materialize, the
-    // parity reference under --strategy factorize.
-    let t0 = Instant::now();
-    let wide = star.materialize_all().map_err(err)?;
-    let data = Dataset::from_table(&wide);
-    let feats: Vec<usize> = (0..data.n_features()).collect();
-    let (mat_err, mat_elapsed, nb_mat, lr_mat);
     match model {
-        "nb" => {
-            let m = NaiveBayes::default().fit(&data, &split.train, &feats);
-            mat_elapsed = t0.elapsed();
-            mat_err = zero_one_error(&m, &data, &split.test);
-            nb_mat = Some(m);
-            lr_mat = None;
-        }
-        _ => {
-            let m = LogisticRegression::default().fit(&data, &split.train, &feats);
-            mat_elapsed = t0.elapsed();
-            mat_err = zero_one_error(&m, &data, &split.test);
-            nb_mat = None;
-            lr_mat = Some(m);
-        }
+        "nb" => train_arm(star, &NaiveBayes::default(), factorize),
+        "tree" => train_arm(star, &CartTree::default(), factorize),
+        "gbt" => train_arm(star, &Gbt::from_env(), factorize),
+        _ => train_arm(star, &LogisticRegression::default(), factorize),
     }
-    if !factorize {
-        return Ok(format!(
-            "materialize: trained in {:.1} ms, holdout error {mat_err:.4}\n",
-            mat_elapsed.as_secs_f64() * 1e3
-        ));
-    }
-
-    let t1 = Instant::now();
-    let view = FactorizedView::new(star).map_err(err)?;
-    let (fac_err, fac_elapsed, parity);
-    match model {
-        "nb" => {
-            let m = fit_factorized_nb(&view, &NaiveBayes::default(), &split.train, &feats)
-                .map_err(err)?;
-            fac_elapsed = t1.elapsed();
-            fac_err = zero_one_error(&m, &view, &split.test);
-            parity = nb_mat.as_ref() == Some(&m);
-        }
-        _ => {
-            let m =
-                fit_factorized_logreg(&view, &LogisticRegression::default(), &split.train, &feats);
-            fac_elapsed = t1.elapsed();
-            fac_err = zero_one_error(&m, &view, &split.test);
-            parity = lr_mat
-                .as_ref()
-                .map(|r| r.weights() == m.weights() && r.bias() == m.bias())
-                .unwrap_or(false);
-        }
-    }
-    Ok(format!(
-        "factorize: trained in {:.1} ms, holdout error {fac_err:.4}\n\
-         materialized reference: trained in {:.1} ms, holdout error {mat_err:.4}\n\
-         parity: {}\n\
-         wide-table cells never allocated: {}\n",
-        fac_elapsed.as_secs_f64() * 1e3,
-        mat_elapsed.as_secs_f64() * 1e3,
-        if parity {
-            "exact (identical model)"
-        } else {
-            "MISMATCH"
-        },
-        view.cells_avoided()
-    ))
 }
 
-/// Tree-family `train` arms: CART via pushed-down count aggregates,
-/// GBT via the ordered factorized code stream — both asserted against
-/// the materialized reference with the fitted model's own `PartialEq`
-/// (the factorized tree is the identical arena, not merely close).
-fn train_star_trees(star: &StarSchema, model: &str, factorize: bool) -> Result<String, CliError> {
+/// One `train` run of `learner`: the materialized fit (the subject
+/// under `--strategy materialize`, the parity reference under
+/// `--strategy factorize`), then, with `factorize`, the same fit on a
+/// [`FactorizedView`], compared with the fitted model's own
+/// `PartialEq`.
+fn train_arm<C: Classifier>(
+    star: &StarSchema,
+    learner: &C,
+    factorize: bool,
+) -> Result<String, CliError>
+where
+    C::Fitted: PartialEq,
+{
     let err = |e: hamlet_relational::RelationalError| CliError(e.to_string());
     let perm: Vec<usize> = (0..star.n_s()).collect();
     let split = star.split_rows(&perm, 0.5, 0.25);
+
     let t0 = Instant::now();
     let wide = star.materialize_all().map_err(err)?;
     let data = Dataset::from_table(&wide);
     let feats: Vec<usize> = (0..data.n_features()).collect();
-    let cart = CartTree::default();
-    let gbt = Gbt::from_env();
-
-    let (mat_err, mat_elapsed, cart_mat, gbt_mat);
-    if model == "tree" {
-        let m = cart.fit(&data, &split.train, &feats);
-        mat_elapsed = t0.elapsed();
-        mat_err = zero_one_error(&m, &data, &split.test);
-        cart_mat = Some(m);
-        gbt_mat = None;
-    } else {
-        let m = gbt.fit(&data, &split.train, &feats);
-        mat_elapsed = t0.elapsed();
-        mat_err = zero_one_error(&m, &data, &split.test);
-        cart_mat = None;
-        gbt_mat = Some(m);
-    }
+    let mat = learner.fit(&data, &split.train, &feats);
+    let mat_elapsed = t0.elapsed();
+    let mat_err = zero_one_error(&mat, &data, &split.test);
     if !factorize {
         return Ok(format!(
             "materialize: trained in {:.1} ms, holdout error {mat_err:.4}\n",
@@ -1348,18 +1276,9 @@ fn train_star_trees(star: &StarSchema, model: &str, factorize: bool) -> Result<S
 
     let t1 = Instant::now();
     let view = FactorizedView::new(star).map_err(err)?;
-    let (fac_err, fac_elapsed, parity);
-    if model == "tree" {
-        let m = fit_factorized_tree(&view, &cart, &split.train, &feats);
-        fac_elapsed = t1.elapsed();
-        fac_err = zero_one_error(&m, &view, &split.test);
-        parity = cart_mat.as_ref() == Some(&m);
-    } else {
-        let m = fit_factorized_gbt(&view, &gbt, &split.train, &feats);
-        fac_elapsed = t1.elapsed();
-        fac_err = zero_one_error(&m, &view, &split.test);
-        parity = gbt_mat.as_ref() == Some(&m);
-    }
+    let fac = learner.fit(&view, &split.train, &feats);
+    let fac_elapsed = t1.elapsed();
+    let fac_err = zero_one_error(&fac, &view, &split.test);
     Ok(format!(
         "factorize: trained in {:.1} ms, holdout error {fac_err:.4}\n\
          materialized reference: trained in {:.1} ms, holdout error {mat_err:.4}\n\
@@ -1367,7 +1286,7 @@ fn train_star_trees(star: &StarSchema, model: &str, factorize: bool) -> Result<S
          wide-table cells never allocated: {}\n",
         fac_elapsed.as_secs_f64() * 1e3,
         mat_elapsed.as_secs_f64() * 1e3,
-        if parity {
+        if fac == mat {
             "exact (identical model)"
         } else {
             "MISMATCH"
@@ -1622,6 +1541,18 @@ mod tests {
         let out = run(&argv("train --dataset walmart --scale 0.01 --model gbt")).unwrap();
         assert!(out.contains("model gbt"), "{out}");
         assert!(out.contains("parity: exact (identical model)"), "{out}");
+    }
+
+    #[test]
+    fn train_factorize_parity_holds_for_every_model() {
+        for model in ["nb", "logreg", "tree", "gbt"] {
+            let out = run(&argv(&format!(
+                "train --dataset yelp --scale 0.01 --strategy factorize --model {model}"
+            )))
+            .unwrap();
+            assert!(out.contains(&format!("model {model}")), "{out}");
+            assert!(out.contains("parity: exact (identical model)"), "{out}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use hamlet::ml::classifier::Classifier;
 use hamlet::ml::dataset::Dataset;
 use hamlet::ml::CodeSource;
 use hamlet::obs::CountingAlloc;
-use hamlet::trees::{fit_factorized_tree, CartTree};
+use hamlet::trees::CartTree;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -49,7 +49,7 @@ fn factorized_tree_peak_allocation_does_not_scale_with_fanout() {
         let (m_fac, fac_peak) = peak_delta(|| {
             let view = hamlet::factorized::FactorizedView::new(&star).unwrap();
             let feats: Vec<usize> = (0..view.n_features()).collect();
-            fit_factorized_tree(&view, &tree, &rows, &feats)
+            tree.fit(&view, &rows, &feats)
         });
         assert_eq!(m_mat, m_fac, "parity broke at ratio {ratio}");
         assert!(

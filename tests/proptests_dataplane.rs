@@ -120,7 +120,7 @@ proptest! {
     /// Streaming ingest at any morsel size — with or without a
     /// spill-forcing budget — produces the same table, quarantine, and
     /// row accounting as the dense reader, and cleans up its spill
-    /// files on drop.
+    /// files once densified.
     #[test]
     fn budgeted_streams_match_dense_reader(
         rows in proptest::collection::vec((0..30u8, -99..99i16), 1..120),
@@ -146,7 +146,7 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(chunked.total_rows, dense.total_rows);
         prop_assert_eq!(&chunked.quarantined, &dense.quarantined);
-        let densified = chunked.table.to_table().unwrap();
+        let densified = chunked.table.into_table().unwrap();
         prop_assert_eq!(densified.n_rows(), dense.table.n_rows());
         for c in 0..densified.schema().len() {
             prop_assert_eq!(
@@ -156,9 +156,8 @@ proptest! {
                 c, morsel_rows, budget
             );
         }
-        drop(chunked);
-        // RAII: every per-ingest spill directory is gone once the
-        // chunked load drops.
+        // RAII: `into_table` consumed the chunks, so every per-ingest
+        // spill directory is already gone.
         let leftovers = std::fs::read_dir(&parent)
             .map(|d| d.count())
             .unwrap_or(0);
@@ -206,7 +205,7 @@ proptest! {
                 // Exact row accounting, identical to the dense reader.
                 prop_assert_eq!(c.total_rows, d.total_rows);
                 prop_assert_eq!(c.quarantined.len(), d.quarantined.len());
-                let t = c.table.to_table().unwrap();
+                let t = c.table.into_table().unwrap();
                 prop_assert_eq!(t.n_rows() + c.quarantined.len(), c.total_rows);
                 prop_assert_eq!(t.n_rows(), d.table.n_rows());
                 for col in 0..t.schema().len() {

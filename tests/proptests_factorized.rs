@@ -4,16 +4,15 @@
 
 use proptest::prelude::*;
 
-use hamlet::factorized::{fit_factorized_logreg, fit_factorized_nb, FactorizedView};
+use hamlet::factorized::FactorizedView;
 use hamlet::ml::classifier::Classifier;
 use hamlet::ml::dataset::Dataset;
 use hamlet::ml::logreg::LogisticRegression;
 use hamlet::ml::naive_bayes::NaiveBayes;
 use hamlet::ml::suffstats::SuffStats;
-use hamlet::ml::{CodeSource, IncrementalNaiveBayes};
-use hamlet::relational::query::{fanout, group_count};
+use hamlet::ml::{class_count_table, CodeSource, DecisionTree, IncrementalNaiveBayes, Tan};
 use hamlet::relational::{AttributeTable, Domain, StarSchema, TableBuilder};
-use hamlet::trees::{fit_factorized_tree, CartTree};
+use hamlet::trees::{CartTree, Gbt};
 
 /// Strategy: a random one-attribute-table star — `n_r` attribute rows
 /// with one foreign feature, `n_s` entity rows with an entity feature,
@@ -78,12 +77,30 @@ fn build_star(n_r: usize, xr: Vec<u32>, fks: Vec<u32>, xs: Vec<u32>, ys: Vec<u32
     .unwrap()
 }
 
+/// Fits `learner` through [`Classifier::fit`] on the materialized
+/// dataset and on the view; the two models must be equal.
+fn fits_identically<C: Classifier>(
+    learner: &C,
+    data: &Dataset,
+    view: &FactorizedView<'_>,
+    rows: &[usize],
+    feats: &[usize],
+) -> Result<(), TestCaseError>
+where
+    C::Fitted: PartialEq + std::fmt::Debug,
+{
+    prop_assert_eq!(
+        learner.fit(data, rows, feats),
+        learner.fit(view, rows, feats)
+    );
+    Ok(())
+}
+
 proptest! {
-    /// Every counting model fitted through the factorized view equals
-    /// its materialized fit exactly, over contiguous and strided train
-    /// rows: naive Bayes (whole model and every log-posterior), its
-    /// `SuffStats` assembly, incremental NB over two batches split at a
-    /// random point, and CART at 1 and 2 threads.
+    /// Naive Bayes fitted through the factorized view equals its
+    /// materialized fit in every log-posterior, over contiguous and
+    /// strided train rows, and so do its `SuffStats` assembly and
+    /// incremental NB over two batches split at a random point.
     #[test]
     fn nb_log_posteriors_match((n_r, xr, fks, xs, ys) in star_instance(), cut in 0..150usize) {
         let star = build_star(n_r, xr, fks, xs, ys);
@@ -97,7 +114,7 @@ proptest! {
         let strided: Vec<usize> = (0..n_s).step_by(2).collect();
         for train in [&contiguous, &strided] {
             let m_mat = nb.fit(&data, train, &feats);
-            let m_fac = fit_factorized_nb(&view, &nb, train, &feats).unwrap();
+            let m_fac = nb.fit(&view, train, &feats);
             prop_assert_eq!(&m_mat, &m_fac);
             for row in 0..n_s {
                 prop_assert_eq!(m_mat.log_posterior(&data, row), m_fac.log_posterior(&view, row));
@@ -111,36 +128,50 @@ proptest! {
             inc.absorb(&data, &train[..cut]);
             inc.absorb(&data, &train[cut..]);
             prop_assert_eq!(&inc.model(), &m_mat);
-
-            for threads in [Some(1), Some(2)] {
-                let tree = CartTree { threads, ..CartTree::default() };
-                prop_assert_eq!(
-                    tree.fit(&data, train, &feats),
-                    fit_factorized_tree(&view, &tree, train, &feats)
-                );
-            }
         }
     }
 
-    /// Logistic regression: the SGD consumes identical codes in an
-    /// identical order, so the weights are *bitwise* equal.
+    /// Every learner, fitted through `Classifier::fit` on the view and
+    /// on the materialized join, yields the same model: the counting
+    /// learners read identical integer tables, logistic regression
+    /// consumes identical codes in an identical order, and GBT sums
+    /// identical fixed-point residuals. Checked over contiguous and
+    /// strided train rows, all features and a subset without the FK.
     #[test]
-    fn logreg_weights_bitwise_equal((n_r, xr, fks, xs, ys) in star_instance()) {
+    fn every_learner_fits_identically_on_the_view((n_r, xr, fks, xs, ys) in star_instance()) {
         let star = build_star(n_r, xr, fks, xs, ys);
         let wide = star.materialize_all().unwrap();
         let data = Dataset::from_table(&wide);
         let view = FactorizedView::new(&star).unwrap();
-        let train: Vec<usize> = (0..star.n_s()).collect();
-        let feats: Vec<usize> = (0..data.n_features()).collect();
-        for lr in [
-            LogisticRegression::default().with_epochs(3),
-            LogisticRegression::l1(0.01).with_epochs(2),
-            LogisticRegression::l2(0.05).with_epochs(2),
-        ] {
-            let m_mat = lr.fit(&data, &train, &feats);
-            let m_fac = fit_factorized_logreg(&view, &lr, &train, &feats);
-            prop_assert_eq!(m_mat.weights(), m_fac.weights());
-            prop_assert_eq!(m_mat.bias(), m_fac.bias());
+        let n_s = star.n_s();
+        let all: Vec<usize> = (0..data.n_features()).collect();
+        let no_fk: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|&f| data.feature_name(f) != "fk")
+            .collect();
+        prop_assert_eq!(no_fk.len() + 1, all.len());
+        let contiguous: Vec<usize> = (n_s / 4..n_s).collect();
+        let strided: Vec<usize> = (0..n_s).step_by(2).collect();
+        for rows in [&contiguous, &strided] {
+            for feats in [&all, &no_fk] {
+                fits_identically(&NaiveBayes::default(), &data, &view, rows, feats)?;
+                for lr in [
+                    LogisticRegression::default().with_epochs(3),
+                    LogisticRegression::l1(0.01).with_epochs(2),
+                    LogisticRegression::l2(0.05).with_epochs(2),
+                ] {
+                    fits_identically(&lr, &data, &view, rows, feats)?;
+                }
+                fits_identically(&Tan::default(), &data, &view, rows, feats)?;
+                fits_identically(&DecisionTree::default(), &data, &view, rows, feats)?;
+                for threads in [Some(1), Some(2)] {
+                    let cart = CartTree { threads, ..CartTree::default() };
+                    fits_identically(&cart, &data, &view, rows, feats)?;
+                }
+                let gbt = Gbt { rounds: 4, threads: Some(2), ..Gbt::default() };
+                fits_identically(&gbt, &data, &view, rows, feats)?;
+            }
         }
     }
 
@@ -162,17 +193,24 @@ proptest! {
         }
     }
 
-    /// The pushed-down aggregates cover every entity row exactly once:
-    /// the FK fanout histogram and the (FK, Y) group counts both sum
-    /// to n_S.
+    /// The pushed-down count primitive covers every entity row exactly
+    /// once: for every feature of the view — entity features, the FK
+    /// and the foreign feature folded through it — `class_count_table`
+    /// over all rows sums to n_S and equals the materialized table, at
+    /// one and two threads.
     #[test]
     fn pushed_down_counts_sum_to_n_s((n_r, xr, fks, xs, ys) in star_instance()) {
         let star = build_star(n_r, xr, fks, xs, ys);
-        let n_s = star.n_s() as u64;
-        let hist = fanout(star.entity(), "fk").unwrap();
-        prop_assert_eq!(hist.iter().sum::<u64>(), n_s);
-        let sub = star.entity().project(&["fk", "y"]).unwrap();
-        let groups = group_count(&sub, &["fk", "y"]).unwrap();
-        prop_assert_eq!(groups.iter().map(|g| g.count).sum::<u64>(), n_s);
+        let data = Dataset::from_table(&star.materialize_all().unwrap());
+        let view = FactorizedView::new(&star).unwrap();
+        let n_s = star.n_s();
+        let rows: Vec<usize> = (0..n_s).collect();
+        for f in 0..view.n_features() {
+            for threads in [1, 2] {
+                let table = class_count_table(&view, f, &rows, threads);
+                prop_assert_eq!(table.iter().sum::<u64>(), n_s as u64);
+                prop_assert_eq!(table, class_count_table(&data, f, &rows, threads));
+            }
+        }
     }
 }

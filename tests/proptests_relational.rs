@@ -1,15 +1,14 @@
-//! Property-based tests for the relational operators: query algebra,
-//! manifests, lints, and profiles over randomly generated tables.
+//! Property-based tests for the relational layer: CSV ingest, lints,
+//! and profiles over randomly generated tables.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use hamlet::relational::{
-    fanout, filter, group_count, lint_star, profile_table, read_csv_chunked, read_csv_lenient,
-    select_rows, sort_by, AttributeTable, ColumnSpec, CsvLoad, DirtyPolicy, Domain,
-    EqualWidthBinner, IngestOptions, LintConfig, Predicate, QuarantinedRow, RelationalError,
-    StarSchema, Table, TableBuilder,
+    lint_star, profile_table, read_csv_chunked, read_csv_lenient, AttributeTable, ColumnSpec,
+    CsvLoad, DirtyPolicy, Domain, EqualWidthBinner, IngestOptions, LintConfig, QuarantinedRow,
+    RelationalError, StarSchema, Table, TableBuilder,
 };
 
 /// Strategy: a random two-column feature table.
@@ -29,59 +28,6 @@ fn random_table() -> impl Strategy<Value = Table> {
 }
 
 proptest! {
-    /// Selection returns exactly the rows satisfying the predicate, in
-    /// order; filter + fanout agree with manual counting.
-    #[test]
-    fn selection_is_sound_and_complete(t in random_table(), code in 0..6u32) {
-        let rows = select_rows(&t, &[Predicate::Eq("a".into(), code)]).unwrap();
-        let col = t.column_by_name("a").unwrap();
-        // Sound: every returned row matches.
-        for &r in &rows {
-            prop_assert_eq!(col.get(r), code);
-        }
-        // Complete: count matches the histogram.
-        let hist = fanout(&t, "a").unwrap();
-        prop_assert_eq!(rows.len() as u64, hist[code as usize]);
-        // In ascending order.
-        prop_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-        // Filter preserves schema and shrinks rows.
-        let f = filter(&t, &[Predicate::Eq("a".into(), code)]).unwrap();
-        prop_assert_eq!(f.n_rows(), rows.len());
-        prop_assert_eq!(f.schema().len(), t.schema().len());
-    }
-
-    /// Sorting is a permutation and is ordered on the sort keys.
-    #[test]
-    fn sort_is_an_ordered_permutation(t in random_table()) {
-        let s = sort_by(&t, &["a", "b"]).unwrap();
-        prop_assert_eq!(s.n_rows(), t.n_rows());
-        let a = s.column_by_name("a").unwrap();
-        let b = s.column_by_name("b").unwrap();
-        for i in 1..s.n_rows() {
-            let prev = (a.get(i - 1), b.get(i - 1));
-            let cur = (a.get(i), b.get(i));
-            prop_assert!(prev <= cur, "row {i}: {prev:?} > {cur:?}");
-        }
-        // Multiset preserved: histograms match.
-        prop_assert_eq!(fanout(&s, "a").unwrap(), fanout(&t, "a").unwrap());
-        prop_assert_eq!(fanout(&s, "b").unwrap(), fanout(&t, "b").unwrap());
-    }
-
-    /// Group counts partition the rows: totals add up, group count
-    /// equals distinct key count.
-    #[test]
-    fn group_count_partitions(t in random_table()) {
-        let groups = group_count(&t, &["a", "b"]).unwrap();
-        let total: u64 = groups.iter().map(|g| g.count).sum();
-        prop_assert_eq!(total as usize, t.n_rows());
-        // Keys are unique.
-        let mut keys: Vec<&Vec<u32>> = groups.iter().map(|g| &g.key).collect();
-        let before = keys.len();
-        keys.sort();
-        keys.dedup();
-        prop_assert_eq!(keys.len(), before);
-    }
-
     /// Profiles report consistent distinct counts and entropies within
     /// bounds, for any table.
     #[test]
@@ -419,7 +365,7 @@ fn streamed(
         )
         .and_then(|l| {
             Ok(CsvLoad {
-                table: l.table.to_table()?,
+                table: l.table.into_table()?,
                 quarantined: l.quarantined,
                 total_rows: l.total_rows,
             })

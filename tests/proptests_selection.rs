@@ -161,7 +161,7 @@ proptest! {
 
         let parent = lr.fit(&data, &rows, &[0]);
         let cold = lr.fit(&data, &rows, &[0, 1]);
-        let warm = lr.fit_source_warm(&data, &rows, &[0, 1], Some(&parent));
+        let warm = lr.fit_warm(&data, &rows, &[0, 1], Some(&parent));
 
         // Same predictions everywhere on the learnable concept...
         for r in 0..n {

@@ -16,7 +16,7 @@ use hamlet::ml::CodeSource;
 use hamlet::relational::{
     AttributeTable, DirtyPolicy, Domain, FkPolicy, LoadPolicy, Manifest, StarSchema, TableBuilder,
 };
-use hamlet::trees::{fit_factorized_gbt, fit_factorized_tree, CartTree, Gbt, RegNode};
+use hamlet::trees::{CartTree, Gbt, RegNode};
 
 /// A random two-attribute-table star: `R` stores its RIDs in order,
 /// `Q` stores them out of order, each carries two foreign features, and
@@ -147,7 +147,7 @@ proptest! {
         let feats: Vec<usize> = (0..data.n_features()).collect();
         let tree = CartTree::default();
         let m_mat = tree.fit(&data, &train, &feats);
-        let m_fac = fit_factorized_tree(&view, &tree, &train, &feats);
+        let m_fac = tree.fit(&view, &train, &feats);
         prop_assert_eq!(&m_mat, &m_fac);
         for row in 0..star.n_s() {
             prop_assert_eq!(m_mat.predict_row(&data, row), m_fac.predict_row(&view, row));
@@ -174,7 +174,7 @@ proptest! {
         for threads in [1, 2] {
             let gbt = Gbt { rounds: 4, threads: Some(threads), ..Gbt::default() };
             let m_mat = gbt.fit(&data, &train, &feats);
-            let m_fac = fit_factorized_gbt(&view, &gbt, &train, &feats);
+            let m_fac = gbt.fit(&view, &train, &feats);
             prop_assert_eq!(&reference, &m_mat);
             prop_assert_eq!(&reference, &m_fac);
             for row in 0..star.n_s() {
