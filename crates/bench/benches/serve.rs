@@ -178,8 +178,8 @@ fn emit_summary() {
             1000.0 / (batch_us / 1e6),
         ));
     }
-    // Artifact load: mmap fast path (artifact::load) vs the buffered
-    // read it falls back to, on the same NB artifact.
+    // Artifact load: the file read, parse and checksum of one NB
+    // artifact through artifact::load.
     let g = walmart();
     let built = build_artifact(
         &g.star,
@@ -191,29 +191,7 @@ fn emit_summary() {
     let path = std::env::temp_dir().join("hamlet_bench_serve_artifact.json");
     hamlet_serve::artifact::save(&built.artifact, &path)
         .unwrap_or_else(|e| panic!("bench artifact save failed: {e}"));
-    let mmap_us = {
-        let mut samples: Vec<f64> = (0..200)
-            .map(|_| {
-                let t = Instant::now();
-                black_box(hamlet_serve::artifact::load(&path).unwrap());
-                t.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
-    let buffered_us = {
-        let mut samples: Vec<f64> = (0..200)
-            .map(|_| {
-                let t = Instant::now();
-                let text = std::fs::read_to_string(&path).unwrap();
-                black_box(hamlet_serve::artifact::from_json_str(&text).unwrap());
-                t.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
+    let load_us = median_micros(200, || hamlet_serve::artifact::load(&path).unwrap());
     let artifact_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&path).ok();
     // Every arm scores on the calling thread.
@@ -222,9 +200,7 @@ fn emit_summary() {
          \"model_family\": \"mixed\",\n\"threads\": 1,\n\"results\": [\n{}\n],\n\
          \"body_e2e\": {},\n\
          \"artifact_load\": {{\"artifact_bytes\": {artifact_bytes}, \
-         \"mmap_us\": {mmap_us:.1}, \"buffered_read_us\": {buffered_us:.1}, \
-         \"note\": \"load() mmaps on unix and verifies the checksum over the mapped bytes; \
-         buffered_read_us is the fallback path it takes when mapping fails\"}}\n}}\n",
+         \"load_us\": {load_us:.1}}}\n}}\n",
         entries.join(",\n"),
         body_summary(),
     );

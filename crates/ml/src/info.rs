@@ -45,9 +45,6 @@ pub fn mutual_information(
     b_size: usize,
     rows: &[usize],
 ) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
     let mut joint = vec![0u64; a_size * b_size];
     let mut a_counts = vec![0u64; a_size];
     let mut b_counts = vec![0u64; b_size];
@@ -58,20 +55,38 @@ pub fn mutual_information(
         a_counts[a] += 1;
         b_counts[b] += 1;
     }
-    let n = rows.len() as f64;
+    mutual_information_of_counts(rows.len(), &a_counts, &b_counts, |a, b| {
+        joint[a * b_size + b]
+    })
+}
+
+/// `I(A;B)` in bits from `n` rows' marginal histograms and their joint
+/// count `cell(a, b)`, summed a-major, b-minor. Every mutual-information
+/// score sums here, so a score from cached counts equals one from a row
+/// scan bit for bit whenever the integer counts agree.
+pub(crate) fn mutual_information_of_counts(
+    n: usize,
+    a_counts: &[u64],
+    b_counts: &[u64],
+    cell: impl Fn(usize, usize) -> u64,
+) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let n = n as f64;
     let mut mi = 0.0;
-    for a in 0..a_size {
-        if a_counts[a] == 0 {
+    for (a, &count_a) in a_counts.iter().enumerate() {
+        if count_a == 0 {
             continue;
         }
-        let pa = a_counts[a] as f64 / n;
-        for b in 0..b_size {
-            let c = joint[a * b_size + b];
+        let pa = count_a as f64 / n;
+        for (b, &count_b) in b_counts.iter().enumerate() {
+            let c = cell(a, b);
             if c == 0 {
                 continue;
             }
             let pab = c as f64 / n;
-            let pb = b_counts[b] as f64 / n;
+            let pb = count_b as f64 / n;
             mi += pab * (pab / (pa * pb)).log2();
         }
     }

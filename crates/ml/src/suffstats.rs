@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use crate::classifier::{Classifier, ErrorMetric};
 use crate::dataset::Dataset;
-use crate::info::entropy_of_counts;
+use crate::info::{entropy_of_counts, mutual_information_of_counts};
 use crate::logreg::LogisticRegression;
 use crate::naive_bayes::{smoothed_log_table, transposed, NaiveBayes, NaiveBayesModel};
 use crate::source::{class_histogram, count_table, is_contiguous};
@@ -440,34 +440,17 @@ impl<'a> SuffStats<'a> {
 
     /// `I(F;Y)` in bits from the cached table — bit-for-bit equal to
     /// [`crate::info::mutual_information`] over the training rows (the
-    /// integer histograms are identical and the float summation runs in
-    /// the same order).
+    /// integer histograms are identical and both sum through one
+    /// helper, in the same order).
     pub fn mutual_information(&self, f: usize) -> f64 {
-        if self.train.is_empty() {
-            return 0.0;
-        }
         let d = self.data.feature(f).domain_size;
-        let n_classes = self.data.n_classes();
         let table = self.table(f);
-        let a_counts = self.value_counts(f);
-        let n = self.train.len() as f64;
-        let mut mi = 0.0;
-        for a in 0..d {
-            if a_counts[a] == 0 {
-                continue;
-            }
-            let pa = a_counts[a] as f64 / n;
-            for b in 0..n_classes {
-                let c = table[b * d + a];
-                if c == 0 {
-                    continue;
-                }
-                let pab = c as f64 / n;
-                let pb = self.class_counts[b] as f64 / n;
-                mi += pab * (pab / (pa * pb)).log2();
-            }
-        }
-        mi.max(0.0)
+        mutual_information_of_counts(
+            self.train.len(),
+            &self.value_counts(f),
+            &self.class_counts,
+            |a, b| table[b * d + a],
+        )
     }
 
     /// `IGR(F;Y) = I(F;Y) / H(F)` from the cached table — bit-for-bit

@@ -238,6 +238,52 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// The cursor's byte offset into the text.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Opens the object whose `{` is the next byte, at nesting `depth`.
+    /// `Ok(None)` means the object was empty and its `}` is consumed
+    /// too; otherwise the first member's key is returned with its `:`
+    /// consumed, and the member's value follows.
+    pub fn begin_object(&mut self, depth: usize) -> Result<Option<String>, String> {
+        self.expect('{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(None);
+        }
+        self.member_key(depth).map(Some)
+    }
+
+    /// After a member's value in an object at nesting `depth`: the next
+    /// member's key (its `:` consumed) when a `,` announces one,
+    /// `Ok(None)` when `}` closed the object.
+    pub fn next_member(&mut self, depth: usize) -> Result<Option<String>, String> {
+        self.skip_ws();
+        match self.next_char() {
+            Some((_, ',')) => self.member_key(depth).map(Some),
+            Some((_, '}')) => Ok(None),
+            Some((i, c)) => Err(format!("expected ',' or '}}' at byte {i}, found '{c}'")),
+            None => Err("unterminated object".into()),
+        }
+    }
+
+    /// A member key and its `:`. The key is read as a whole value one
+    /// level down, so a non-string key reports what it was.
+    fn member_key(&mut self, depth: usize) -> Result<String, String> {
+        self.skip_ws();
+        let key = match self.value(depth + 1)? {
+            Json::Str(s) => s,
+            other => return Err(format!("object key must be a string, got {other}")),
+        };
+        self.skip_ws();
+        self.expect(':')?;
+        Ok(key)
+    }
+
     /// Opens the array whose `[` is the next byte. `Ok(true)` means the
     /// array was empty and its `]` is consumed too; otherwise an item
     /// follows.
@@ -342,33 +388,13 @@ impl<'a> Reader<'a> {
         match self.peek() {
             None => Err("unexpected end of input".into()),
             Some(b'{') => {
-                self.pos += 1;
                 let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
+                let mut key = self.begin_object(depth)?;
+                while let Some(k) = key {
+                    members.push((k, self.value(depth + 1)?));
+                    key = self.next_member(depth)?;
                 }
-                loop {
-                    self.skip_ws();
-                    let key = match self.value(depth + 1)? {
-                        Json::Str(s) => s,
-                        other => return Err(format!("object key must be a string, got {other}")),
-                    };
-                    self.skip_ws();
-                    self.expect(':')?;
-                    let v = self.value(depth + 1)?;
-                    members.push((key, v));
-                    self.skip_ws();
-                    match self.next_char() {
-                        Some((_, ',')) => continue,
-                        Some((_, '}')) => return Ok(Json::Obj(members)),
-                        Some((i, c)) => {
-                            return Err(format!("expected ',' or '}}' at byte {i}, found '{c}'"))
-                        }
-                        None => return Err("unterminated object".into()),
-                    }
-                }
+                Ok(Json::Obj(members))
             }
             Some(b'[') => {
                 let mut items = Vec::new();

@@ -155,6 +155,18 @@ impl SpanGuard {
     pub fn enter(name: &'static str) -> Self {
         Self::enter_with(name, String::new)
     }
+
+    /// Appends the attribute `key=value`, for a value known only after
+    /// the span opened. Formats nothing when tracing is disabled.
+    pub fn record(&mut self, key: &str, value: impl std::fmt::Display) {
+        use std::fmt::Write as _;
+        if let Some(live) = &mut self.live {
+            if !live.detail.is_empty() {
+                live.detail.push(' ');
+            }
+            let _ = write!(live.detail, "{key}={value}");
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -315,7 +327,8 @@ mod tests {
         // Disabled: nothing recorded.
         set_tracing(false);
         {
-            let _g = crate::span!("off.noop", x = 1);
+            let mut g = crate::span!("off.noop", x = 1);
+            g.record("y", 2);
         }
         assert!(drain_spans().is_empty());
 
@@ -326,7 +339,8 @@ mod tests {
                 let _inner = crate::span!("test.inner");
             }
             {
-                let _inner = crate::span!("test.inner");
+                let mut inner = crate::span!("test.inner");
+                inner.record("bytes", 5);
             }
         }
         let t = std::thread::spawn(|| {
@@ -344,6 +358,8 @@ mod tests {
         assert_eq!(inners.len(), 2);
         assert!(inners.iter().all(|r| r.depth == 1));
         assert!(inners.iter().all(|r| r.thread == outer.thread));
+        assert_eq!(inners[0].detail, "");
+        assert_eq!(inners[1].detail, "bytes=5");
         let worker = records.iter().find(|r| r.name == "test.worker").unwrap();
         assert_ne!(worker.thread, outer.thread);
         assert_eq!(worker.detail, "idx=7");

@@ -25,9 +25,10 @@
 //! families as a pure extension, so every v1 artifact is also a valid v2
 //! payload and loads unchanged; versions *newer* than this build are
 //! rejected (no forward reading); `checksum` is an FNV-1a 64 hash of the
-//! *canonical re-rendering* of the parsed payload, so whitespace
-//! added by hand-editing does not invalidate an artifact but any content
-//! change does. Every load failure is a typed [`ArtifactError`];
+//! payload's bytes exactly as they stand in the file, so whitespace
+//! between the envelope's tokens does not invalidate an artifact but any
+//! edit inside the payload does, even one that parses to the same value.
+//! Every load failure is a typed [`ArtifactError`];
 //! corrupt, truncated, or bit-flipped artifacts must never panic (the
 //! workspace no-panic contract, enforced by `tests/no_panic_paths.rs`).
 
@@ -35,7 +36,7 @@ use std::path::Path;
 
 use hamlet_core::ExecStrategy;
 use hamlet_ml::{CodeSource, LogisticRegressionModel, Model, NaiveBayesModel, TanModel};
-use hamlet_obs::json::{obj, Json};
+use hamlet_obs::json::{obj, Json, Reader};
 use hamlet_trees::{CartModel, CartNode, GbtModel, RegNode};
 
 /// First bytes of every artifact: identifies the file type.
@@ -528,9 +529,9 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The envelope checksum of a rendered payload.
-fn checksum_of(rendered: &str) -> String {
-    format!("fnv1a64:{:016x}", fnv1a64(rendered.as_bytes()))
+/// The envelope checksum of a payload's bytes.
+fn checksum_of(payload: &str) -> String {
+    format!("fnv1a64:{:016x}", fnv1a64(payload.as_bytes()))
 }
 
 /// Renders an artifact to its canonical JSON document.
@@ -588,131 +589,35 @@ fn non_finite_path(j: &Json) -> Option<String> {
     }
 }
 
-/// Validates that every numeric parameter in the artifact is finite —
-/// the precondition for the artifact being loadable after rendering.
-pub fn validate_finite(a: &ModelArtifact) -> Result<(), ArtifactError> {
-    check_finite(&payload_json(a))
-}
-
 /// Writes an artifact atomically (tmp + fsync + rename via
 /// `hamlet_obs::atomic_write`), refusing models with non-finite
-/// parameters (see [`validate_finite`]). The payload tree is built once
-/// for both the check and the render.
+/// parameters (`NonFinite`, naming the JSON path). The payload tree is
+/// built once for both the check and the render.
 pub fn save(a: &ModelArtifact, path: &Path) -> Result<(), ArtifactError> {
+    let mut span = hamlet_obs::span!("serve.artifact_save");
     let payload = payload_json(a);
     check_finite(&payload)?;
     let text = render_document(&payload);
+    span.record("bytes", text.len());
     hamlet_obs::atomic_write(path, text.as_bytes()).map_err(|e| ArtifactError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })
 }
 
-/// Minimal `mmap(2)` wrapper for read-only artifact loading: reload
-/// latency on big artifacts is dominated by copying the file into a
-/// `String` before a single validation pass, so the fast path checksums
-/// and parses directly over the kernel mapping instead. Raw
-/// `extern "C"` (no libc crate), matching the CLI's `signal(2)` shim.
-#[cfg(unix)]
-mod mapped {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
-    }
-
-    /// A read-only private mapping of a whole file, unmapped on drop.
-    pub struct Mapped {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    impl Mapped {
-        /// Maps the first `len` bytes of `file`. `None` on any failure
-        /// (including `len == 0`, which `mmap` rejects) — the caller
-        /// falls back to buffered reads.
-        pub fn of(file: &File, len: usize) -> Option<Mapped> {
-            if len == 0 {
-                return None;
-            }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            // MAP_FAILED is (void*)-1; treat null defensively too.
-            if ptr.is_null() || ptr as isize == -1 {
-                return None;
-            }
-            Some(Mapped { ptr, len })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapped {
-        fn drop(&mut self) {
-            unsafe { munmap(self.ptr, self.len) };
-        }
-    }
-}
-
-/// The mmap fast path. `Ok(None)` means "mapping unavailable — use the
-/// buffered path" (open/stat/map/UTF-8 trouble; the buffered read then
-/// reports its own typed error for the real faults). A file that maps
-/// cleanly but fails checksum or schema validation is a genuine error,
-/// never a fallback trigger — the two paths must agree on verdicts.
-#[cfg(unix)]
-fn load_mapped(path: &Path) -> Result<Option<ModelArtifact>, ArtifactError> {
-    let Ok(file) = std::fs::File::open(path) else {
-        return Ok(None);
-    };
-    let Ok(meta) = file.metadata() else {
-        return Ok(None);
-    };
-    let len = meta.len() as usize;
-    let Some(map) = mapped::Mapped::of(&file, len) else {
-        return Ok(None);
-    };
-    let Ok(text) = std::str::from_utf8(map.bytes()) else {
-        return Ok(None);
-    };
-    hamlet_obs::counter_add!("hamlet_artifact_mmap_loads_total", 1);
-    from_json_str(text).map(Some)
-}
-
-/// Reads and validates an artifact. Carries the `serve.artifact_load`
-/// failpoint so the chaos harness can exercise the degraded path.
-///
-/// On unix the file is `mmap`ed and the checksum verified over the
-/// mapped bytes (no heap copy of the envelope); any mapping failure
-/// falls back to the buffered read below, bit-for-bit equivalent.
-/// `hamlet_artifact_mmap_loads_total` / `_fallbacks_total` count which
-/// path served each load.
+/// Reads and validates an artifact: the whole file into a `String`,
+/// then [`from_json_str`]. A file that is not UTF-8 is a typed `Io`
+/// error. Carries the `serve.artifact_load` failpoint so the chaos
+/// harness can exercise the degraded path.
 pub fn load(path: &Path) -> Result<ModelArtifact, ArtifactError> {
+    let mut span = hamlet_obs::span!("serve.artifact_load");
     let io_err = |e: std::io::Error| ArtifactError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     };
     hamlet_chaos::fail_at!(LOAD_FAILPOINT).map_err(io_err)?;
-    #[cfg(unix)]
-    if let Some(a) = load_mapped(path)? {
-        return Ok(a);
-    }
-    hamlet_obs::counter_add!("hamlet_artifact_mmap_fallbacks_total", 1);
     let text = std::fs::read_to_string(path).map_err(io_err)?;
+    span.record("bytes", text.len());
     from_json_str(&text)
 }
 
@@ -1208,10 +1113,46 @@ fn parse_payload(j: &Json) -> R<ModelArtifact> {
     })
 }
 
+/// The envelope's members as a tree, and the text of the first
+/// `payload` member's value — the member [`Json::get`] finds. Walks the
+/// grammar [`Json::parse`] does, with its error strings; a document
+/// that is JSON but not an object reads as `Json::Null`.
+fn read_envelope(text: &str) -> Result<(Json, Option<&str>), String> {
+    let mut r = Reader::new(text);
+    r.skip_ws();
+    if r.peek() != Some(b'{') {
+        r.value(0)?;
+        r.finish()?;
+        return Ok((Json::Null, None));
+    }
+    let mut members = Vec::new();
+    let mut payload = None;
+    let mut key = r.begin_object(0)?;
+    while let Some(k) = key {
+        r.skip_ws();
+        let start = r.offset();
+        let value = r.value(1)?;
+        if k == "payload" && payload.is_none() {
+            payload = Some(&text[start..r.offset()]);
+        }
+        members.push((k, value));
+        key = r.next_member(0)?;
+    }
+    r.finish()?;
+    Ok((Json::Obj(members), payload))
+}
+
 /// Parses and fully validates an artifact document. Inverse of
 /// [`to_json_string`].
+///
+/// The envelope's members may come in any order, with whitespace
+/// between its tokens. The checksum is verified over the `payload`
+/// value's bytes as they stand in `text` — the bytes [`save`] hashed
+/// and wrote — so nothing is re-rendered, and an edit inside the
+/// payload is a `ChecksumMismatch` even when it parses to the same
+/// value (`1` for `1.0`, a space after a `,`).
 pub fn from_json_str(text: &str) -> R<ModelArtifact> {
-    let doc = Json::parse(text).map_err(ArtifactError::Parse)?;
+    let (doc, payload_text) = read_envelope(text).map_err(ArtifactError::Parse)?;
     let magic = doc
         .get("magic")
         .and_then(Json::as_str)
@@ -1233,7 +1174,8 @@ pub fn from_json_str(text: &str) -> R<ModelArtifact> {
     }
     let expected = str_of(field(&doc, "checksum", "envelope")?, "envelope.checksum")?;
     let payload = field(&doc, "payload", "envelope")?;
-    let actual = checksum_of(&payload.to_string());
+    // `payload_text` is present whenever `payload` is.
+    let actual = checksum_of(payload_text.unwrap_or_default());
     if expected != actual {
         return Err(ArtifactError::ChecksumMismatch { expected, actual });
     }
@@ -1310,35 +1252,17 @@ mod tests {
     }
 
     #[test]
-    fn mmap_and_buffered_loads_agree() {
+    fn tampered_file_on_disk_fails_checksum() {
         let _fp = hamlet_chaos::failpoint::shared();
         let a = nb_artifact();
-        let path = std::env::temp_dir().join("hamlet_artifact_mmap_test.json");
-        save(&a, &path).unwrap();
-        // `load` takes the mmap fast path on unix; the buffered parse of
-        // the same bytes must yield the identical artifact.
-        let via_load = load(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(via_load, from_json_str(&text).unwrap());
-        assert_eq!(via_load, a);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn mmap_path_verifies_checksum_over_mapped_bytes() {
-        let _fp = hamlet_chaos::failpoint::shared();
-        let a = nb_artifact();
-        let path = std::env::temp_dir().join("hamlet_artifact_mmap_tamper_test.json");
+        let path = std::env::temp_dir().join("hamlet_artifact_tamper_test.json");
         save(&a, &path).unwrap();
         let tampered = std::fs::read_to_string(&path)
             .unwrap()
             .replace("31.5", "99.9");
         std::fs::write(&path, tampered).unwrap();
-        // The mapping succeeds, so the fault must surface as the same
-        // typed checksum error the buffered path raises — not a fallback.
         assert!(matches!(
-            load_mapped(&path),
+            load(&path),
             Err(ArtifactError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
@@ -1347,23 +1271,17 @@ mod tests {
     #[test]
     fn zero_byte_artifact_is_typed_error() {
         let _fp = hamlet_chaos::failpoint::shared();
-        let path = std::env::temp_dir().join("hamlet_artifact_mmap_empty_test.json");
+        let path = std::env::temp_dir().join("hamlet_artifact_empty_test.json");
         std::fs::write(&path, b"").unwrap();
-        // mmap rejects len 0; the buffered fallback reports the typed
-        // parse error instead of panicking.
         assert!(matches!(load(&path), Err(ArtifactError::Parse(_))));
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(unix)]
     #[test]
-    fn non_utf8_artifact_falls_back_without_panicking() {
+    fn non_utf8_artifact_is_a_typed_io_error() {
         let _fp = hamlet_chaos::failpoint::shared();
-        let path = std::env::temp_dir().join("hamlet_artifact_mmap_utf8_test.json");
+        let path = std::env::temp_dir().join("hamlet_artifact_utf8_test.json");
         std::fs::write(&path, [0xff, 0xfe, 0x00]).unwrap();
-        // Mapped bytes are not UTF-8: the fast path declines, and the
-        // buffered read surfaces its own typed IO error.
-        assert!(matches!(load_mapped(&path), Ok(None)));
         assert!(matches!(load(&path), Err(ArtifactError::Io { .. })));
         std::fs::remove_file(&path).ok();
     }
@@ -1418,10 +1336,64 @@ mod tests {
 
     #[test]
     fn whitespace_editing_keeps_checksum_valid() {
-        // The checksum hashes the canonical re-render, so pretty-printing
-        // whitespace between tokens does not invalidate the artifact.
+        // The checksum hashes the payload's bytes as stored, so
+        // whitespace between the envelope's tokens does not invalidate
+        // the artifact.
         let text = to_json_string(&nb_artifact()).replace("\"payload\":{", "\"payload\":   {");
         assert!(from_json_str(&text).is_ok());
+        let spaced = format!(
+            " \n{}\n",
+            to_json_string(&nb_artifact())
+                .replacen("{", "{ ", 1)
+                .replacen(",\"schema_version\":", " ,\t\"schema_version\" : ", 1)
+                .replacen(",\"payload\":", ",\r\n\"payload\":", 1)
+        );
+        assert_eq!(from_json_str(&spaced).unwrap(), nb_artifact());
+        let tail = to_json_string(&nb_artifact());
+        let tail = format!("{}  }}", &tail[..tail.len() - 1]);
+        assert_eq!(from_json_str(&tail).unwrap(), nb_artifact());
+    }
+
+    #[test]
+    fn equal_valued_edits_inside_the_payload_fail_checksum() {
+        // Each edit parses to the same payload value, but the stored
+        // bytes are no longer the ones `save` hashed.
+        let text = to_json_string(&nb_artifact());
+        for (from, to) in [
+            ("\"n_classes\":2", "\"n_classes\":2.0"),
+            ("\"domain_sizes\":[2,3]", "\"domain_sizes\":[2, 3]"),
+            ("\"dataset\":\"unit\"", "\"dataset\" :\"unit\""),
+        ] {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "{from} not found");
+            assert_eq!(
+                Json::parse(&edited).unwrap().get("payload"),
+                Json::parse(&text).unwrap().get("payload")
+            );
+            assert!(
+                matches!(
+                    from_json_str(&edited),
+                    Err(ArtifactError::ChecksumMismatch { .. })
+                ),
+                "{from} -> {to}"
+            );
+        }
+    }
+
+    #[test]
+    fn reordered_envelope_keys_still_load() {
+        let text = to_json_string(&nb_artifact());
+        let doc = Json::parse(&text).unwrap();
+        let Json::Obj(members) = &doc else {
+            panic!("envelope is not an object")
+        };
+        // Payload first, then the scalars in reverse: the payload's bytes
+        // are unchanged, so the recorded checksum still matches.
+        let mut reordered = members.clone();
+        reordered.reverse();
+        let reordered = Json::Obj(reordered).to_string();
+        assert!(reordered.starts_with("{\"payload\":"), "{reordered}");
+        assert_eq!(from_json_str(&reordered).unwrap(), nb_artifact());
     }
 
     #[test]
@@ -1696,12 +1668,13 @@ mod tests {
         // Non-finite decision evidence is caught too.
         let mut b = nb_artifact();
         b.decisions[0].tuple_ratio = f64::INFINITY;
-        match validate_finite(&b) {
+        match save(&b, &path) {
             Err(ArtifactError::NonFinite { path }) => {
                 assert_eq!(path, "payload.decisions[0].tuple_ratio");
             }
             other => panic!("expected NonFinite, got {other:?}"),
         }
+        assert!(!path.exists(), "refused save must not leave a file");
 
         // A healthy artifact still saves and round-trips through disk.
         let good = nb_artifact();

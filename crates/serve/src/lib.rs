@@ -18,7 +18,7 @@
 //! Layers:
 //!
 //! * [`artifact`] — the on-disk format: magic + schema version +
-//!   FNV-1a 64 checksum over the canonical payload rendering; corrupt
+//!   FNV-1a 64 checksum over the payload's bytes as stored; corrupt
 //!   or truncated files yield typed [`ArtifactError`]s, never panics.
 //! * [`export`] — builds an artifact from a [`hamlet_relational::StarSchema`]:
 //!   runs the advisor, applies cold-start domain revisions, fits the

@@ -257,10 +257,11 @@ proptest! {
         match from_json_str(&corrupted) {
             // Typed error: fine, the corruption was caught.
             Err(_) => {}
-            // A parse that still succeeds must mean the reload is
-            // byte-equivalent under canonical re-rendering (e.g. a
-            // whitespace byte outside any token changed to another
-            // whitespace byte) — the model itself cannot have drifted.
+            // A load that still succeeds means the flip landed outside
+            // the checksummed payload bytes (the checksum covers the
+            // payload as stored, so any flip inside it is refused) and
+            // left the envelope meaning the same, e.g. `schema_version`
+            // 2 -> 1 — the model itself cannot have drifted.
             Ok(reloaded) => prop_assert_eq!(reloaded, built.artifact),
         }
     }
