@@ -178,8 +178,9 @@ fn emit_summary() {
             1000.0 / (batch_us / 1e6),
         ));
     }
-    // Artifact load: the file read, parse and checksum of one NB
-    // artifact through artifact::load.
+    // Artifact round trip of one NB artifact: artifact::save (render,
+    // checksum, atomic write) and artifact::load (file read, checksum,
+    // decode).
     let g = walmart();
     let built = build_artifact(
         &g.star,
@@ -189,8 +190,9 @@ fn emit_summary() {
     )
     .unwrap_or_else(|e| panic!("bench artifact build failed: {e}"));
     let path = std::env::temp_dir().join("hamlet_bench_serve_artifact.json");
-    hamlet_serve::artifact::save(&built.artifact, &path)
-        .unwrap_or_else(|e| panic!("bench artifact save failed: {e}"));
+    let save = || hamlet_serve::artifact::save(&built.artifact, &path);
+    save().unwrap_or_else(|e| panic!("bench artifact save failed: {e}"));
+    let save_us = median_micros(200, || save().unwrap());
     let load_us = median_micros(200, || hamlet_serve::artifact::load(&path).unwrap());
     let artifact_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&path).ok();
@@ -200,7 +202,7 @@ fn emit_summary() {
          \"model_family\": \"mixed\",\n\"threads\": 1,\n\"results\": [\n{}\n],\n\
          \"body_e2e\": {},\n\
          \"artifact_load\": {{\"artifact_bytes\": {artifact_bytes}, \
-         \"load_us\": {load_us:.1}}}\n}}\n",
+         \"save_us\": {save_us:.1}, \"load_us\": {load_us:.1}}}\n}}\n",
         entries.join(",\n"),
         body_summary(),
     );

@@ -558,6 +558,9 @@ impl DatasetSpec {
         let mut rng = StdRng::seed_from_u64(seed ^ hash_name(self.name));
 
         let n_s = self.scaled_n_s(scale);
+        let feats = self.entity_features.len()
+            + self.tables.iter().map(|t| t.features.len()).sum::<usize>();
+        let _span = hamlet_obs::span!("datagen.generate", rows = n_s, feats = feats);
 
         // Attribute tables: codes + hidden latents + visible values.
         let mut attr_tables = Vec::with_capacity(self.tables.len());

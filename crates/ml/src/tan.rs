@@ -68,6 +68,7 @@ impl Classifier for Tan {
         rows: &[usize],
         feats: &[usize],
     ) -> TanModel {
+        let _span = hamlet_obs::span!("ml.tan_fit", rows = rows.len(), feats = feats.len());
         let n_classes = src.n_classes();
         let alpha = self.smoothing;
         let m = feats.len();

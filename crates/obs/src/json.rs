@@ -381,6 +381,37 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads one whole value at nesting `depth` and drops it: the
+    /// checks and error strings of [`Reader::value`], without building
+    /// a tree.
+    pub fn skip_value(&mut self, depth: usize) -> Result<(), String> {
+        self.enter(depth)?;
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                let mut key = self.begin_object(depth)?;
+                while key.is_some() {
+                    self.skip_value(depth + 1)?;
+                    key = self.next_member(depth)?;
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                if self.begin_array()? {
+                    return Ok(());
+                }
+                loop {
+                    self.skip_value(depth + 1)?;
+                    if !self.next_item()? {
+                        return Ok(());
+                    }
+                }
+            }
+            Some(b'"') => self.string_into(&mut String::new()),
+            _ => self.value(depth).map(drop),
+        }
+    }
+
     /// Reads one whole value at nesting `depth` into a tree.
     pub fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.enter(depth)?;
@@ -734,6 +765,11 @@ mod tests {
 
     fn assert_same(text: &str) {
         assert_eq!(Json::parse(text), oracle::parse(text), "input {text:?}");
+        // Skipping reports what parsing does, and stops where it stops.
+        let (mut parsed, mut skipped) = (Reader::new(text), Reader::new(text));
+        let tree = parsed.value(0).map(drop);
+        assert_eq!(skipped.skip_value(0), tree, "skip of {text:?}");
+        assert_eq!(skipped.offset(), parsed.offset(), "skip of {text:?}");
     }
 
     #[test]

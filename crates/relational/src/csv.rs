@@ -16,7 +16,6 @@
 //! quoting wherever it appears, and a delimiter inside quotes is data.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
 use std::io::BufRead;
 
 use crate::error::{RelationalError, Result};
@@ -173,14 +172,20 @@ pub fn csv_header_path(path: &std::path::Path, delimiter: char) -> Result<Option
     Ok(None)
 }
 
-/// Quotes one field if it contains the delimiter, a quote, or leading /
-/// trailing whitespace.
-fn quote_field(field: &str, delimiter: char) -> String {
-    let needs_quoting = field.contains(delimiter) || field.contains('"') || field != field.trim();
-    if needs_quoting {
-        format!("\"{}\"", field.replace('"', "\"\""))
+/// Appends one field, quoted if it contains the delimiter, a quote, or
+/// leading / trailing whitespace (a quote inside is doubled).
+fn push_field(out: &mut String, field: &str, delimiter: char) {
+    if field.contains(delimiter) || field.contains('"') || field != field.trim() {
+        out.push('"');
+        for (i, part) in field.split('"').enumerate() {
+            if i > 0 {
+                out.push_str("\"\"");
+            }
+            out.push_str(part);
+        }
+        out.push('"');
     } else {
-        field.to_string()
+        out.push_str(field);
     }
 }
 
@@ -294,23 +299,28 @@ pub fn read_csv_lenient(
 }
 
 /// Writes a table as CSV (header + one record per row), using each
-/// domain's labels.
+/// domain's labels. Fields go straight into the output; one scratch
+/// buffer holds the label being written.
 pub fn write_csv(table: &Table, delimiter: char) -> String {
     let mut out = String::new();
-    let header: Vec<String> = table
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| quote_field(&a.name, delimiter))
-        .collect();
-    let _ = writeln!(out, "{}", header.join(&delimiter.to_string()));
+    for (i, a) in table.schema().attributes().iter().enumerate() {
+        if i > 0 {
+            out.push(delimiter);
+        }
+        push_field(&mut out, &a.name, delimiter);
+    }
+    out.push('\n');
+    let mut label = String::new();
     for row in 0..table.n_rows() {
-        let fields: Vec<String> = table
-            .columns()
-            .iter()
-            .map(|c| quote_field(&c.domain().label(c.get(row)), delimiter))
-            .collect();
-        let _ = writeln!(out, "{}", fields.join(&delimiter.to_string()));
+        for (i, c) in table.columns().iter().enumerate() {
+            if i > 0 {
+                out.push(delimiter);
+            }
+            label.clear();
+            c.domain().push_label(c.get(row), &mut label);
+            push_field(&mut out, &label, delimiter);
+        }
+        out.push('\n');
     }
     out
 }
@@ -330,6 +340,7 @@ pub fn roles(table: &Table) -> Vec<(&str, &Role)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
 
     const CSV: &str = "\
 CustomerID,Churn,Gender,Age,EmployerID
@@ -425,6 +436,32 @@ c4,yes,M,61.9,e3
             t2.column_by_name("note").unwrap().domain().label(1),
             "say \"hi\""
         );
+    }
+
+    #[test]
+    fn write_csv_quotes_exactly_the_fields_that_need_it() {
+        let labels = Domain::from_labels("l", &["a,b", "say \"hi\"", " lead", "trail ", "plain"]);
+        let t = crate::TableBuilder::new("T")
+            .feature("note, quoted", labels.shared(), vec![0, 1, 2, 3, 4])
+            .feature("id", Domain::indexed("id", 5).shared(), vec![0, 1, 2, 3, 4])
+            .feature(
+                " sp",
+                Domain::indexed(" sp", 5).shared(),
+                vec![4, 3, 2, 1, 0],
+            )
+            .build()
+            .unwrap();
+        assert_eq!(
+            write_csv(&t, ','),
+            "\"note, quoted\",id,\" sp\"\n\
+             \"a,b\",id#0,\" sp#4\"\n\
+             \"say \"\"hi\"\"\",id#1,\" sp#3\"\n\
+             \" lead\",id#2,\" sp#2\"\n\
+             \"trail \",id#3,\" sp#1\"\n\
+             plain,id#4,\" sp#0\"\n"
+        );
+        // Another delimiter quotes by its own rule.
+        assert!(write_csv(&t, ';').starts_with("note, quoted;id;\" sp\"\na,b;id#0;"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! take, and columns store dense `u32` codes into it.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A finite, ordered set of categories for one nominal attribute.
@@ -101,7 +102,22 @@ impl Domain {
     pub fn label(&self, code: u32) -> Cow<'_, str> {
         match &self.kind {
             DomainKind::Labelled(l) => Cow::Borrowed(&l[code as usize]),
-            DomainKind::Indexed(_) => Cow::Owned(format!("{}#{}", self.name, code)),
+            DomainKind::Indexed(_) => {
+                let mut label = String::new();
+                self.push_label(code, &mut label);
+                Cow::Owned(label)
+            }
+        }
+    }
+
+    /// Appends the label of `code` to `out`: what [`Domain::label`]
+    /// returns, without allocating it.
+    pub fn push_label(&self, code: u32, out: &mut String) {
+        match &self.kind {
+            DomainKind::Labelled(l) => out.push_str(&l[code as usize]),
+            DomainKind::Indexed(_) => {
+                let _ = write!(out, "{}#{}", self.name, code);
+            }
         }
     }
 

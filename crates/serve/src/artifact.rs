@@ -32,11 +32,12 @@
 //! corrupt, truncated, or bit-flipped artifacts must never panic (the
 //! workspace no-panic contract, enforced by `tests/no_panic_paths.rs`).
 
+use std::fmt::{self, Display};
 use std::path::Path;
 
 use hamlet_core::ExecStrategy;
 use hamlet_ml::{CodeSource, LogisticRegressionModel, Model, NaiveBayesModel, TanModel};
-use hamlet_obs::json::{obj, Json, Reader};
+use hamlet_obs::json::{write_num, write_str, Reader};
 use hamlet_trees::{CartModel, CartNode, GbtModel, RegNode};
 
 /// First bytes of every artifact: identifies the file type.
@@ -306,217 +307,323 @@ pub struct ModelArtifact {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering
+// Paths
 // ---------------------------------------------------------------------------
 
-fn f64_arr(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
-}
+/// `{0}[{1}]`: the path of an array item. Paths are values that format
+/// only when an error names them.
+struct Item<'a>(&'a dyn Display, usize);
 
-fn usize_arr(xs: &[usize]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x as f64)).collect())
-}
+/// `{0}.{1}`: the path of an object member.
+struct Member<'a>(&'a dyn Display, &'static str);
 
-fn str_arr(xs: &[String]) -> Json {
-    Json::Arr(xs.iter().map(|x| Json::Str(x.clone())).collect())
-}
-
-fn opt_str_arr(xs: &Option<Vec<String>>) -> Json {
-    match xs {
-        Some(v) => str_arr(v),
-        None => Json::Null,
+impl Display for Item<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}]", self.0, self.1)
     }
 }
 
-/// Renders one CART node. Leaves are `{"leaf": class}`; splits carry
-/// their routed feature/value and child arena indices.
-fn cart_node_json(n: &CartNode) -> Json {
-    match n {
-        CartNode::Leaf { class } => obj(vec![("leaf", Json::Num(*class as f64))]),
-        CartNode::Split {
-            feature,
-            value,
-            left,
-            right,
-        } => obj(vec![
-            ("feature", Json::Num(*feature as f64)),
-            ("value", Json::Num(*value as f64)),
-            ("left", Json::Num(*left as f64)),
-            ("right", Json::Num(*right as f64)),
-        ]),
+impl Display for Member<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}", self.0, self.1)
     }
 }
 
-/// Renders one regression-tree node; leaves hold a float value.
-fn reg_node_json(n: &RegNode) -> Json {
-    match n {
-        RegNode::Leaf { value } => obj(vec![("leaf", Json::Num(*value))]),
-        RegNode::Split {
-            feature,
-            value,
-            left,
-            right,
-        } => obj(vec![
-            ("feature", Json::Num(*feature as f64)),
-            ("value", Json::Num(*value as f64)),
-            ("left", Json::Num(*left as f64)),
-            ("right", Json::Num(*right as f64)),
-        ]),
-    }
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// A document written front to back into one buffer, byte for byte what
+/// a `Json` tree of the same values renders.
+struct Writer {
+    out: String,
+    /// The path of the first non-finite number, which is written as
+    /// `null`.
+    non_finite: Option<String>,
 }
 
-fn model_json(model: &ServableModel) -> Json {
-    match model {
-        ServableModel::NaiveBayes(m) => obj(vec![
-            ("family", Json::Str("naive_bayes".into())),
-            ("feats", usize_arr(m.features())),
-            ("n_classes", Json::Num(m.n_classes() as f64)),
-            ("log_prior", f64_arr(m.log_prior())),
-            (
-                "log_cond",
-                Json::Arr(
-                    (0..m.features().len())
-                        .map(|i| f64_arr(m.log_cond(i)))
-                        .collect(),
-                ),
-            ),
-            ("domain_sizes", usize_arr(m.domain_sizes())),
-        ]),
-        ServableModel::LogisticRegression(m) => obj(vec![
-            ("family", Json::Str("logistic_regression".into())),
-            ("feats", usize_arr(m.features())),
-            ("offsets", usize_arr(m.offsets())),
-            ("n_classes", Json::Num(m.n_classes() as f64)),
-            ("dim", Json::Num(m.dim() as f64)),
-            ("weights", f64_arr(m.weights())),
-            ("bias", f64_arr(m.bias())),
-        ]),
-        ServableModel::Tan(m) => obj(vec![
-            ("family", Json::Str("tan".into())),
-            ("feats", usize_arr(m.features())),
-            ("n_classes", Json::Num(m.n_classes() as f64)),
-            ("log_prior", f64_arr(m.log_prior())),
-            (
-                "parents",
-                Json::Arr(
-                    m.parents()
-                        .iter()
-                        .map(|p| match p {
-                            Some(i) => Json::Num(*i as f64),
-                            None => Json::Null,
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "log_cond",
-                Json::Arr(
-                    (0..m.features().len())
-                        .map(|i| f64_arr(m.log_cond(i)))
-                        .collect(),
-                ),
-            ),
-            ("domain_sizes", usize_arr(m.domain_sizes())),
-        ]),
-        ServableModel::Tree(m) => obj(vec![
-            ("family", Json::Str("tree".into())),
-            ("feats", usize_arr(m.features())),
-            ("n_classes", Json::Num(m.n_classes() as f64)),
-            ("root", Json::Num(m.root() as f64)),
-            (
-                "nodes",
-                Json::Arr(m.nodes().iter().map(cart_node_json).collect()),
-            ),
-        ]),
-        ServableModel::Gbt(m) => obj(vec![
-            ("family", Json::Str("gbt".into())),
-            ("feats", usize_arr(m.features())),
-            ("n_classes", Json::Num(m.n_classes() as f64)),
-            ("base", Json::Num(m.base())),
-            ("learning_rate", Json::Num(m.learning_rate())),
-            (
-                "trees",
-                Json::Arr(
-                    m.trees()
-                        .iter()
-                        .map(|t| {
-                            obj(vec![
-                                ("root", Json::Num(t.root() as f64)),
-                                (
-                                    "nodes",
-                                    Json::Arr(t.nodes().iter().map(reg_node_json).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+impl Writer {
+    /// Opens an object member: a `,` after an earlier member, then the
+    /// key. No value ends in `{`, so the buffer tells which comes first.
+    fn key(&mut self, key: &str) {
+        if !self.out.ends_with('{') {
+            self.out.push(',');
+        }
+        write_str(&mut self.out, key);
+        self.out.push(':');
     }
-}
 
-fn payload_json(a: &ModelArtifact) -> Json {
-    obj(vec![
-        ("dataset", Json::Str(a.dataset.clone())),
-        ("n_classes", Json::Num(a.n_classes as f64)),
-        ("class_labels", opt_str_arr(&a.class_labels)),
-        (
-            "features",
-            Json::Arr(
-                a.features
-                    .iter()
-                    .map(|fs| {
-                        obj(vec![
-                            ("name", Json::Str(fs.name.clone())),
-                            ("domain_size", Json::Num(fs.domain_size as f64)),
-                            ("labels", opt_str_arr(&fs.labels)),
-                            (
-                                "fk",
-                                match &fs.fk {
-                                    None => Json::Null,
-                                    Some(fk) => obj(vec![
-                                        ("table", Json::Str(fk.table.clone())),
-                                        ("original_domain", Json::Num(fk.original_domain as f64)),
-                                        ("others_code", Json::Num(fk.others_code as f64)),
-                                    ]),
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "decisions",
-            Json::Arr(
-                a.decisions
-                    .iter()
-                    .map(|d| {
-                        let mut fields = vec![
-                            ("table", Json::Str(d.table.clone())),
-                            ("fk", Json::Str(d.fk.clone())),
-                            ("strategy", Json::Str(d.strategy.name().into())),
-                            ("tuple_ratio", Json::Num(d.tuple_ratio)),
-                            (
-                                "ror",
-                                match d.ror {
-                                    Some(v) => Json::Num(v),
-                                    None => Json::Null,
-                                },
-                            ),
-                            ("avoid", Json::Bool(d.avoid)),
-                            ("foreign_features", str_arr(&d.foreign_features)),
-                        ];
-                        if d.degraded {
-                            fields.push(("degraded", Json::Bool(true)));
+    /// Opens an array item: a `,` after an earlier item.
+    fn item(&mut self) {
+        if !self.out.ends_with('[') {
+            self.out.push(',');
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        write_str(&mut self.out, s);
+    }
+
+    fn count(&mut self, n: usize) {
+        write_num(&mut self.out, n as f64);
+    }
+
+    /// A parameter; a non-finite one keeps its path.
+    fn num(&mut self, x: f64, at: &dyn Display) {
+        if !x.is_finite() && self.non_finite.is_none() {
+            self.non_finite = Some(at.to_string());
+        }
+        write_num(&mut self.out, x);
+    }
+
+    fn nums(&mut self, xs: &[f64], at: &dyn Display) {
+        self.out.push('[');
+        for (i, &x) in xs.iter().enumerate() {
+            self.item();
+            self.num(x, &Item(at, i));
+        }
+        self.out.push(']');
+    }
+
+    fn counts(&mut self, xs: &[usize]) {
+        self.out.push('[');
+        for &x in xs {
+            self.item();
+            self.count(x);
+        }
+        self.out.push(']');
+    }
+
+    fn strs(&mut self, xs: &[String]) {
+        self.out.push('[');
+        for x in xs {
+            self.item();
+            self.str(x);
+        }
+        self.out.push(']');
+    }
+
+    fn opt_strs(&mut self, xs: Option<&[String]>) {
+        match xs {
+            Some(xs) => self.strs(xs),
+            None => self.out.push_str("null"),
+        }
+    }
+
+    /// One conditional table per feature (NB and TAN `log_cond`).
+    fn tables<'m>(&mut self, tables: impl Iterator<Item = &'m [f64]>, at: &dyn Display) {
+        self.out.push('[');
+        for (i, t) in tables.enumerate() {
+            self.item();
+            self.nums(t, &Item(at, i));
+        }
+        self.out.push(']');
+    }
+
+    /// A split node's members (both tree kinds).
+    fn split(&mut self, feature: usize, value: u32, left: u32, right: u32) {
+        self.key("feature");
+        self.count(feature);
+        for (key, n) in [("value", value), ("left", left), ("right", right)] {
+            self.key(key);
+            self.count(n as usize);
+        }
+    }
+
+    fn payload(&mut self, a: &ModelArtifact) {
+        let at: &dyn Display = &"payload";
+        self.out.push('{');
+        self.key("dataset");
+        self.str(&a.dataset);
+        self.key("n_classes");
+        self.count(a.n_classes);
+        self.key("class_labels");
+        self.opt_strs(a.class_labels.as_deref());
+        self.key("features");
+        self.out.push('[');
+        for fs in &a.features {
+            self.item();
+            self.out.push('{');
+            self.key("name");
+            self.str(&fs.name);
+            self.key("domain_size");
+            self.count(fs.domain_size);
+            self.key("labels");
+            self.opt_strs(fs.labels.as_deref());
+            self.key("fk");
+            match &fs.fk {
+                None => self.out.push_str("null"),
+                Some(fk) => {
+                    self.out.push('{');
+                    self.key("table");
+                    self.str(&fk.table);
+                    self.key("original_domain");
+                    self.count(fk.original_domain);
+                    self.key("others_code");
+                    self.count(fk.others_code as usize);
+                    self.out.push('}');
+                }
+            }
+            self.out.push('}');
+        }
+        self.out.push(']');
+        self.key("decisions");
+        self.out.push('[');
+        let decisions = Member(at, "decisions");
+        for (i, d) in a.decisions.iter().enumerate() {
+            let at = Item(&decisions, i);
+            self.item();
+            self.out.push('{');
+            self.key("table");
+            self.str(&d.table);
+            self.key("fk");
+            self.str(&d.fk);
+            self.key("strategy");
+            self.str(d.strategy.name());
+            self.key("tuple_ratio");
+            self.num(d.tuple_ratio, &Member(&at, "tuple_ratio"));
+            self.key("ror");
+            match d.ror {
+                Some(v) => self.num(v, &Member(&at, "ror")),
+                None => self.out.push_str("null"),
+            }
+            self.key("avoid");
+            self.out.push_str(if d.avoid { "true" } else { "false" });
+            self.key("foreign_features");
+            self.strs(&d.foreign_features);
+            if d.degraded {
+                self.key("degraded");
+                self.out.push_str("true");
+            }
+            self.out.push('}');
+        }
+        self.out.push(']');
+        self.key("model");
+        self.model(&a.model, &Member(at, "model"));
+        self.out.push('}');
+    }
+
+    fn model(&mut self, model: &ServableModel, at: &dyn Display) {
+        self.out.push('{');
+        self.key("family");
+        self.str(model.family());
+        self.key("feats");
+        self.counts(model.features());
+        match model {
+            ServableModel::NaiveBayes(m) => {
+                self.key("n_classes");
+                self.count(m.n_classes());
+                self.key("log_prior");
+                self.nums(m.log_prior(), &Member(at, "log_prior"));
+                self.key("log_cond");
+                let tables = (0..m.features().len()).map(|i| m.log_cond(i));
+                self.tables(tables, &Member(at, "log_cond"));
+                self.key("domain_sizes");
+                self.counts(m.domain_sizes());
+            }
+            ServableModel::LogisticRegression(m) => {
+                self.key("offsets");
+                self.counts(m.offsets());
+                self.key("n_classes");
+                self.count(m.n_classes());
+                self.key("dim");
+                self.count(m.dim());
+                self.key("weights");
+                self.nums(m.weights(), &Member(at, "weights"));
+                self.key("bias");
+                self.nums(m.bias(), &Member(at, "bias"));
+            }
+            ServableModel::Tan(m) => {
+                self.key("n_classes");
+                self.count(m.n_classes());
+                self.key("log_prior");
+                self.nums(m.log_prior(), &Member(at, "log_prior"));
+                self.key("parents");
+                self.out.push('[');
+                for p in m.parents() {
+                    self.item();
+                    match p {
+                        Some(i) => self.count(*i),
+                        None => self.out.push_str("null"),
+                    }
+                }
+                self.out.push(']');
+                self.key("log_cond");
+                let tables = (0..m.features().len()).map(|i| m.log_cond(i));
+                self.tables(tables, &Member(at, "log_cond"));
+                self.key("domain_sizes");
+                self.counts(m.domain_sizes());
+            }
+            ServableModel::Tree(m) => {
+                self.key("n_classes");
+                self.count(m.n_classes());
+                self.key("root");
+                self.count(m.root() as usize);
+                self.key("nodes");
+                self.out.push('[');
+                for n in m.nodes() {
+                    self.item();
+                    self.out.push('{');
+                    match *n {
+                        CartNode::Leaf { class } => {
+                            self.key("leaf");
+                            self.count(class as usize);
                         }
-                        obj(fields)
-                    })
-                    .collect(),
-            ),
-        ),
-        ("model", model_json(&a.model)),
-    ])
+                        CartNode::Split {
+                            feature,
+                            value,
+                            left,
+                            right,
+                        } => self.split(feature, value, left, right),
+                    }
+                    self.out.push('}');
+                }
+                self.out.push(']');
+            }
+            ServableModel::Gbt(m) => {
+                self.key("n_classes");
+                self.count(m.n_classes());
+                self.key("base");
+                self.num(m.base(), &Member(at, "base"));
+                self.key("learning_rate");
+                self.num(m.learning_rate(), &Member(at, "learning_rate"));
+                self.key("trees");
+                self.out.push('[');
+                let trees = Member(at, "trees");
+                for (t, tree) in m.trees().iter().enumerate() {
+                    let at = Item(&trees, t);
+                    let nodes = Member(&at, "nodes");
+                    self.item();
+                    self.out.push('{');
+                    self.key("root");
+                    self.count(tree.root() as usize);
+                    self.key("nodes");
+                    self.out.push('[');
+                    for (i, n) in tree.nodes().iter().enumerate() {
+                        self.item();
+                        self.out.push('{');
+                        match *n {
+                            RegNode::Leaf { value } => {
+                                self.key("leaf");
+                                self.num(value, &Member(&Item(&nodes, i), "leaf"));
+                            }
+                            RegNode::Split {
+                                feature,
+                                value,
+                                left,
+                                right,
+                            } => self.split(feature, value, left, right),
+                        }
+                        self.out.push('}');
+                    }
+                    self.out.push(']');
+                    self.out.push('}');
+                }
+                self.out.push(']');
+            }
+        }
+        self.out.push('}');
+    }
 }
 
 /// FNV-1a 64-bit over a byte string.
@@ -534,70 +641,86 @@ fn checksum_of(payload: &str) -> String {
     format!("fnv1a64:{:016x}", fnv1a64(payload.as_bytes()))
 }
 
-/// Renders an artifact to its canonical JSON document.
+/// The document's length when every parameter is at least 1e-3 in
+/// magnitude (a comma, a sign, `0.`, two zeros and 17 significant
+/// digits; a tree node in 64 bytes) and strings need no escapes, so the
+/// buffer is allocated once rather than doubled past the document.
+fn capacity_hint(a: &ModelArtifact) -> usize {
+    const PARAM: usize = 23;
+    const NODE: usize = 64;
+    let strs = |xs: &[String]| xs.iter().map(|s| s.len() + 3).sum::<usize>();
+    let labels = |ls: &Option<Vec<String>>| ls.as_deref().map_or(0, strs);
+    let model = match &a.model {
+        ServableModel::NaiveBayes(m) => {
+            let cells: usize = (0..m.features().len()).map(|i| m.log_cond(i).len()).sum();
+            PARAM * (m.n_classes() + cells)
+        }
+        ServableModel::Tan(m) => {
+            let cells: usize = (0..m.features().len()).map(|i| m.log_cond(i).len()).sum();
+            PARAM * (m.n_classes() + cells)
+        }
+        ServableModel::LogisticRegression(m) => PARAM * (m.weights().len() + m.bias().len()),
+        ServableModel::Tree(m) => NODE * m.nodes().len(),
+        ServableModel::Gbt(m) => m.trees().iter().map(|t| NODE * (t.nodes().len() + 1)).sum(),
+    };
+    let features: usize = a
+        .features
+        .iter()
+        .map(|f| 128 + f.name.len() + labels(&f.labels))
+        .sum();
+    let decisions: usize = a
+        .decisions
+        .iter()
+        .map(|d| 192 + d.table.len() + d.fk.len() + strs(&d.foreign_features))
+        .sum();
+    256 + a.dataset.len() + labels(&a.class_labels) + features + decisions + model
+}
+
+/// Renders the document into one buffer: the envelope with a zeroed
+/// checksum, the payload after it, then the payload's hash written over
+/// the zeros. Also returns the path of the first non-finite parameter,
+/// which the text holds as `null`.
+fn render(a: &ModelArtifact) -> (String, Option<String>) {
+    let mut w = Writer {
+        out: String::with_capacity(capacity_hint(a)),
+        non_finite: None,
+    };
+    w.out.push('{');
+    w.key("magic");
+    w.str(MAGIC);
+    w.key("schema_version");
+    w.count(SCHEMA_VERSION as usize);
+    w.key("checksum");
+    w.out.push_str("\"fnv1a64:");
+    let digits = w.out.len();
+    w.out.push_str("0000000000000000\"");
+    w.key("payload");
+    let start = w.out.len();
+    w.payload(a);
+    let hash = format!("{:016x}", fnv1a64(&w.out.as_bytes()[start..]));
+    w.out.replace_range(digits..digits + hash.len(), &hash);
+    w.out.push('}');
+    (w.out, w.non_finite)
+}
+
+/// Renders an artifact to its canonical JSON document. A non-finite
+/// parameter is written as `null` (which [`from_json_str`] refuses);
+/// [`save`] refuses such a model instead.
 pub fn to_json_string(a: &ModelArtifact) -> String {
-    render_document(&payload_json(a))
-}
-
-/// The envelope around an already-built payload. The payload is
-/// rendered once: its bytes are checksummed and then spliced into the
-/// envelope, byte-identical to rendering the whole envelope object.
-fn render_document(payload: &Json) -> String {
-    let body = payload.to_string();
-    let checksum = checksum_of(&body);
-    let mut out = obj(vec![
-        ("magic", Json::Str(MAGIC.into())),
-        ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
-        ("checksum", Json::Str(checksum)),
-    ])
-    .to_string();
-    out.pop(); // the closing '}'
-    out.reserve(body.len() + 12);
-    out.push_str(",\"payload\":");
-    out.push_str(&body);
-    out.push('}');
-    out
-}
-
-/// Walks a rendered payload and reports the first non-finite number as
-/// a typed error with its JSON path. `Json::Num` renders NaN/Infinity
-/// as `null`, which `finite_of` rejects on load — so a non-finite
-/// parameter (e.g. a diverged logreg weight or a `-inf` log-prob from
-/// degenerate smoothing) must be caught at write time, not deploy time.
-fn check_finite(payload: &Json) -> Result<(), ArtifactError> {
-    match non_finite_path(payload) {
-        None => Ok(()),
-        Some(rest) => Err(ArtifactError::NonFinite {
-            path: format!("payload{rest}"),
-        }),
-    }
-}
-
-/// The path suffix of the first non-finite number under `j`. Built
-/// bottom-up on the way out, so an all-finite walk formats nothing.
-fn non_finite_path(j: &Json) -> Option<String> {
-    match j {
-        Json::Num(n) if !n.is_finite() => Some(String::new()),
-        Json::Arr(items) => items
-            .iter()
-            .enumerate()
-            .find_map(|(i, v)| non_finite_path(v).map(|p| format!("[{i}]{p}"))),
-        Json::Obj(members) => members
-            .iter()
-            .find_map(|(k, v)| non_finite_path(v).map(|p| format!(".{k}{p}"))),
-        _ => None,
-    }
+    render(a).0
 }
 
 /// Writes an artifact atomically (tmp + fsync + rename via
 /// `hamlet_obs::atomic_write`), refusing models with non-finite
-/// parameters (`NonFinite`, naming the JSON path). The payload tree is
-/// built once for both the check and the render.
+/// parameters (`NonFinite`, naming the JSON path of the first). The
+/// check runs as the document is written, so the payload is rendered
+/// once.
 pub fn save(a: &ModelArtifact, path: &Path) -> Result<(), ArtifactError> {
     let mut span = hamlet_obs::span!("serve.artifact_save");
-    let payload = payload_json(a);
-    check_finite(&payload)?;
-    let text = render_document(&payload);
+    let (text, non_finite) = render(a);
+    if let Some(path) = non_finite {
+        return Err(ArtifactError::NonFinite { path });
+    }
     span.record("bytes", text.len());
     hamlet_obs::atomic_write(path, text.as_bytes()).map_err(|e| ArtifactError::Io {
         path: path.display().to_string(),
@@ -622,35 +745,129 @@ pub fn load(path: &Path) -> Result<ModelArtifact, ArtifactError> {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Reading
 // ---------------------------------------------------------------------------
 
 type R<T> = Result<T, ArtifactError>;
+
+/// A syntax error: the document is not JSON. It outranks every other
+/// verdict, so a read goes on to the end of the document and keeps the
+/// schema errors it meets as values.
+type Syntax<T> = Result<T, String>;
+
+/// An object member as read: `None` until it is met, then its typed
+/// value or its schema error, kept until the object's checks ask for
+/// it. A repeated member keeps the first value, the one `Json::get`
+/// found.
+type Slot<T> = Option<R<T>>;
 
 fn schema_err(msg: impl Into<String>) -> ArtifactError {
     ArtifactError::Schema(msg.into())
 }
 
-fn field<'a>(j: &'a Json, key: &str, ctx: &str) -> R<&'a Json> {
-    j.get(key)
-        .ok_or_else(|| schema_err(format!("{ctx}: missing field '{key}'")))
+/// A member's value, or the error naming its absence from `ctx`.
+fn field<T>(slot: Slot<T>, ctx: &dyn Display, key: &str) -> R<T> {
+    slot.unwrap_or_else(|| Err(schema_err(format!("{ctx}: missing field '{key}'"))))
 }
 
-fn str_of(j: &Json, ctx: &str) -> R<String> {
-    j.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| schema_err(format!("{ctx}: expected a string")))
+/// Reads a member's value (at nesting `depth`) into `slot` with `read`,
+/// unless an earlier member of the same name filled it; a repeat is
+/// checked for syntax only.
+fn fill<'a, T>(
+    slot: &mut Slot<T>,
+    r: &mut Reader<'a>,
+    depth: usize,
+    read: impl FnOnce(&mut Reader<'a>) -> Syntax<R<T>>,
+) -> Syntax<()> {
+    if slot.is_some() {
+        return r.skip_value(depth);
+    }
+    *slot = Some(read(r)?);
+    Ok(())
 }
 
-fn finite_of(j: &Json, ctx: &str) -> R<f64> {
-    match j.as_f64() {
+/// Reads the object at nesting `depth`: `member` gets each key and
+/// reads its value (at `depth + 1`). Any other value is read and
+/// dropped, so it decodes as an object without members, which is how
+/// `Json::get` saw it.
+fn object<'a>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    mut member: impl FnMut(&mut Reader<'a>, &str) -> Syntax<()>,
+) -> Syntax<()> {
+    r.skip_ws();
+    if r.peek() != Some(b'{') {
+        return r.skip_value(depth);
+    }
+    let mut key = r.begin_object(depth)?;
+    while let Some(k) = key {
+        member(r, &k)?;
+        key = r.next_member(depth)?;
+    }
+    Ok(())
+}
+
+/// Reads the array at nesting `depth`, each item (at `depth + 1`)
+/// through `item` with its index: the items, or the first item's schema
+/// error. Any other value is read and refused.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    depth: usize,
+    ctx: &dyn Display,
+    mut item: impl FnMut(&mut Reader<'a>, usize) -> Syntax<R<T>>,
+) -> Syntax<R<Vec<T>>> {
+    r.skip_ws();
+    if r.peek() != Some(b'[') {
+        r.skip_value(depth)?;
+        return Ok(Err(schema_err(format!("{ctx}: expected an array"))));
+    }
+    let mut items = Vec::new();
+    let mut first_err = None;
+    let mut more = !r.begin_array()?;
+    let mut i = 0;
+    while more {
+        match item(r, i)? {
+            Ok(v) if first_err.is_none() => items.push(v),
+            Ok(_) => {}
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+        i += 1;
+        more = r.next_item()?;
+    }
+    Ok(first_err.map_or(Ok(items), Err))
+}
+
+/// The number at nesting `depth`, or `None` for any other value, which
+/// is read and dropped.
+fn number(r: &mut Reader<'_>, depth: usize) -> Syntax<Option<f64>> {
+    r.skip_ws();
+    match r.peek() {
+        Some(b'-' | b'0'..=b'9') => Reader::parse_number(r.number_text()).map(Some),
+        _ => r.skip_value(depth).map(|()| None),
+    }
+}
+
+/// Whether the value at nesting `depth` is `null`, which is then read;
+/// any other value is left to the caller.
+fn null(r: &mut Reader<'_>, depth: usize) -> Syntax<bool> {
+    r.skip_ws();
+    if r.peek() != Some(b'n') {
+        return Ok(false);
+    }
+    r.skip_value(depth).map(|()| true)
+}
+
+fn finite(x: Option<f64>, ctx: &dyn Display) -> R<f64> {
+    match x {
         Some(n) if n.is_finite() => Ok(n),
         _ => Err(schema_err(format!("{ctx}: expected a finite number"))),
     }
 }
 
-fn usize_of(j: &Json, ctx: &str) -> R<usize> {
-    let n = finite_of(j, ctx)?;
+fn count(x: Option<f64>, ctx: &dyn Display) -> R<usize> {
+    let n = finite(x, ctx)?;
     if n < 0.0 || n.fract() != 0.0 || n > 9.0e15 {
         return Err(schema_err(format!(
             "{ctx}: expected a non-negative integer, got {n}"
@@ -659,152 +876,725 @@ fn usize_of(j: &Json, ctx: &str) -> R<usize> {
     Ok(n as usize)
 }
 
-fn u32_of(j: &Json, ctx: &str) -> R<u32> {
-    let n = usize_of(j, ctx)?;
+fn code(x: Option<f64>, ctx: &dyn Display) -> R<u32> {
+    let n = count(x, ctx)?;
     u32::try_from(n).map_err(|_| schema_err(format!("{ctx}: {n} does not fit in u32")))
 }
 
-fn arr_of<'a>(j: &'a Json, ctx: &str) -> R<&'a [Json]> {
-    j.as_arr()
-        .ok_or_else(|| schema_err(format!("{ctx}: expected an array")))
+/// The boolean at nesting `depth`; `null` reads as `if_null` when that
+/// is given, and any other value is refused.
+fn boolean(
+    r: &mut Reader<'_>,
+    depth: usize,
+    ctx: &dyn Display,
+    if_null: Option<bool>,
+) -> Syntax<R<bool>> {
+    r.skip_ws();
+    let first = r.peek();
+    r.skip_value(depth)?;
+    // A value that read cleanly and starts with `t`, `f` or `n` is that
+    // literal.
+    Ok(match (first, if_null) {
+        (Some(b't'), _) => Ok(true),
+        (Some(b'f'), _) => Ok(false),
+        (Some(b'n'), Some(v)) => Ok(v),
+        _ => Err(schema_err(format!("{ctx}: expected a boolean"))),
+    })
 }
 
-fn f64s_of(j: &Json, ctx: &str) -> R<Vec<f64>> {
-    arr_of(j, ctx)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| finite_of(v, &format!("{ctx}[{i}]")))
-        .collect()
-}
-
-fn usizes_of(j: &Json, ctx: &str) -> R<Vec<usize>> {
-    arr_of(j, ctx)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| usize_of(v, &format!("{ctx}[{i}]")))
-        .collect()
-}
-
-fn opt_strs_of(j: &Json, ctx: &str) -> R<Option<Vec<String>>> {
-    match j {
-        Json::Null => Ok(None),
-        _ => arr_of(j, ctx)?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| str_of(v, &format!("{ctx}[{i}]")))
-            .collect::<R<Vec<String>>>()
-            .map(Some),
+fn string(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<String>> {
+    r.skip_ws();
+    if r.peek() != Some(b'"') {
+        r.skip_value(depth)?;
+        return Ok(Err(schema_err(format!("{ctx}: expected a string"))));
     }
+    let mut s = String::new();
+    r.string_into(&mut s)?;
+    Ok(Ok(s))
+}
+
+fn strings(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Vec<String>>> {
+    list(r, depth, ctx, |r, i| string(r, depth + 1, &Item(ctx, i)))
+}
+
+/// `null` as `None`, else [`strings`].
+fn opt_strings(
+    r: &mut Reader<'_>,
+    depth: usize,
+    ctx: &dyn Display,
+) -> Syntax<R<Option<Vec<String>>>> {
+    if null(r, depth)? {
+        return Ok(Ok(None));
+    }
+    Ok(strings(r, depth, ctx)?.map(Some))
+}
+
+fn finites(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Vec<f64>>> {
+    list(r, depth, ctx, |r, i| {
+        Ok(finite(number(r, depth + 1)?, &Item(ctx, i)))
+    })
+}
+
+fn counts(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Vec<usize>>> {
+    list(r, depth, ctx, |r, i| {
+        Ok(count(number(r, depth + 1)?, &Item(ctx, i)))
+    })
 }
 
 /// `a * b` with overflow reported as a schema error (a hostile artifact
 /// could otherwise trip a debug overflow panic).
-fn mul(a: usize, b: usize, ctx: &str) -> R<usize> {
+fn mul(a: usize, b: usize, ctx: &dyn Display) -> R<usize> {
     a.checked_mul(b)
         .ok_or_else(|| schema_err(format!("{ctx}: table shape overflows")))
 }
 
-fn parse_feature(j: &Json, ctx: &str) -> R<FeatureSchema> {
-    let name = str_of(field(j, "name", ctx)?, &format!("{ctx}.name"))?;
-    let domain_size = usize_of(field(j, "domain_size", ctx)?, &format!("{ctx}.domain_size"))?;
-    if domain_size == 0 {
-        return Err(schema_err(format!("{ctx}: domain_size must be positive")));
+/// Parses and fully validates an artifact document. Inverse of
+/// [`to_json_string`].
+///
+/// The document is read once, front to back, straight into the model's
+/// storage: no `Json` tree is built. Members may come in any order, with
+/// whitespace between the envelope's tokens; each object is checked
+/// once it closes, and the payload's cross-checks run once the payload
+/// closes. The verdict is the first that applies of: a syntax error
+/// anywhere (`Parse`), `BadMagic`, an envelope `Schema` error or
+/// `UnsupportedVersion` (in field order: `schema_version`, then
+/// `checksum` and `payload`), `ChecksumMismatch`, and the payload's
+/// first `Schema` error.
+///
+/// The checksum is verified over the `payload` value's bytes as they
+/// stand in `text` — the bytes [`save`] hashed and wrote — so nothing is
+/// re-rendered, and an edit inside the payload is a `ChecksumMismatch`
+/// even when it parses to the same value (`1` for `1.0`, a space after
+/// a `,`).
+pub fn from_json_str(text: &str) -> R<ModelArtifact> {
+    let ctx: &dyn Display = &"envelope";
+    let mut magic: Slot<Option<String>> = None;
+    let mut version = None;
+    let mut checksum = None;
+    let mut payload = None;
+    let mut r = Reader::new(text);
+    object(&mut r, 0, |r, key| match key {
+        "magic" => fill(&mut magic, r, 1, |r| Ok(Ok(string(r, 1, ctx)?.ok()))),
+        "schema_version" => fill(&mut version, r, 1, |r| {
+            Ok(count(number(r, 1)?, &Member(ctx, "schema_version")))
+        }),
+        "checksum" => fill(&mut checksum, r, 1, |r| {
+            string(r, 1, &Member(ctx, "checksum"))
+        }),
+        "payload" => fill(&mut payload, r, 1, |r| {
+            r.skip_ws();
+            let start = r.offset();
+            let decoded = read_payload(r)?;
+            Ok(Ok((&text[start..r.offset()], decoded)))
+        }),
+        _ => r.skip_value(1),
+    })
+    .and_then(|()| r.finish())
+    .map_err(ArtifactError::Parse)?;
+
+    let found = magic.and_then(Result::ok).flatten();
+    if found.as_deref() != Some(MAGIC) {
+        return Err(ArtifactError::BadMagic {
+            found: found.unwrap_or_else(|| "<missing>".into()),
+        });
     }
-    let labels = opt_strs_of(field(j, "labels", ctx)?, &format!("{ctx}.labels"))?;
-    if let Some(ls) = &labels {
-        if ls.len() != domain_size {
-            return Err(schema_err(format!(
-                "{ctx}: {} labels for domain_size {domain_size}",
-                ls.len()
-            )));
-        }
+    let version = field(version, ctx, "schema_version")? as u64;
+    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+        return Err(ArtifactError::UnsupportedVersion {
+            found: version,
+            supported: SCHEMA_VERSION,
+        });
     }
-    let fk = match field(j, "fk", ctx)? {
-        Json::Null => None,
-        fkj => {
-            let fctx = format!("{ctx}.fk");
-            let table = str_of(field(fkj, "table", &fctx)?, &format!("{fctx}.table"))?;
-            let original_domain = usize_of(
-                field(fkj, "original_domain", &fctx)?,
-                &format!("{fctx}.original_domain"),
-            )?;
-            let others_code = u32_of(
-                field(fkj, "others_code", &fctx)?,
-                &format!("{fctx}.others_code"),
-            )?;
-            if others_code as usize >= domain_size || original_domain > domain_size {
+    let expected = field(checksum, ctx, "checksum")?;
+    let (payload_text, decoded) = field(payload, ctx, "payload")?;
+    let actual = checksum_of(payload_text);
+    if expected != actual {
+        return Err(ArtifactError::ChecksumMismatch { expected, actual });
+    }
+    decoded
+}
+
+/// The payload's members as read.
+#[derive(Default)]
+struct PayloadIn {
+    dataset: Slot<String>,
+    n_classes: Slot<usize>,
+    class_labels: Slot<Option<Vec<String>>>,
+    features: Slot<Vec<FeatureSchema>>,
+    decisions: Slot<Vec<JoinDecision>>,
+    model: Slot<ModelIn>,
+}
+
+/// Reads the payload (nesting 1) and checks it once it closes.
+fn read_payload(r: &mut Reader<'_>) -> Syntax<R<ModelArtifact>> {
+    const D: usize = 2;
+    let ctx: &dyn Display = &"payload";
+    let mut p = PayloadIn::default();
+    object(r, 1, |r, key| match key {
+        "dataset" => fill(&mut p.dataset, r, D, |r| {
+            string(r, D, &Member(ctx, "dataset"))
+        }),
+        "n_classes" => fill(&mut p.n_classes, r, D, |r| {
+            Ok(count(number(r, D)?, &Member(ctx, "n_classes")))
+        }),
+        "class_labels" => fill(&mut p.class_labels, r, D, |r| {
+            opt_strings(r, D, &Member(ctx, "class_labels"))
+        }),
+        "features" => fill(&mut p.features, r, D, |r| {
+            let at = Member(ctx, "features");
+            list(r, D, &at, |r, i| read_feature(r, D + 1, &Item(&at, i)))
+        }),
+        "decisions" => fill(&mut p.decisions, r, D, |r| {
+            let at = Member(ctx, "decisions");
+            list(r, D, &at, |r, i| read_decision(r, D + 1, &Item(&at, i)))
+        }),
+        "model" => fill(&mut p.model, r, D, |r| read_model(r, D).map(Ok)),
+        _ => r.skip_value(D),
+    })?;
+    Ok(p.check())
+}
+
+impl PayloadIn {
+    fn check(self) -> R<ModelArtifact> {
+        let ctx: &dyn Display = &"payload";
+        let dataset = field(self.dataset, ctx, "dataset")?;
+        let n_classes = field(self.n_classes, ctx, "n_classes")?;
+        let class_labels = field(self.class_labels, ctx, "class_labels")?;
+        if let Some(ls) = &class_labels {
+            if ls.len() != n_classes {
                 return Err(schema_err(format!(
-                    "{fctx}: cold-start mapping exceeds the trained domain \
-                     (others_code {others_code}, original_domain {original_domain}, \
-                     domain_size {domain_size})"
+                    "payload.class_labels: {} labels for {n_classes} classes",
+                    ls.len()
                 )));
             }
-            Some(FkColdStart {
-                table,
-                original_domain,
-                others_code,
-            })
         }
-    };
-    Ok(FeatureSchema {
-        name,
-        domain_size,
-        labels,
-        fk,
-    })
+        let features = field(self.features, ctx, "features")?;
+        let decisions = field(self.decisions, ctx, "decisions")?;
+        let model = field(self.model, ctx, "model")?.check(&features, n_classes)?;
+        Ok(ModelArtifact {
+            dataset,
+            n_classes,
+            class_labels,
+            features,
+            decisions,
+            model,
+        })
+    }
 }
 
-fn parse_decision(j: &Json, ctx: &str) -> R<JoinDecision> {
-    let strategy_name = str_of(field(j, "strategy", ctx)?, &format!("{ctx}.strategy"))?;
-    let strategy = ExecStrategy::from_name(&strategy_name).ok_or_else(|| {
-        schema_err(format!(
-            "{ctx}.strategy: unknown strategy '{strategy_name}' \
-             (expected materialize|factorize|avoid)"
-        ))
+/// One feature's members as read.
+#[derive(Default)]
+struct FeatureIn {
+    name: Slot<String>,
+    domain_size: Slot<usize>,
+    labels: Slot<Option<Vec<String>>>,
+    fk: Slot<Option<FkIn>>,
+}
+
+/// A feature's `fk` members as read.
+#[derive(Default)]
+struct FkIn {
+    table: Slot<String>,
+    original_domain: Slot<usize>,
+    others_code: Slot<u32>,
+}
+
+fn read_feature(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<FeatureSchema>> {
+    let d = depth + 1;
+    let mut f = FeatureIn::default();
+    object(r, depth, |r, key| match key {
+        "name" => fill(&mut f.name, r, d, |r| string(r, d, &Member(ctx, "name"))),
+        "domain_size" => fill(&mut f.domain_size, r, d, |r| {
+            Ok(count(number(r, d)?, &Member(ctx, "domain_size")))
+        }),
+        "labels" => fill(&mut f.labels, r, d, |r| {
+            opt_strings(r, d, &Member(ctx, "labels"))
+        }),
+        "fk" => fill(&mut f.fk, r, d, |r| {
+            if null(r, d)? {
+                return Ok(Ok(None));
+            }
+            let fctx = Member(ctx, "fk");
+            let mut fk = FkIn::default();
+            object(r, d, |r, key| match key {
+                "table" => fill(&mut fk.table, r, d + 1, |r| {
+                    string(r, d + 1, &Member(&fctx, "table"))
+                }),
+                "original_domain" => fill(&mut fk.original_domain, r, d + 1, |r| {
+                    Ok(count(number(r, d + 1)?, &Member(&fctx, "original_domain")))
+                }),
+                "others_code" => fill(&mut fk.others_code, r, d + 1, |r| {
+                    Ok(code(number(r, d + 1)?, &Member(&fctx, "others_code")))
+                }),
+                _ => r.skip_value(d + 1),
+            })?;
+            Ok(Ok(Some(fk)))
+        }),
+        _ => r.skip_value(d),
     })?;
-    let ror = match field(j, "ror", ctx)? {
-        Json::Null => None,
-        v => Some(finite_of(v, &format!("{ctx}.ror"))?),
-    };
-    let avoid = match field(j, "avoid", ctx)? {
-        Json::Bool(b) => *b,
-        _ => return Err(schema_err(format!("{ctx}.avoid: expected a boolean"))),
-    };
-    let foreign_features = opt_strs_of(
-        field(j, "foreign_features", ctx)?,
-        &format!("{ctx}.foreign_features"),
-    )?
-    .ok_or_else(|| schema_err(format!("{ctx}.foreign_features: expected an array")))?;
-    // Optional: absent in artifacts from non-degraded builds (and in
-    // every pre-degraded artifact).
-    let degraded = match j.get("degraded") {
-        None | Some(Json::Null) => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err(schema_err(format!("{ctx}.degraded: expected a boolean"))),
-    };
-    Ok(JoinDecision {
-        table: str_of(field(j, "table", ctx)?, &format!("{ctx}.table"))?,
-        fk: str_of(field(j, "fk", ctx)?, &format!("{ctx}.fk"))?,
-        strategy,
-        tuple_ratio: finite_of(field(j, "tuple_ratio", ctx)?, &format!("{ctx}.tuple_ratio"))?,
-        ror,
-        avoid,
-        foreign_features,
-        degraded,
-    })
+    Ok(f.check(ctx))
 }
 
-/// Decodes `feats`/`domain_sizes` and cross-checks them against the
-/// feature schema, returning `(feats, domain_sizes)`.
-fn parse_feats(j: &Json, features: &[FeatureSchema], ctx: &str) -> R<(Vec<usize>, Vec<usize>)> {
-    let feats = usizes_of(field(j, "feats", ctx)?, &format!("{ctx}.feats"))?;
-    let domain_sizes = usizes_of(
-        field(j, "domain_sizes", ctx)?,
-        &format!("{ctx}.domain_sizes"),
-    )?;
+impl FeatureIn {
+    fn check(self, ctx: &dyn Display) -> R<FeatureSchema> {
+        let name = field(self.name, ctx, "name")?;
+        let domain_size = field(self.domain_size, ctx, "domain_size")?;
+        if domain_size == 0 {
+            return Err(schema_err(format!("{ctx}: domain_size must be positive")));
+        }
+        let labels = field(self.labels, ctx, "labels")?;
+        if let Some(ls) = &labels {
+            if ls.len() != domain_size {
+                return Err(schema_err(format!(
+                    "{ctx}: {} labels for domain_size {domain_size}",
+                    ls.len()
+                )));
+            }
+        }
+        let fk = match field(self.fk, ctx, "fk")? {
+            None => None,
+            Some(fk) => {
+                let fctx = Member(ctx, "fk");
+                let table = field(fk.table, &fctx, "table")?;
+                let original_domain = field(fk.original_domain, &fctx, "original_domain")?;
+                let others_code = field(fk.others_code, &fctx, "others_code")?;
+                if others_code as usize >= domain_size || original_domain > domain_size {
+                    return Err(schema_err(format!(
+                        "{fctx}: cold-start mapping exceeds the trained domain \
+                         (others_code {others_code}, original_domain {original_domain}, \
+                         domain_size {domain_size})"
+                    )));
+                }
+                Some(FkColdStart {
+                    table,
+                    original_domain,
+                    others_code,
+                })
+            }
+        };
+        Ok(FeatureSchema {
+            name,
+            domain_size,
+            labels,
+            fk,
+        })
+    }
+}
+
+/// One join decision's members as read.
+#[derive(Default)]
+struct DecisionIn {
+    table: Slot<String>,
+    fk: Slot<String>,
+    strategy: Slot<String>,
+    tuple_ratio: Slot<f64>,
+    ror: Slot<Option<f64>>,
+    avoid: Slot<bool>,
+    foreign_features: Slot<Vec<String>>,
+    degraded: Slot<bool>,
+}
+
+fn read_decision(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<JoinDecision>> {
+    let d = depth + 1;
+    let mut x = DecisionIn::default();
+    object(r, depth, |r, key| match key {
+        "table" => fill(&mut x.table, r, d, |r| string(r, d, &Member(ctx, "table"))),
+        "fk" => fill(&mut x.fk, r, d, |r| string(r, d, &Member(ctx, "fk"))),
+        "strategy" => fill(&mut x.strategy, r, d, |r| {
+            string(r, d, &Member(ctx, "strategy"))
+        }),
+        "tuple_ratio" => fill(&mut x.tuple_ratio, r, d, |r| {
+            Ok(finite(number(r, d)?, &Member(ctx, "tuple_ratio")))
+        }),
+        "ror" => fill(&mut x.ror, r, d, |r| {
+            if null(r, d)? {
+                return Ok(Ok(None));
+            }
+            Ok(finite(number(r, d)?, &Member(ctx, "ror")).map(Some))
+        }),
+        "avoid" => fill(&mut x.avoid, r, d, |r| {
+            boolean(r, d, &Member(ctx, "avoid"), None)
+        }),
+        "foreign_features" => fill(&mut x.foreign_features, r, d, |r| {
+            strings(r, d, &Member(ctx, "foreign_features"))
+        }),
+        // Optional: absent in artifacts from non-degraded builds (and
+        // in every pre-degraded artifact).
+        "degraded" => fill(&mut x.degraded, r, d, |r| {
+            boolean(r, d, &Member(ctx, "degraded"), Some(false))
+        }),
+        _ => r.skip_value(d),
+    })?;
+    Ok(x.check(ctx))
+}
+
+impl DecisionIn {
+    fn check(self, ctx: &dyn Display) -> R<JoinDecision> {
+        let strategy_name = field(self.strategy, ctx, "strategy")?;
+        let strategy = ExecStrategy::from_name(&strategy_name).ok_or_else(|| {
+            schema_err(format!(
+                "{ctx}.strategy: unknown strategy '{strategy_name}' \
+                 (expected materialize|factorize|avoid)"
+            ))
+        })?;
+        let ror = field(self.ror, ctx, "ror")?;
+        let avoid = field(self.avoid, ctx, "avoid")?;
+        let foreign_features = field(self.foreign_features, ctx, "foreign_features")?;
+        let degraded = self.degraded.unwrap_or(Ok(false))?;
+        Ok(JoinDecision {
+            table: field(self.table, ctx, "table")?,
+            fk: field(self.fk, ctx, "fk")?,
+            strategy,
+            tuple_ratio: field(self.tuple_ratio, ctx, "tuple_ratio")?,
+            ror,
+            avoid,
+            foreign_features,
+            degraded,
+        })
+    }
+}
+
+/// The model's members as read. Which of them count depends on
+/// `family`, which may come last, so every known member is decoded and
+/// the family's own are checked once the payload closes (they are
+/// checked against the payload's schema and class count).
+#[derive(Default)]
+struct ModelIn {
+    family: Slot<String>,
+    n_classes: Slot<usize>,
+    feats: Slot<Vec<usize>>,
+    domain_sizes: Slot<Vec<usize>>,
+    log_prior: Slot<Vec<f64>>,
+    /// Per table: its cells, or its own schema error.
+    log_cond: Slot<Vec<R<Vec<f64>>>>,
+    /// Per feature: its parent, or its own schema error.
+    parents: Slot<Vec<R<Option<usize>>>>,
+    offsets: Slot<Vec<usize>>,
+    dim: Slot<usize>,
+    weights: Slot<Vec<f64>>,
+    bias: Slot<Vec<f64>>,
+    root: Slot<u32>,
+    nodes: Slot<Vec<CartNode>>,
+    base: Slot<f64>,
+    learning_rate: Slot<f64>,
+    trees: Slot<Vec<(Vec<RegNode>, u32)>>,
+}
+
+fn read_model(r: &mut Reader<'_>, depth: usize) -> Syntax<ModelIn> {
+    let d = depth + 1;
+    let ctx: &dyn Display = &"model";
+    let mut m = ModelIn::default();
+    object(r, depth, |r, key| match key {
+        "family" => fill(&mut m.family, r, d, |r| {
+            string(r, d, &Member(ctx, "family"))
+        }),
+        "n_classes" => fill(&mut m.n_classes, r, d, |r| {
+            Ok(count(number(r, d)?, &Member(ctx, "n_classes")))
+        }),
+        "feats" => fill(&mut m.feats, r, d, |r| counts(r, d, &Member(ctx, "feats"))),
+        "domain_sizes" => fill(&mut m.domain_sizes, r, d, |r| {
+            counts(r, d, &Member(ctx, "domain_sizes"))
+        }),
+        "log_prior" => fill(&mut m.log_prior, r, d, |r| {
+            finites(r, d, &Member(ctx, "log_prior"))
+        }),
+        "log_cond" => fill(&mut m.log_cond, r, d, |r| {
+            let at = Member(ctx, "log_cond");
+            list(r, d, &at, |r, i| Ok(Ok(finites(r, d + 1, &Item(&at, i))?)))
+        }),
+        "parents" => fill(&mut m.parents, r, d, |r| {
+            let at = Member(ctx, "parents");
+            list(r, d, &at, |r, i| {
+                if null(r, d + 1)? {
+                    return Ok(Ok(Ok(None)));
+                }
+                Ok(Ok(count(number(r, d + 1)?, &Item(&at, i)).map(Some)))
+            })
+        }),
+        "offsets" => fill(&mut m.offsets, r, d, |r| {
+            counts(r, d, &Member(ctx, "offsets"))
+        }),
+        "dim" => fill(&mut m.dim, r, d, |r| {
+            Ok(count(number(r, d)?, &Member(ctx, "dim")))
+        }),
+        "weights" => fill(&mut m.weights, r, d, |r| {
+            finites(r, d, &Member(ctx, "weights"))
+        }),
+        "bias" => fill(&mut m.bias, r, d, |r| finites(r, d, &Member(ctx, "bias"))),
+        "root" => fill(&mut m.root, r, d, |r| {
+            Ok(code(number(r, d)?, &Member(ctx, "root")))
+        }),
+        "nodes" => fill(&mut m.nodes, r, d, |r| {
+            let at = Member(ctx, "nodes");
+            list(r, d, &at, |r, i| {
+                Ok(read_node(r, d + 1)?.cart(&Item(&at, i)))
+            })
+        }),
+        "base" => fill(&mut m.base, r, d, |r| {
+            Ok(finite(number(r, d)?, &Member(ctx, "base")))
+        }),
+        "learning_rate" => fill(&mut m.learning_rate, r, d, |r| {
+            Ok(finite(number(r, d)?, &Member(ctx, "learning_rate")))
+        }),
+        "trees" => fill(&mut m.trees, r, d, |r| {
+            let at = Member(ctx, "trees");
+            list(r, d, &at, |r, t| read_reg_tree(r, d + 1, &Item(&at, t)))
+        }),
+        _ => r.skip_value(d),
+    })?;
+    Ok(m)
+}
+
+/// One regression tree of a GBT model: its nodes and root.
+fn read_reg_tree(
+    r: &mut Reader<'_>,
+    depth: usize,
+    ctx: &dyn Display,
+) -> Syntax<R<(Vec<RegNode>, u32)>> {
+    let d = depth + 1;
+    let (mut root, mut nodes) = (None, None);
+    object(r, depth, |r, key| match key {
+        "root" => fill(&mut root, r, d, |r| {
+            Ok(code(number(r, d)?, &Member(ctx, "root")))
+        }),
+        "nodes" => fill(&mut nodes, r, d, |r| {
+            let at = Member(ctx, "nodes");
+            list(
+                r,
+                d,
+                &at,
+                |r, i| Ok(read_node(r, d + 1)?.reg(&Item(&at, i))),
+            )
+        }),
+        _ => r.skip_value(d),
+    })?;
+    Ok(field(root, ctx, "root").and_then(|root| Ok((field(nodes, ctx, "nodes")?, root))))
+}
+
+/// A tree node's members as read, as plain numbers (`None` for any
+/// other value): the leaf's type depends on the tree.
+#[derive(Default)]
+struct NodeIn {
+    leaf: Slot<Option<f64>>,
+    feature: Slot<Option<f64>>,
+    value: Slot<Option<f64>>,
+    left: Slot<Option<f64>>,
+    right: Slot<Option<f64>>,
+}
+
+fn read_node(r: &mut Reader<'_>, depth: usize) -> Syntax<NodeIn> {
+    let d = depth + 1;
+    let mut n = NodeIn::default();
+    object(r, depth, |r, key| {
+        let slot = match key {
+            "leaf" => &mut n.leaf,
+            "feature" => &mut n.feature,
+            "value" => &mut n.value,
+            "left" => &mut n.left,
+            "right" => &mut n.right,
+            _ => return r.skip_value(d),
+        };
+        fill(slot, r, d, |r| Ok(Ok(number(r, d)?)))
+    })?;
+    Ok(n)
+}
+
+impl NodeIn {
+    /// A split's `feature`, `value`, `left` and `right`, checked in
+    /// that order.
+    fn split(self, ctx: &dyn Display) -> R<(usize, u32, u32, u32)> {
+        let feature = count(
+            field(self.feature, ctx, "feature")?,
+            &Member(ctx, "feature"),
+        )?;
+        let value = code(field(self.value, ctx, "value")?, &Member(ctx, "value"))?;
+        let left = code(field(self.left, ctx, "left")?, &Member(ctx, "left"))?;
+        let right = code(field(self.right, ctx, "right")?, &Member(ctx, "right"))?;
+        Ok((feature, value, left, right))
+    }
+
+    /// A CART node: `{"leaf": class}` or a split.
+    fn cart(self, ctx: &dyn Display) -> R<CartNode> {
+        if let Some(leaf) = self.leaf {
+            let class = code(leaf?, &Member(ctx, "leaf"))?;
+            return Ok(CartNode::Leaf { class });
+        }
+        let (feature, value, left, right) = self.split(ctx)?;
+        Ok(CartNode::Split {
+            feature,
+            value,
+            left,
+            right,
+        })
+    }
+
+    /// A regression-tree node: `{"leaf": value}` or a split.
+    fn reg(self, ctx: &dyn Display) -> R<RegNode> {
+        if let Some(leaf) = self.leaf {
+            let value = finite(leaf?, &Member(ctx, "leaf"))?;
+            return Ok(RegNode::Leaf { value });
+        }
+        let (feature, value, left, right) = self.split(ctx)?;
+        Ok(RegNode::Split {
+            feature,
+            value,
+            left,
+            right,
+        })
+    }
+}
+
+impl ModelIn {
+    /// Checks the family's members in the order, and with the
+    /// messages, of the tree parser this decoder replaced.
+    fn check(self, features: &[FeatureSchema], n_classes: usize) -> R<ServableModel> {
+        let ctx: &dyn Display = &"model";
+        let family = field(self.family, ctx, "family")?;
+        let mc = field(self.n_classes, ctx, "n_classes")?;
+        if mc != n_classes || n_classes == 0 {
+            return Err(schema_err(format!(
+                "model.n_classes {mc} disagrees with artifact n_classes {n_classes}"
+            )));
+        }
+        match family.as_str() {
+            "naive_bayes" => {
+                let (feats, domain_sizes) = schema_feats(self.feats, self.domain_sizes, features)?;
+                let log_prior = log_prior(self.log_prior, n_classes)?;
+                let log_cond = log_cond(self.log_cond, feats.len(), |i, ctx| {
+                    mul(n_classes, domain_sizes[i], ctx)
+                })?;
+                Ok(ServableModel::NaiveBayes(NaiveBayesModel::from_parts(
+                    feats,
+                    n_classes,
+                    log_prior,
+                    log_cond,
+                    domain_sizes,
+                )))
+            }
+            "logistic_regression" => {
+                let feats = field(self.feats, ctx, "feats")?;
+                let offsets = field(self.offsets, ctx, "offsets")?;
+                let dim = field(self.dim, ctx, "dim")?;
+                if offsets.len() != feats.len() {
+                    return Err(schema_err(format!(
+                        "model.offsets: {} entries for {} feats",
+                        offsets.len(),
+                        feats.len()
+                    )));
+                }
+                for (i, (&f, &off)) in feats.iter().zip(&offsets).enumerate() {
+                    let fs = features.get(f).ok_or_else(|| {
+                        schema_err(format!(
+                            "model.feats[{i}]: feature position {f} is outside the schema"
+                        ))
+                    })?;
+                    let end = off
+                        .checked_add(fs.domain_size)
+                        .ok_or_else(|| schema_err(format!("model.offsets[{i}]: overflows")))?;
+                    if end > dim {
+                        return Err(schema_err(format!(
+                            "model.offsets[{i}]: block [{off}, {end}) of feature '{}' \
+                             exceeds dim {dim}",
+                            fs.name
+                        )));
+                    }
+                }
+                let weights = field(self.weights, ctx, "weights")?;
+                let bias = field(self.bias, ctx, "bias")?;
+                if weights.len() != mul(n_classes, dim, &"model.weights")? {
+                    return Err(schema_err(format!(
+                        "model.weights: {} cells, expected n_classes {n_classes} x dim {dim}",
+                        weights.len()
+                    )));
+                }
+                if bias.len() != n_classes {
+                    return Err(schema_err(format!(
+                        "model.bias: {} entries for {n_classes} classes",
+                        bias.len()
+                    )));
+                }
+                Ok(ServableModel::LogisticRegression(
+                    LogisticRegressionModel::from_parts(
+                        feats, offsets, n_classes, dim, weights, bias,
+                    ),
+                ))
+            }
+            "tan" => {
+                let (feats, domain_sizes) = schema_feats(self.feats, self.domain_sizes, features)?;
+                let log_prior = log_prior(self.log_prior, n_classes)?;
+                let parents = field(self.parents, ctx, "parents")?;
+                if parents.len() != feats.len() {
+                    return Err(schema_err(format!(
+                        "model.parents: {} entries for {} feats",
+                        parents.len(),
+                        feats.len()
+                    )));
+                }
+                let parents = parents
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, p)| match p? {
+                        Some(idx) if idx >= feats.len() => Err(schema_err(format!(
+                            "model.parents[{i}]: parent {idx} is outside the \
+                             {}-feature model",
+                            feats.len()
+                        ))),
+                        p => Ok(p),
+                    })
+                    .collect::<R<Vec<Option<usize>>>>()?;
+                let log_cond = log_cond(self.log_cond, feats.len(), |i, ctx| match parents[i] {
+                    None => mul(n_classes, domain_sizes[i], ctx),
+                    Some(p) => mul(mul(n_classes, domain_sizes[p], ctx)?, domain_sizes[i], ctx),
+                })?;
+                Ok(ServableModel::Tan(TanModel::from_parts(
+                    feats,
+                    n_classes,
+                    log_prior,
+                    parents,
+                    log_cond,
+                    domain_sizes,
+                )))
+            }
+            "tree" => {
+                let feats = field(self.feats, ctx, "feats")?;
+                check_model_feats(&feats, features)?;
+                let root = field(self.root, ctx, "root")?;
+                let nodes = field(self.nodes, ctx, "nodes")?;
+                CartModel::from_parts(feats, n_classes, features.len(), nodes, root)
+                    .map(ServableModel::Tree)
+                    .map_err(|e| schema_err(format!("model: {e}")))
+            }
+            "gbt" => {
+                let feats = field(self.feats, ctx, "feats")?;
+                check_model_feats(&feats, features)?;
+                let base = field(self.base, ctx, "base")?;
+                let learning_rate = field(self.learning_rate, ctx, "learning_rate")?;
+                let trees = field(self.trees, ctx, "trees")?;
+                GbtModel::from_parts(feats, n_classes, features.len(), base, learning_rate, trees)
+                    .map(ServableModel::Gbt)
+                    .map_err(|e| schema_err(format!("model: {e}")))
+            }
+            other => Err(schema_err(format!(
+                "model.family: unknown family '{other}' \
+                 (expected naive_bayes|logistic_regression|tan|tree|gbt)"
+            ))),
+        }
+    }
+}
+
+/// `feats` and `domain_sizes`, cross-checked against the feature
+/// schema.
+fn schema_feats(
+    feats: Slot<Vec<usize>>,
+    domain_sizes: Slot<Vec<usize>>,
+    features: &[FeatureSchema],
+) -> R<(Vec<usize>, Vec<usize>)> {
+    let ctx: &dyn Display = &"model";
+    let feats = field(feats, ctx, "feats")?;
+    let domain_sizes = field(domain_sizes, ctx, "domain_sizes")?;
     if domain_sizes.len() != feats.len() {
         return Err(schema_err(format!(
-            "{ctx}: {} domain_sizes for {} feats",
+            "model: {} domain_sizes for {} feats",
             domain_sizes.len(),
             feats.len()
         )));
@@ -812,14 +1602,14 @@ fn parse_feats(j: &Json, features: &[FeatureSchema], ctx: &str) -> R<(Vec<usize>
     for (i, &f) in feats.iter().enumerate() {
         let fs = features.get(f).ok_or_else(|| {
             schema_err(format!(
-                "{ctx}.feats[{i}]: feature position {f} is outside the schema \
+                "model.feats[{i}]: feature position {f} is outside the schema \
                  ({} features)",
                 features.len()
             ))
         })?;
         if domain_sizes[i] != fs.domain_size {
             return Err(schema_err(format!(
-                "{ctx}.domain_sizes[{i}]: {} disagrees with schema domain {} \
+                "model.domain_sizes[{i}]: {} disagrees with schema domain {} \
                  of feature '{}'",
                 domain_sizes[i], fs.domain_size, fs.name
             )));
@@ -828,221 +1618,13 @@ fn parse_feats(j: &Json, features: &[FeatureSchema], ctx: &str) -> R<(Vec<usize>
     Ok((feats, domain_sizes))
 }
 
-fn parse_model(j: &Json, features: &[FeatureSchema], n_classes: usize) -> R<ServableModel> {
-    let ctx = "model";
-    let family = str_of(field(j, "family", ctx)?, "model.family")?;
-    let mc = usize_of(field(j, "n_classes", ctx)?, "model.n_classes")?;
-    if mc != n_classes || n_classes == 0 {
-        return Err(schema_err(format!(
-            "model.n_classes {mc} disagrees with artifact n_classes {n_classes}"
-        )));
-    }
-    match family.as_str() {
-        "naive_bayes" => {
-            let (feats, domain_sizes) = parse_feats(j, features, ctx)?;
-            let log_prior = f64s_of(field(j, "log_prior", ctx)?, "model.log_prior")?;
-            if log_prior.len() != n_classes {
-                return Err(schema_err(format!(
-                    "model.log_prior: {} entries for {n_classes} classes",
-                    log_prior.len()
-                )));
-            }
-            let cond = arr_of(field(j, "log_cond", ctx)?, "model.log_cond")?;
-            if cond.len() != feats.len() {
-                return Err(schema_err(format!(
-                    "model.log_cond: {} tables for {} feats",
-                    cond.len(),
-                    feats.len()
-                )));
-            }
-            let mut log_cond = Vec::with_capacity(cond.len());
-            for (i, t) in cond.iter().enumerate() {
-                let ctx_i = format!("model.log_cond[{i}]");
-                let table = f64s_of(t, &ctx_i)?;
-                let want = mul(n_classes, domain_sizes[i], &ctx_i)?;
-                if table.len() != want {
-                    return Err(schema_err(format!(
-                        "{ctx_i}: {} cells, expected {want}",
-                        table.len()
-                    )));
-                }
-                log_cond.push(table);
-            }
-            Ok(ServableModel::NaiveBayes(NaiveBayesModel::from_parts(
-                feats,
-                n_classes,
-                log_prior,
-                log_cond,
-                domain_sizes,
-            )))
-        }
-        "logistic_regression" => {
-            let feats = usizes_of(field(j, "feats", ctx)?, "model.feats")?;
-            let offsets = usizes_of(field(j, "offsets", ctx)?, "model.offsets")?;
-            let dim = usize_of(field(j, "dim", ctx)?, "model.dim")?;
-            if offsets.len() != feats.len() {
-                return Err(schema_err(format!(
-                    "model.offsets: {} entries for {} feats",
-                    offsets.len(),
-                    feats.len()
-                )));
-            }
-            for (i, (&f, &off)) in feats.iter().zip(&offsets).enumerate() {
-                let fs = features.get(f).ok_or_else(|| {
-                    schema_err(format!(
-                        "model.feats[{i}]: feature position {f} is outside the schema"
-                    ))
-                })?;
-                let end = off
-                    .checked_add(fs.domain_size)
-                    .ok_or_else(|| schema_err(format!("model.offsets[{i}]: overflows")))?;
-                if end > dim {
-                    return Err(schema_err(format!(
-                        "model.offsets[{i}]: block [{off}, {end}) of feature '{}' \
-                         exceeds dim {dim}",
-                        fs.name
-                    )));
-                }
-            }
-            let weights = f64s_of(field(j, "weights", ctx)?, "model.weights")?;
-            let bias = f64s_of(field(j, "bias", ctx)?, "model.bias")?;
-            if weights.len() != mul(n_classes, dim, "model.weights")? {
-                return Err(schema_err(format!(
-                    "model.weights: {} cells, expected n_classes {n_classes} x dim {dim}",
-                    weights.len()
-                )));
-            }
-            if bias.len() != n_classes {
-                return Err(schema_err(format!(
-                    "model.bias: {} entries for {n_classes} classes",
-                    bias.len()
-                )));
-            }
-            Ok(ServableModel::LogisticRegression(
-                LogisticRegressionModel::from_parts(feats, offsets, n_classes, dim, weights, bias),
-            ))
-        }
-        "tan" => {
-            let (feats, domain_sizes) = parse_feats(j, features, ctx)?;
-            let log_prior = f64s_of(field(j, "log_prior", ctx)?, "model.log_prior")?;
-            if log_prior.len() != n_classes {
-                return Err(schema_err(format!(
-                    "model.log_prior: {} entries for {n_classes} classes",
-                    log_prior.len()
-                )));
-            }
-            let parents_j = arr_of(field(j, "parents", ctx)?, "model.parents")?;
-            if parents_j.len() != feats.len() {
-                return Err(schema_err(format!(
-                    "model.parents: {} entries for {} feats",
-                    parents_j.len(),
-                    feats.len()
-                )));
-            }
-            let mut parents = Vec::with_capacity(parents_j.len());
-            for (i, p) in parents_j.iter().enumerate() {
-                match p {
-                    Json::Null => parents.push(None),
-                    v => {
-                        let idx = usize_of(v, &format!("model.parents[{i}]"))?;
-                        if idx >= feats.len() {
-                            return Err(schema_err(format!(
-                                "model.parents[{i}]: parent {idx} is outside the \
-                                 {}-feature model",
-                                feats.len()
-                            )));
-                        }
-                        parents.push(Some(idx));
-                    }
-                }
-            }
-            let cond = arr_of(field(j, "log_cond", ctx)?, "model.log_cond")?;
-            if cond.len() != feats.len() {
-                return Err(schema_err(format!(
-                    "model.log_cond: {} tables for {} feats",
-                    cond.len(),
-                    feats.len()
-                )));
-            }
-            let mut log_cond = Vec::with_capacity(cond.len());
-            for (i, t) in cond.iter().enumerate() {
-                let ctx_i = format!("model.log_cond[{i}]");
-                let table = f64s_of(t, &ctx_i)?;
-                let want = match parents[i] {
-                    None => mul(n_classes, domain_sizes[i], &ctx_i)?,
-                    Some(p) => mul(
-                        mul(n_classes, domain_sizes[p], &ctx_i)?,
-                        domain_sizes[i],
-                        &ctx_i,
-                    )?,
-                };
-                if table.len() != want {
-                    return Err(schema_err(format!(
-                        "{ctx_i}: {} cells, expected {want}",
-                        table.len()
-                    )));
-                }
-                log_cond.push(table);
-            }
-            Ok(ServableModel::Tan(TanModel::from_parts(
-                feats,
-                n_classes,
-                log_prior,
-                parents,
-                log_cond,
-                domain_sizes,
-            )))
-        }
-        "tree" => {
-            let feats = usizes_of(field(j, "feats", ctx)?, "model.feats")?;
-            check_model_feats(&feats, features, ctx)?;
-            let root = u32_of(field(j, "root", ctx)?, "model.root")?;
-            let nodes = arr_of(field(j, "nodes", ctx)?, "model.nodes")?
-                .iter()
-                .enumerate()
-                .map(|(i, n)| parse_cart_node(n, &format!("model.nodes[{i}]")))
-                .collect::<R<Vec<CartNode>>>()?;
-            CartModel::from_parts(feats, n_classes, features.len(), nodes, root)
-                .map(ServableModel::Tree)
-                .map_err(|e| schema_err(format!("model: {e}")))
-        }
-        "gbt" => {
-            let feats = usizes_of(field(j, "feats", ctx)?, "model.feats")?;
-            check_model_feats(&feats, features, ctx)?;
-            let base = finite_of(field(j, "base", ctx)?, "model.base")?;
-            let learning_rate = finite_of(field(j, "learning_rate", ctx)?, "model.learning_rate")?;
-            let trees = arr_of(field(j, "trees", ctx)?, "model.trees")?
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| {
-                    let tctx = format!("model.trees[{ti}]");
-                    let root = u32_of(field(t, "root", &tctx)?, &format!("{tctx}.root"))?;
-                    let nodes = arr_of(field(t, "nodes", &tctx)?, &format!("{tctx}.nodes"))?
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| parse_reg_node(n, &format!("{tctx}.nodes[{i}]")))
-                        .collect::<R<Vec<RegNode>>>()?;
-                    Ok((nodes, root))
-                })
-                .collect::<R<Vec<(Vec<RegNode>, u32)>>>()?;
-            GbtModel::from_parts(feats, n_classes, features.len(), base, learning_rate, trees)
-                .map(ServableModel::Gbt)
-                .map_err(|e| schema_err(format!("model: {e}")))
-        }
-        other => Err(schema_err(format!(
-            "model.family: unknown family '{other}' \
-             (expected naive_bayes|logistic_regression|tan|tree|gbt)"
-        ))),
-    }
-}
-
 /// Bounds-checks a tree model's `feats` against the feature schema
 /// (tree arenas have no `domain_sizes` vector to cross-check).
-fn check_model_feats(feats: &[usize], features: &[FeatureSchema], ctx: &str) -> R<()> {
+fn check_model_feats(feats: &[usize], features: &[FeatureSchema]) -> R<()> {
     for (i, &f) in feats.iter().enumerate() {
         if f >= features.len() {
             return Err(schema_err(format!(
-                "{ctx}.feats[{i}]: feature position {f} is outside the schema \
+                "model.feats[{i}]: feature position {f} is outside the schema \
                  ({} features)",
                 features.len()
             )));
@@ -1051,140 +1633,53 @@ fn check_model_feats(feats: &[usize], features: &[FeatureSchema], ctx: &str) -> 
     Ok(())
 }
 
-fn parse_cart_node(j: &Json, ctx: &str) -> R<CartNode> {
-    match j.get("leaf") {
-        Some(v) => Ok(CartNode::Leaf {
-            class: u32_of(v, &format!("{ctx}.leaf"))?,
-        }),
-        None => Ok(CartNode::Split {
-            feature: usize_of(field(j, "feature", ctx)?, &format!("{ctx}.feature"))?,
-            value: u32_of(field(j, "value", ctx)?, &format!("{ctx}.value"))?,
-            left: u32_of(field(j, "left", ctx)?, &format!("{ctx}.left"))?,
-            right: u32_of(field(j, "right", ctx)?, &format!("{ctx}.right"))?,
-        }),
+fn log_prior(slot: Slot<Vec<f64>>, n_classes: usize) -> R<Vec<f64>> {
+    let log_prior = field(slot, &"model", "log_prior")?;
+    if log_prior.len() != n_classes {
+        return Err(schema_err(format!(
+            "model.log_prior: {} entries for {n_classes} classes",
+            log_prior.len()
+        )));
     }
+    Ok(log_prior)
 }
 
-fn parse_reg_node(j: &Json, ctx: &str) -> R<RegNode> {
-    match j.get("leaf") {
-        Some(v) => Ok(RegNode::Leaf {
-            value: finite_of(v, &format!("{ctx}.leaf"))?,
-        }),
-        None => Ok(RegNode::Split {
-            feature: usize_of(field(j, "feature", ctx)?, &format!("{ctx}.feature"))?,
-            value: u32_of(field(j, "value", ctx)?, &format!("{ctx}.value"))?,
-            left: u32_of(field(j, "left", ctx)?, &format!("{ctx}.left"))?,
-            right: u32_of(field(j, "right", ctx)?, &format!("{ctx}.right"))?,
-        }),
+/// `log_cond`: one table per feature, of the size `cells` gives it.
+fn log_cond(
+    slot: Slot<Vec<R<Vec<f64>>>>,
+    n_feats: usize,
+    cells: impl Fn(usize, &dyn Display) -> R<usize>,
+) -> R<Vec<Vec<f64>>> {
+    let tables = field(slot, &"model", "log_cond")?;
+    if tables.len() != n_feats {
+        return Err(schema_err(format!(
+            "model.log_cond: {} tables for {n_feats} feats",
+            tables.len()
+        )));
     }
-}
-
-fn parse_payload(j: &Json) -> R<ModelArtifact> {
-    let ctx = "payload";
-    let dataset = str_of(field(j, "dataset", ctx)?, "payload.dataset")?;
-    let n_classes = usize_of(field(j, "n_classes", ctx)?, "payload.n_classes")?;
-    let class_labels = opt_strs_of(field(j, "class_labels", ctx)?, "payload.class_labels")?;
-    if let Some(ls) = &class_labels {
-        if ls.len() != n_classes {
-            return Err(schema_err(format!(
-                "payload.class_labels: {} labels for {n_classes} classes",
-                ls.len()
-            )));
-        }
-    }
-    let features = arr_of(field(j, "features", ctx)?, "payload.features")?
-        .iter()
+    let at = Member(&"model", "log_cond");
+    tables
+        .into_iter()
         .enumerate()
-        .map(|(i, f)| parse_feature(f, &format!("payload.features[{i}]")))
-        .collect::<R<Vec<FeatureSchema>>>()?;
-    let decisions = arr_of(field(j, "decisions", ctx)?, "payload.decisions")?
-        .iter()
-        .enumerate()
-        .map(|(i, d)| parse_decision(d, &format!("payload.decisions[{i}]")))
-        .collect::<R<Vec<JoinDecision>>>()?;
-    let model = parse_model(field(j, "model", ctx)?, &features, n_classes)?;
-    Ok(ModelArtifact {
-        dataset,
-        n_classes,
-        class_labels,
-        features,
-        decisions,
-        model,
-    })
-}
-
-/// The envelope's members as a tree, and the text of the first
-/// `payload` member's value — the member [`Json::get`] finds. Walks the
-/// grammar [`Json::parse`] does, with its error strings; a document
-/// that is JSON but not an object reads as `Json::Null`.
-fn read_envelope(text: &str) -> Result<(Json, Option<&str>), String> {
-    let mut r = Reader::new(text);
-    r.skip_ws();
-    if r.peek() != Some(b'{') {
-        r.value(0)?;
-        r.finish()?;
-        return Ok((Json::Null, None));
-    }
-    let mut members = Vec::new();
-    let mut payload = None;
-    let mut key = r.begin_object(0)?;
-    while let Some(k) = key {
-        r.skip_ws();
-        let start = r.offset();
-        let value = r.value(1)?;
-        if k == "payload" && payload.is_none() {
-            payload = Some(&text[start..r.offset()]);
-        }
-        members.push((k, value));
-        key = r.next_member(0)?;
-    }
-    r.finish()?;
-    Ok((Json::Obj(members), payload))
-}
-
-/// Parses and fully validates an artifact document. Inverse of
-/// [`to_json_string`].
-///
-/// The envelope's members may come in any order, with whitespace
-/// between its tokens. The checksum is verified over the `payload`
-/// value's bytes as they stand in `text` — the bytes [`save`] hashed
-/// and wrote — so nothing is re-rendered, and an edit inside the
-/// payload is a `ChecksumMismatch` even when it parses to the same
-/// value (`1` for `1.0`, a space after a `,`).
-pub fn from_json_str(text: &str) -> R<ModelArtifact> {
-    let (doc, payload_text) = read_envelope(text).map_err(ArtifactError::Parse)?;
-    let magic = doc
-        .get("magic")
-        .and_then(Json::as_str)
-        .unwrap_or("<missing>");
-    if magic != MAGIC {
-        return Err(ArtifactError::BadMagic {
-            found: magic.to_string(),
-        });
-    }
-    let version = usize_of(
-        field(&doc, "schema_version", "envelope")?,
-        "envelope.schema_version",
-    )? as u64;
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
-        return Err(ArtifactError::UnsupportedVersion {
-            found: version,
-            supported: SCHEMA_VERSION,
-        });
-    }
-    let expected = str_of(field(&doc, "checksum", "envelope")?, "envelope.checksum")?;
-    let payload = field(&doc, "payload", "envelope")?;
-    // `payload_text` is present whenever `payload` is.
-    let actual = checksum_of(payload_text.unwrap_or_default());
-    if expected != actual {
-        return Err(ArtifactError::ChecksumMismatch { expected, actual });
-    }
-    parse_payload(payload)
+        .map(|(i, table)| {
+            let ctx = Item(&at, i);
+            let table = table?;
+            let want = cells(i, &ctx)?;
+            if table.len() != want {
+                return Err(schema_err(format!(
+                    "{ctx}: {} cells, expected {want}",
+                    table.len()
+                )));
+            }
+            Ok(table)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hamlet_obs::json::Json;
 
     fn nb_artifact() -> ModelArtifact {
         // A tiny hand-built NB model: 2 features (one FK), 2 classes.
@@ -1383,16 +1878,16 @@ mod tests {
     #[test]
     fn reordered_envelope_keys_still_load() {
         let text = to_json_string(&nb_artifact());
-        let doc = Json::parse(&text).unwrap();
-        let Json::Obj(members) = &doc else {
-            panic!("envelope is not an object")
-        };
         // Payload first, then the scalars in reverse: the payload's bytes
         // are unchanged, so the recorded checksum still matches.
-        let mut reordered = members.clone();
-        reordered.reverse();
-        let reordered = Json::Obj(reordered).to_string();
-        assert!(reordered.starts_with("{\"payload\":"), "{reordered}");
+        let (scalars, payload) = text[1..text.len() - 1].split_once(",\"payload\":").unwrap();
+        let mut scalars: Vec<&str> = scalars.split(',').collect();
+        scalars.reverse();
+        let reordered = format!("{{\"payload\":{payload},{}}}", scalars.join(","));
+        assert!(
+            reordered.ends_with("\"magic\":\"hamlet-model\"}"),
+            "{reordered}"
+        );
         assert_eq!(from_json_str(&reordered).unwrap(), nb_artifact());
     }
 

@@ -566,7 +566,10 @@ impl Scorer {
     /// unseen FK codes through `Others`. This is the path the
     /// benchmarks use.
     pub fn predict_codes(&self, rows: &[Vec<u32>]) -> Result<Vec<Prediction>, ScoreError> {
-        Ok(self.predictions(&self.score(&self.code_rows(rows)?)))
+        // Bound first, so the coded batch drops before the predictions
+        // are built.
+        let scored = self.score(&self.code_rows(rows)?);
+        Ok(self.predictions(&scored))
     }
 
     /// The prior-only surrogate prediction: what the model knows before

@@ -504,6 +504,7 @@ impl Classifier for CartTree {
         rows: &[usize],
         feats: &[usize],
     ) -> CartModel {
+        let _span = hamlet_obs::span!("trees.cart_fit", rows = rows.len(), feats = feats.len());
         self.fit_with(&ScanCounts { src }, rows, feats)
     }
 }

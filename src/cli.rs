@@ -1456,7 +1456,22 @@ mod tests {
             "train --dataset walmart --scale 0.01 --trace --metrics",
         ))
         .unwrap();
+        // TAN and CART fits and dataset generation open spans too; the
+        // tree run is the journal's last line, checked below.
+        let tan = dir.join("tan.model");
+        let fits = run(&argv(&format!(
+            "save-model --dataset walmart --scale 0.01 --model tan --out {} --trace",
+            tan.display()
+        )))
+        .unwrap()
+            + &run(&argv(
+                "train --dataset walmart --scale 0.01 --model tree --trace",
+            ))
+            .unwrap();
         std::env::remove_var("HAMLET_JOURNAL_DIR");
+        for span in ["ml.tan_fit", "trees.cart_fit", "datagen.generate"] {
+            assert!(fits.contains(span), "no {span} in {fits}");
+        }
 
         // Span tree with the instrumented hot paths.
         assert!(out.contains("span tree"), "{out}");
