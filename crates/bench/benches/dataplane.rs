@@ -19,22 +19,21 @@
 use std::path::Path;
 use std::time::Instant;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
 
+use hamlet_bench::report::{self, num};
 use hamlet_bench::BENCH_SEED;
 use hamlet_datagen::realistic::DatasetSpec;
 use hamlet_factorized::FactorizedView;
 use hamlet_ml::{class_count_tables, Dataset, SuffStats};
 use hamlet_obs::alloc::CountingAlloc;
 use hamlet_obs::atomic_write;
+use hamlet_obs::env::resolved_threads;
+use hamlet_obs::json::{obj, Json};
 use hamlet_relational::{read_csv_file_chunked, ColumnSpec, DirtyPolicy, IngestOptions};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
-
-fn threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
 
 /// The pre-PR SuffStats build: one naive double-gather scan per
 /// feature, strictly sequential — exactly the loop `SuffStats::table`
@@ -54,22 +53,8 @@ fn naive_tables(data: &Dataset, train: &[usize]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Median-of-runs wall-clock of `f`, in seconds.
-fn time_secs<T, F: FnMut() -> T>(mut f: F, reps: usize) -> (f64, T) {
-    let mut out = None;
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            out = Some(black_box(f()));
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    (samples[samples.len() / 2], out.expect("at least one rep"))
-}
-
 /// Part (a): kernel speedup on Walmart at out-of-core scale.
-fn measure_kernels(scale: f64, reps: usize) -> String {
+fn measure_kernels(scale: f64, reps: usize) -> Json {
     let g = DatasetSpec::walmart().generate(scale, BENCH_SEED);
     let wide = g
         .star
@@ -78,63 +63,58 @@ fn measure_kernels(scale: f64, reps: usize) -> String {
     let data = Dataset::from_table(&wide);
     let train: Vec<usize> = (0..data.n_examples()).collect();
     let feats: Vec<usize> = (0..data.n_features()).collect();
-    let threads = threads();
+    let threads = resolved_threads();
 
-    let (naive_s, want) = time_secs(|| naive_tables(&data, &train), reps);
-    let (kernel_s, got) = time_secs(
-        || {
-            let stats = SuffStats::new(&data, &train);
-            stats.warm(&feats, threads);
-            feats
-                .iter()
-                .map(|&f| stats.table(f).to_vec())
-                .collect::<Vec<_>>()
-        },
-        reps,
-    );
+    let (naive_s, want) = report::time(reps, || naive_tables(&data, &train));
+    let (kernel_s, got) = report::time(reps, || {
+        let stats = SuffStats::new(&data, &train);
+        stats.warm(&feats, threads);
+        feats
+            .iter()
+            .map(|&f| stats.table(f).to_vec())
+            .collect::<Vec<_>>()
+    });
     assert_eq!(want, got, "kernel SuffStats tables diverged from naive");
 
     // The factorized count-fold over the star: the naive sequential
     // row loop over the materialized codes vs the count primitive over
     // the view (foreign features counted on the FK and folded).
     let view = FactorizedView::new(&g.star).expect("view over synthetic star");
-    let (fold_naive_s, want_fold) = time_secs(
-        || {
-            feats
-                .iter()
-                .map(|&f| {
-                    let c = data.n_classes();
-                    let d = data.feature(f).domain_size;
-                    let mut counts = vec![0u64; c * d];
-                    for &r in &train {
-                        counts
-                            [data.labels()[r] as usize * d + data.feature(f).codes[r] as usize] +=
-                            1;
-                    }
-                    counts
-                })
-                .collect::<Vec<_>>()
-        },
-        reps,
-    );
-    let (fold_kernel_s, got_fold) = time_secs(
-        || class_count_tables(&view, &feats, &train, threads).collect::<Vec<_>>(),
-        reps,
-    );
+    let (fold_naive_s, want_fold) = report::time(reps, || {
+        feats
+            .iter()
+            .map(|&f| {
+                let c = data.n_classes();
+                let d = data.feature(f).domain_size;
+                let mut counts = vec![0u64; c * d];
+                for &r in &train {
+                    counts[data.labels()[r] as usize * d + data.feature(f).codes[r] as usize] += 1;
+                }
+                counts
+            })
+            .collect::<Vec<_>>()
+    });
+    let (fold_kernel_s, got_fold) = report::time(reps, || {
+        class_count_tables(&view, &feats, &train, threads).collect::<Vec<_>>()
+    });
     assert_eq!(want_fold, got_fold, "factorized fold diverged from naive");
 
-    let speedup = naive_s / kernel_s.max(1e-9);
-    let fold_speedup = fold_naive_s / fold_kernel_s.max(1e-9);
-    format!(
-        "\"kernels\": {{\"dataset\": \"Walmart\", \"scale\": {scale}, \"rows\": {}, \
-         \"features\": {}, \"threads\": {threads}, \
-         \"suffstats_naive_s\": {naive_s:.4}, \"suffstats_kernel_s\": {kernel_s:.4}, \
-         \"suffstats_speedup\": {speedup:.2}, \
-         \"fold_naive_s\": {fold_naive_s:.4}, \"fold_kernel_s\": {fold_kernel_s:.4}, \
-         \"fold_speedup\": {fold_speedup:.2}}}",
-        data.n_examples(),
-        feats.len(),
-    )
+    obj(vec![
+        ("dataset", "Walmart".into()),
+        ("scale", scale.into()),
+        ("rows", data.n_examples().into()),
+        ("features", feats.len().into()),
+        ("threads", threads.into()),
+        ("suffstats_naive_s", num(naive_s, 4)),
+        ("suffstats_kernel_s", num(kernel_s, 4)),
+        ("suffstats_speedup", num(naive_s / kernel_s.max(1e-9), 2)),
+        ("fold_naive_s", num(fold_naive_s, 4)),
+        ("fold_kernel_s", num(fold_kernel_s, 4)),
+        (
+            "fold_speedup",
+            num(fold_naive_s / fold_kernel_s.max(1e-9), 2),
+        ),
+    ])
 }
 
 /// Writes the part-(b) fixture CSV: `rows` lines of one nominal and two
@@ -171,7 +151,7 @@ fn chunked_histograms(table: &hamlet_relational::ChunkedTable, threads: usize) -
 
 /// Part (b): budgeted streaming ingest with spill, peak heap growth
 /// under the budget while the dense working set exceeds it.
-fn measure_budgeted_ingest(rows: usize, budget_mb: usize) -> String {
+fn measure_budgeted_ingest(rows: usize, budget_mb: usize) -> Json {
     let dir = std::env::temp_dir().join(format!("hamlet-dataplane-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");
     let csv = dir.join("wide.csv");
@@ -179,7 +159,7 @@ fn measure_budgeted_ingest(rows: usize, budget_mb: usize) -> String {
     let budget = budget_mb * 1024 * 1024;
     let specs = fixture_specs();
     let policy = DirtyPolicy::Quarantine { max_bad_rows: 0 };
-    let threads = threads();
+    let threads = resolved_threads();
 
     // Budgeted phase first, with the heap quiet: peak growth over the
     // phase baseline is the number under test.
@@ -245,38 +225,39 @@ fn measure_budgeted_ingest(rows: usize, budget_mb: usize) -> String {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
-    format!(
-        "\"budgeted_ingest\": {{\"rows\": {rows}, \"columns\": 3, \
-         \"budget_bytes\": {budget}, \"peak_delta_bytes\": {peak_delta}, \
-         \"dense_working_set_bytes\": {dense_delta}, \"spilled\": {spilled}, \
-         \"under_budget\": {}, \"dense_over_budget\": {}, \
-         \"budgeted_s\": {budgeted_s:.4}, \"dense_s\": {dense_s:.4}, \
-         \"threads\": {threads}}}",
-        peak_delta < budget,
-        dense_delta > budget,
-    )
+    obj(vec![
+        ("rows", rows.into()),
+        ("columns", 3usize.into()),
+        ("budget_bytes", budget.into()),
+        ("peak_delta_bytes", peak_delta.into()),
+        ("dense_working_set_bytes", dense_delta.into()),
+        ("spilled", spilled.into()),
+        ("under_budget", (peak_delta < budget).into()),
+        ("dense_over_budget", (dense_delta > budget).into()),
+        ("budgeted_s", num(budgeted_s, 4)),
+        ("dense_s", num(dense_s, 4)),
+        ("threads", threads.into()),
+    ])
 }
 
-fn emit_summary() {
+fn summary() -> Json {
     hamlet_obs::alloc::install_meter(&ALLOC);
-    let quick = std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1");
     // Committed numbers run Walmart at out-of-core scale 10 (≈4.2M
     // entity rows); the CI smoke run shrinks to full scale 1.0, still
     // far past the kernels' parallel threshold.
-    let (scale, reps, rows, budget_mb) = if quick {
+    let (scale, reps, rows, budget_mb) = if report::quick() {
         (1.0, 3, 600_000, 8)
     } else {
         (10.0, 3, 3_000_000, 32)
     };
-    let kernels = measure_kernels(scale, reps);
-    let ingest = measure_budgeted_ingest(rows, budget_mb);
-    let doc = format!("{{\n\"bench\": \"dataplane\",\n{kernels},\n{ingest}\n}}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dataplane.json");
-    if let Err(e) = atomic_write(Path::new(path), doc.as_bytes()) {
-        eprintln!("BENCH_dataplane.json not written: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
+    report::document(
+        "dataplane",
+        scale,
+        vec![
+            ("kernels", measure_kernels(scale, reps)),
+            ("budgeted_ingest", measure_budgeted_ingest(rows, budget_mb)),
+        ],
+    )
 }
 
 fn bench_dataplane(c: &mut Criterion) {
@@ -289,7 +270,7 @@ fn bench_dataplane(c: &mut Criterion) {
     let data = Dataset::from_table(&wide);
     let train: Vec<usize> = (0..data.n_examples()).collect();
     let feats: Vec<usize> = (0..data.n_features()).collect();
-    let threads = threads();
+    let threads = resolved_threads();
 
     let mut group = c.benchmark_group("dataplane");
     group.sample_size(10);
@@ -306,12 +287,9 @@ fn bench_dataplane(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dataplane_and_emit(c: &mut Criterion) {
-    bench_dataplane(c);
-    if !std::env::args().any(|a| a == "--test") {
-        emit_summary();
-    }
-}
+criterion_group!(benches, bench_dataplane);
 
-criterion_group!(benches, bench_dataplane_and_emit);
-criterion_main!(benches);
+fn main() {
+    benches();
+    report::emit("dataplane", summary);
+}

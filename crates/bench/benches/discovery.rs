@@ -24,16 +24,17 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Instant;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, Criterion};
 
-use hamlet_bench::{walmart, BENCH_SEED};
+use hamlet_bench::report::{self, num};
+use hamlet_bench::{walmart, BENCH_SCALE, BENCH_SEED};
 use hamlet_core::advisor::{advise, AdvisorConfig};
 use hamlet_datagen::realistic::DatasetSpec;
 use hamlet_discovery::{check_fd, discover_corpus, DiscoveryConfig};
 use hamlet_experiments::discovery::corpus_of;
-use hamlet_obs::atomic_write;
+use hamlet_obs::env::resolved_threads;
+use hamlet_obs::json::{obj, Json};
 use hamlet_relational::{csv_header, read_csv, ColumnSpec, Table};
 
 /// Scale of the `ingest_yelp` stage's corpus: the full-size Yelp star,
@@ -43,6 +44,7 @@ const INGEST_YELP_SCALE: f64 = 1.0;
 fn config() -> DiscoveryConfig {
     DiscoveryConfig {
         target: Some("SalesLevel".to_string()),
+        threads: resolved_threads(),
         ..DiscoveryConfig::default()
     }
 }
@@ -60,19 +62,6 @@ fn bench_discovery(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-/// Median-of-runs wall-clock of `f`, in seconds.
-fn time_secs<T, F: FnMut() -> T>(mut f: F, reps: usize) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// The mining load alone: every corpus file as an all-nominal table,
@@ -105,11 +94,8 @@ fn verdicts(star: &hamlet_relational::StarSchema) -> Vec<(String, bool)> {
     rows
 }
 
-/// Emit BENCH_discovery.json at the repo root (hand-rolled JSON,
-/// matching the other BENCH_*.json emitters).
-fn emit_summary() {
-    let quick = std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let reps = if quick { 3 } else { 7 };
+fn summary() -> Json {
+    let reps = if report::quick() { 3 } else { 7 };
     let g = walmart();
     let corpus = corpus_of(&g.star);
     let cfg = config();
@@ -154,9 +140,9 @@ fn emit_summary() {
 
     let corpus_bytes: usize = corpus.values().map(String::len).sum();
     let mb_per_s = |s: f64| corpus_bytes as f64 / 1e6 / s;
-    let end_to_end_s = time_secs(|| discover_corpus(&corpus, &cfg).unwrap(), reps);
-    let ingest_s = time_secs(|| mining_loads(&corpus), reps);
-    let verify_s = time_secs(verify_all, reps);
+    let (end_to_end_s, _) = report::time(reps, || discover_corpus(&corpus, &cfg).unwrap());
+    let (ingest_s, _) = report::time(reps, || mining_loads(&corpus));
+    let (verify_s, _) = report::time(reps, verify_all);
 
     let yelp = corpus_of(
         &DatasetSpec::yelp()
@@ -169,44 +155,61 @@ fn emit_summary() {
         .flat_map(|t| t.columns())
         .map(|c| c.domain().size())
         .sum();
-    let ingest_yelp_s = time_secs(|| mining_loads(&yelp), reps);
-    let doc = format!(
-        "{{\n\"bench\": \"discovery\",\n\"dataset\": \"Walmart (bench scale)\",\n\
-         \"model_family\": \"naive_bayes\",\n\"threads\": {},\n\
-         \"tables\": {},\n\"corpus_bytes\": {corpus_bytes},\n\
-         \"entity_rows\": {},\n\
-         \"results\": [\n  {{\"stage\": \"end_to_end\", \"median_s\": {end_to_end_s:.4}, \
-         \"mb_per_s\": {:.1}, \"edges_recovered\": {}, \"fds_verified\": {}, \
-         \"advisor_parity\": \"exact\"}},\n  \
-         {{\"stage\": \"ingest\", \"median_s\": {ingest_s:.4}, \"mb_per_s\": {:.1}}},\n  \
-         {{\"stage\": \"verify\", \"median_s\": {verify_s:.5}, \"fd_checks\": {}}},\n  \
-         {{\"stage\": \"ingest_yelp\", \"scale\": {INGEST_YELP_SCALE:.2}, \"threads\": 1, \
-         \"corpus_bytes\": {yelp_bytes}, \"distinct_labels\": {yelp_labels}, \
-         \"median_s\": {ingest_yelp_s:.4}, \"mb_per_s\": {:.1}}}\n]\n}}\n",
-        cfg.threads,
-        corpus.len(),
-        g.star.n_s(),
-        mb_per_s(end_to_end_s),
-        d.report.accepted_fks().count(),
-        d.report.accepted_fds().count(),
-        mb_per_s(ingest_s),
-        d.report.fds.len(),
-        yelp_bytes as f64 / 1e6 / ingest_yelp_s,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_discovery.json");
-    if let Err(e) = atomic_write(Path::new(path), doc.as_bytes()) {
-        eprintln!("BENCH_discovery.json not written: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
+    let (ingest_yelp_s, _) = report::time(reps, || mining_loads(&yelp));
+    let stage = |name: &str, median_s: f64, rest: Vec<(&str, Json)>| {
+        let head = [("stage", name.into()), ("median_s", num(median_s, 5))];
+        obj(head.into_iter().chain(rest).collect())
+    };
+    let results = vec![
+        stage(
+            "end_to_end",
+            end_to_end_s,
+            vec![
+                ("mb_per_s", num(mb_per_s(end_to_end_s), 1)),
+                ("edges_recovered", d.report.accepted_fks().count().into()),
+                ("fds_verified", d.report.accepted_fds().count().into()),
+                ("advisor_parity", "exact".into()),
+            ],
+        ),
+        stage(
+            "ingest",
+            ingest_s,
+            vec![("mb_per_s", num(mb_per_s(ingest_s), 1))],
+        ),
+        stage(
+            "verify",
+            verify_s,
+            vec![("fd_checks", d.report.fds.len().into())],
+        ),
+        stage(
+            "ingest_yelp",
+            ingest_yelp_s,
+            vec![
+                ("scale", INGEST_YELP_SCALE.into()),
+                ("threads", 1usize.into()),
+                ("corpus_bytes", yelp_bytes.into()),
+                ("distinct_labels", yelp_labels.into()),
+                ("mb_per_s", num(yelp_bytes as f64 / 1e6 / ingest_yelp_s, 1)),
+            ],
+        ),
+    ];
+    report::document(
+        "discovery",
+        BENCH_SCALE,
+        vec![
+            ("dataset", "Walmart (bench scale)".into()),
+            ("model_family", "naive_bayes".into()),
+            ("tables", corpus.len().into()),
+            ("corpus_bytes", corpus_bytes.into()),
+            ("entity_rows", g.star.n_s().into()),
+            ("results", Json::Arr(results)),
+        ],
+    )
 }
 
-fn bench_discovery_and_emit(c: &mut Criterion) {
-    bench_discovery(c);
-    if !std::env::args().any(|a| a == "--test") {
-        emit_summary();
-    }
-}
+criterion_group!(benches, bench_discovery);
 
-criterion_group!(benches, bench_discovery_and_emit);
-criterion_main!(benches);
+fn main() {
+    benches();
+    report::emit("discovery", summary);
+}

@@ -4,27 +4,26 @@
 //! tables, O(1) candidate assembly, parallel sweeps).
 //!
 //! Besides the criterion groups (bench scale, so iterations stay tight),
-//! a release run self-times the wrappers at Fig-7 scale with `Instant`
-//! and emits `BENCH_selection.json` at the repo root: wall-clock per
-//! wrapper × {uncached serial, cached serial, cached parallel} plus the
-//! headline speedup. `HAMLET_BENCH_QUICK=1` drops the emission to bench
+//! a release run self-times the wrappers at Fig-7 scale and emits
+//! `BENCH_selection.json` at the repo root: wall-clock per wrapper ×
+//! {uncached serial, cached serial, cached parallel at the report's
+//! `threads`} plus the headline speedup. `HAMLET_BENCH_QUICK=1` drops the emission to bench
 //! scale with fewer reps (the CI smoke mode); emission is skipped under
 //! `--test` (the shim runs bench bodies once, which would record
 //! nonsense timings).
 
-use std::path::Path;
-use std::time::Instant;
+use criterion::{black_box, criterion_group, Criterion};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
+use hamlet_bench::report::{self, num};
 use hamlet_bench::{walmart, BENCH_SEED};
 use hamlet_core::planner::{plan, PlanKind};
 use hamlet_core::rules::TrRule;
 use hamlet_datagen::realistic::DatasetSpec;
 use hamlet_experiments::{prepare_plan, PreparedPlan};
-use hamlet_fs::{reference, Method, SelectionContext, SelectionResult, SweepEngine};
+use hamlet_fs::{reference, Method, SelectionContext, SweepEngine};
 use hamlet_ml::naive_bayes::NaiveBayes;
-use hamlet_obs::atomic_write;
+use hamlet_obs::env::resolved_threads;
+use hamlet_obs::json::{obj, Json};
 
 /// JoinAll on Walmart: the widest input (entity features + both FKs +
 /// both attribute tables), i.e. the shape where candidate sweeps are
@@ -53,7 +52,7 @@ fn bench_selection_speedup(c: &mut Criterion) {
     let p = plan(&g.star, PlanKind::JoinAll, &TrRule::default(), n_train);
     let prepared = prepare_plan(&g.star, p, BENCH_SEED).expect("synthetic star materializes");
     let candidates: Vec<usize> = (0..prepared.data.n_features()).collect();
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = resolved_threads();
 
     let mut group = c.benchmark_group("selection_speedup");
     group.sample_size(10);
@@ -78,55 +77,28 @@ fn bench_selection_speedup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median-of-runs wall-clock of `f`, in seconds, returning the last
-/// result so the arms can be cross-checked for equality.
-fn time_secs<F: FnMut() -> SelectionResult>(mut f: F, reps: usize) -> (f64, SelectionResult) {
-    let mut out = None;
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            out = Some(black_box(f()));
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    (
-        samples[samples.len() / 2],
-        out.expect("at least one reptition ran"),
-    )
-}
-
-/// Emit BENCH_selection.json at the repo root (hand-rolled JSON,
-/// matching the other BENCH_*.json emitters).
-fn emit_summary() {
-    let quick = std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1");
+fn summary() -> Json {
     // Fig-7 scale (HAMLET_SCALE default 0.1) for the committed numbers;
     // bench scale for the CI smoke run.
-    let (scale, reps) = if quick { (0.01, 3) } else { (0.1, 3) };
+    let (scale, reps) = if report::quick() { (0.01, 3) } else { (0.1, 3) };
     let prepared = prepared_join_all(scale);
     let nb = NaiveBayes::default();
     let ctx = ctx_of(&prepared, &nb);
     let candidates: Vec<usize> = (0..prepared.data.n_features()).collect();
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let threads = resolved_threads();
 
     let mut entries = Vec::new();
     for method in [Method::Forward, Method::Backward] {
         let (uncached_s, r_uncached) =
-            time_secs(|| reference::run_method(method, &ctx, &candidates), reps);
-        let (cached_serial_s, r_serial) = time_secs(
-            || {
-                let engine = SweepEngine::new(&ctx).with_threads(1);
-                method.run_with(&engine, &candidates)
-            },
-            reps,
-        );
-        let (cached_parallel_s, r_parallel) = time_secs(
-            || {
-                let engine = SweepEngine::new(&ctx).with_threads(threads);
-                method.run_with(&engine, &candidates)
-            },
-            reps,
-        );
+            report::time(reps, || reference::run_method(method, &ctx, &candidates));
+        let (cached_serial_s, r_serial) = report::time(reps, || {
+            let engine = SweepEngine::new(&ctx).with_threads(1);
+            method.run_with(&engine, &candidates)
+        });
+        let (cached_parallel_s, r_parallel) = report::time(reps, || {
+            let engine = SweepEngine::new(&ctx).with_threads(threads);
+            method.run_with(&engine, &candidates)
+        });
         assert_eq!(
             r_uncached,
             r_serial,
@@ -139,41 +111,38 @@ fn emit_summary() {
             "{}: parallel path diverged",
             method.name()
         );
-        entries.push(format!(
-            "  {{\"method\": \"{}\", \"candidates\": {}, \"model_fits\": {}, \
-             \"uncached_serial_s\": {:.4}, \"cached_serial_s\": {:.4}, \
-             \"cached_parallel_s\": {:.4}, \"speedup_cached_parallel\": {:.2}}}",
-            method.name(),
-            candidates.len(),
-            r_uncached.model_fits,
-            uncached_s,
-            cached_serial_s,
-            cached_parallel_s,
-            uncached_s / cached_parallel_s,
-        ));
+        entries.push(obj(vec![
+            ("method", method.name().into()),
+            ("candidates", candidates.len().into()),
+            ("model_fits", r_uncached.model_fits.into()),
+            ("uncached_serial_s", num(uncached_s, 4)),
+            ("cached_serial_s", num(cached_serial_s, 4)),
+            ("cached_parallel_s", num(cached_parallel_s, 4)),
+            (
+                "speedup_cached_parallel",
+                num(uncached_s / cached_parallel_s, 2),
+            ),
+        ]));
     }
-    let doc = format!(
-        "{{\n\"bench\": \"selection\",\n\"dataset\": \"Walmart (scale {scale}, JoinAll)\",\n\
-         \"classifier\": \"NaiveBayes\",\n\"model_family\": \"naive_bayes\",\n\
-         \"n_train\": {},\n\"threads\": {threads},\n\
-         \"results\": [\n{}\n]\n}}\n",
-        prepared.split.train.len(),
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_selection.json");
-    if let Err(e) = atomic_write(Path::new(path), doc.as_bytes()) {
-        eprintln!("BENCH_selection.json not written: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
+    report::document(
+        "selection",
+        scale,
+        vec![
+            (
+                "dataset",
+                format!("Walmart (scale {scale}, JoinAll)").into(),
+            ),
+            ("classifier", "NaiveBayes".into()),
+            ("model_family", "naive_bayes".into()),
+            ("n_train", prepared.split.train.len().into()),
+            ("results", Json::Arr(entries)),
+        ],
+    )
 }
 
-fn bench_selection_and_emit(c: &mut Criterion) {
-    bench_selection_speedup(c);
-    if !std::env::args().any(|a| a == "--test") {
-        emit_summary();
-    }
-}
+criterion_group!(benches, bench_selection_speedup);
 
-criterion_group!(benches, bench_selection_and_emit);
-criterion_main!(benches);
+fn main() {
+    benches();
+    report::emit("selection", summary);
+}

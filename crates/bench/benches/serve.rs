@@ -8,20 +8,18 @@
 //! text through decode, score and render.
 //!
 //! Besides the criterion groups, a release run self-times the same
-//! shapes with `Instant` and emits `BENCH_serve.json` at the repo root
-//! so CI and the docs can quote served-prediction latency without
-//! parsing criterion output. Emission is skipped under `--test` (the
-//! shim runs bench bodies once, which would record nonsense timings).
+//! shapes and emits `BENCH_serve.json` at the repo root so CI and the
+//! docs can quote served-prediction latency without parsing criterion
+//! output. Emission is skipped under `--test` (the shim runs bench
+//! bodies once, which would record nonsense timings).
 
-use std::path::Path;
-use std::time::Instant;
+use criterion::{black_box, criterion_group, Criterion};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-use hamlet_bench::{walmart, yelp};
+use hamlet_bench::report::{self, num};
+use hamlet_bench::{walmart, yelp, BENCH_SCALE};
 use hamlet_core::advisor::AdvisorConfig;
 use hamlet_core::ModelFamily;
-use hamlet_obs::atomic_write;
+use hamlet_obs::json::{obj, Json};
 use hamlet_serve::{build_artifact, ModelKind, Scorer};
 
 /// Rows in the end-to-end request body.
@@ -108,52 +106,38 @@ fn bench_serve(c: &mut Criterion) {
 }
 
 /// Median-of-runs wall-clock of `f`, in microseconds.
-fn median_micros<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Median-of-runs wall-clock for `predict_codes` over `rows`, in
-/// microseconds.
-fn time_micros(scorer: &Scorer, rows: &[Vec<u32>], reps: usize) -> f64 {
-    median_micros(reps, || scorer.predict_codes(rows).unwrap())
+fn micros<O>(reps: usize, f: impl FnMut() -> O) -> f64 {
+    report::time(reps, f).0 * 1e6
 }
 
 /// The end-to-end body section: per-stage and total medians for one
 /// `BODY_ROWS`-row Yelp GBT request.
-fn body_summary() -> String {
+fn body_summary() -> Json {
     let (scorer, body) = yelp_gbt_body();
     let response = respond(&scorer, &body);
     let (batch, _) = scorer.decode_body(&body, false).unwrap();
     let scored = scorer.score(&batch);
     let reps = 200;
-    let decode_us = median_micros(reps, || scorer.decode_body(&body, false).unwrap().0);
-    let score_us = median_micros(reps, || scorer.score(&batch));
-    let render_us = median_micros(reps, || scorer.render(&scored, false));
-    let total_us = median_micros(reps, || respond(&scorer, &body));
-    format!(
-        "{{\"dataset\": \"Yelp (bench scale)\", \"family\": \"gbt\", \
-         \"n_features\": {}, \"rows\": {BODY_ROWS}, \"body_bytes\": {}, \
-         \"response_bytes\": {}, \"decode_us\": {decode_us:.1}, \"score_us\": {score_us:.1}, \
-         \"render_us\": {render_us:.1}, \"end_to_end_us\": {total_us:.1}, \
-         \"rows_per_sec\": {:.0}}}",
-        scorer.artifact().features.len(),
-        body.len(),
-        response.len(),
-        BODY_ROWS as f64 / (total_us / 1e6),
-    )
+    let decode_us = micros(reps, || scorer.decode_body(&body, false).unwrap().0);
+    let score_us = micros(reps, || scorer.score(&batch));
+    let render_us = micros(reps, || scorer.render(&scored, false));
+    let total_us = micros(reps, || respond(&scorer, &body));
+    obj(vec![
+        ("dataset", "Yelp (bench scale)".into()),
+        ("family", "gbt".into()),
+        ("n_features", scorer.artifact().features.len().into()),
+        ("rows", BODY_ROWS.into()),
+        ("body_bytes", body.len().into()),
+        ("response_bytes", response.len().into()),
+        ("decode_us", num(decode_us, 1)),
+        ("score_us", num(score_us, 1)),
+        ("render_us", num(render_us, 1)),
+        ("end_to_end_us", num(total_us, 1)),
+        ("rows_per_sec", num(BODY_ROWS as f64 / (total_us / 1e6), 0)),
+    ])
 }
 
-/// Emit BENCH_serve.json at the repo root (hand-rolled JSON, matching
-/// the other BENCH_*.json emitters).
-fn emit_summary() {
+fn summary() -> Json {
     let mut entries = Vec::new();
     for kind in [
         ModelKind::NaiveBayes,
@@ -166,17 +150,15 @@ fn emit_summary() {
         let batch = rows_for(&scorer, 1000);
         // Warm up caches before timing.
         let _ = scorer.predict_codes(&batch);
-        let single_us = time_micros(&scorer, &one, 200);
-        let batch_us = time_micros(&scorer, &batch, 30);
-        entries.push(format!(
-            "  {{\"family\": \"{}\", \"n_features\": {}, \"single_row_us\": {:.3}, \
-             \"batch_1k_us\": {:.1}, \"batch_rows_per_sec\": {:.0}}}",
-            kind.name(),
-            scorer.artifact().features.len(),
-            single_us,
-            batch_us,
-            1000.0 / (batch_us / 1e6),
-        ));
+        let single_us = micros(200, || scorer.predict_codes(&one).unwrap());
+        let batch_us = micros(30, || scorer.predict_codes(&batch).unwrap());
+        entries.push(obj(vec![
+            ("family", kind.name().into()),
+            ("n_features", scorer.artifact().features.len().into()),
+            ("single_row_us", num(single_us, 3)),
+            ("batch_1k_us", num(batch_us, 1)),
+            ("batch_rows_per_sec", num(1000.0 / (batch_us / 1e6), 0)),
+        ]));
     }
     // Artifact round trip of one NB artifact: artifact::save (render,
     // checksum, atomic write) and artifact::load (file read, checksum,
@@ -192,34 +174,35 @@ fn emit_summary() {
     let path = std::env::temp_dir().join("hamlet_bench_serve_artifact.json");
     let save = || hamlet_serve::artifact::save(&built.artifact, &path);
     save().unwrap_or_else(|e| panic!("bench artifact save failed: {e}"));
-    let save_us = median_micros(200, || save().unwrap());
-    let load_us = median_micros(200, || hamlet_serve::artifact::load(&path).unwrap());
+    let save_us = micros(200, || save().unwrap());
+    let load_us = micros(200, || hamlet_serve::artifact::load(&path).unwrap());
     let artifact_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&path).ok();
-    // Every arm scores on the calling thread.
-    let doc = format!(
-        "{{\n\"bench\": \"serve\",\n\"dataset\": \"Walmart (bench scale)\",\n\
-         \"model_family\": \"mixed\",\n\"threads\": 1,\n\"results\": [\n{}\n],\n\
-         \"body_e2e\": {},\n\
-         \"artifact_load\": {{\"artifact_bytes\": {artifact_bytes}, \
-         \"save_us\": {save_us:.1}, \"load_us\": {load_us:.1}}}\n}}\n",
-        entries.join(",\n"),
-        body_summary(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    if let Err(e) = atomic_write(Path::new(path), doc.as_bytes()) {
-        eprintln!("BENCH_serve.json not written: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
+    // Every arm scores on the calling thread; the header's `threads` is
+    // the resolved worker count, as in every report.
+    report::document(
+        "serve",
+        BENCH_SCALE,
+        vec![
+            ("dataset", "Walmart (bench scale)".into()),
+            ("model_family", "mixed".into()),
+            ("results", Json::Arr(entries)),
+            ("body_e2e", body_summary()),
+            (
+                "artifact_load",
+                obj(vec![
+                    ("artifact_bytes", artifact_bytes.into()),
+                    ("save_us", num(save_us, 1)),
+                    ("load_us", num(load_us, 1)),
+                ]),
+            ),
+        ],
+    )
 }
 
-fn bench_serve_and_emit(c: &mut Criterion) {
-    bench_serve(c);
-    if !std::env::args().any(|a| a == "--test") {
-        emit_summary();
-    }
-}
+criterion_group!(benches, bench_serve);
 
-criterion_group!(benches, bench_serve_and_emit);
-criterion_main!(benches);
+fn main() {
+    benches();
+    report::emit("serve", summary);
+}

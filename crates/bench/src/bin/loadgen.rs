@@ -29,10 +29,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hamlet_bench::report::{self, num};
+use hamlet_bench::BENCH_SCALE;
 use hamlet_core::advisor::AdvisorConfig;
 use hamlet_obs::json::{obj, Json};
 use hamlet_serve::{build_artifact, ModelKind, Scorer, ServerConfig};
@@ -97,7 +99,6 @@ fn parse_opts() -> Result<Opts, String> {
     if conns == 0 || requests == 0 {
         return Err("--conns and --requests must be positive".into());
     }
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
     Ok(Opts {
         addr: flag("--addr")?,
         conns,
@@ -106,7 +107,7 @@ fn parse_opts() -> Result<Opts, String> {
         mode,
         out: flag("--out")?
             .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from(default_out)),
+            .unwrap_or_else(|| report::path("serve")),
         emit: !args.iter().any(|a| a == "--no-emit"),
     })
 }
@@ -273,13 +274,13 @@ fn run_mode(
 impl ModeReport {
     fn to_json(&self) -> Json {
         obj(vec![
-            ("mode", Json::Str(self.mode.into())),
-            ("requests", Json::Num(self.requests as f64)),
-            ("errors", Json::Num(self.errors as f64)),
-            ("p50_us", Json::Num(round1(self.p50_us))),
-            ("p99_us", Json::Num(round1(self.p99_us))),
-            ("p999_us", Json::Num(round1(self.p999_us))),
-            ("throughput_rps", Json::Num(round1(self.throughput_rps))),
+            ("mode", self.mode.into()),
+            ("requests", self.requests.into()),
+            ("errors", self.errors.into()),
+            ("p50_us", num(self.p50_us, 1)),
+            ("p99_us", num(self.p99_us, 1)),
+            ("p999_us", num(self.p999_us, 1)),
+            ("throughput_rps", num(self.throughput_rps, 1)),
         ])
     }
 
@@ -297,50 +298,20 @@ impl ModeReport {
     }
 }
 
-fn round1(x: f64) -> f64 {
-    (x * 10.0).round() / 10.0
-}
-
-/// Merges the `"load"` section into BENCH_serve.json, preserving the
-/// criterion-derived fields and one-key-per-line top-level layout.
-fn merge_into_bench_json(path: &Path, load: Json) -> Result<(), String> {
-    let mut members: Vec<(String, Json)> = match std::fs::read_to_string(path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(Json::Obj(members)) => members,
-            _ => vec![
-                ("bench".to_string(), Json::Str("serve".into())),
-                ("results".to_string(), Json::Arr(vec![])),
-            ],
-        },
-        Err(_) => vec![
-            ("bench".to_string(), Json::Str("serve".into())),
-            ("results".to_string(), Json::Arr(vec![])),
-        ],
-    };
-    members.retain(|(k, _)| k != "load");
-    members.push(("load".to_string(), load));
-
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in members.iter().enumerate() {
-        let rendered = match v {
-            // Arrays of objects (the results table) keep one entry per line.
-            Json::Arr(items)
-                if items.iter().all(|j| matches!(j, Json::Obj(_))) && !items.is_empty() =>
-            {
-                let lines: Vec<String> = items.iter().map(|j| format!("  {j}")).collect();
-                format!("[\n{}\n]", lines.join(",\n"))
-            }
-            other => other.to_string(),
-        };
-        out.push_str(&format!("\"{k}\": {rendered}"));
-        if i + 1 < members.len() {
-            out.push(',');
-        }
-        out.push('\n');
+/// The report in `text` (BENCH_serve.json's, if any) with its `"load"`
+/// section replaced by `load`; a bare serve report when there is none.
+fn merged(text: Option<&str>, load: Json) -> Json {
+    let mut doc = text
+        .and_then(|text| Json::parse(text).ok())
+        .filter(|doc| matches!(doc, Json::Obj(_)))
+        .unwrap_or_else(|| {
+            report::document("serve", BENCH_SCALE, vec![("results", Json::Arr(vec![]))])
+        });
+    if let Json::Obj(members) = &mut doc {
+        members.retain(|(k, _)| k != "load");
+        members.push(("load".to_string(), load));
     }
-    out.push_str("}\n");
-    hamlet_obs::atomic_write(path, out.as_bytes())
-        .map_err(|e| format!("write {}: {e}", path.display()))
+    doc
 }
 
 fn main() {
@@ -428,18 +399,71 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     if opts.emit {
         let mut load = vec![
-            ("connections", Json::Num(opts.conns as f64)),
-            ("requests_per_connection", Json::Num(opts.requests as f64)),
+            ("connections", opts.conns.into()),
+            ("requests_per_connection", opts.requests.into()),
             (
                 "modes",
                 Json::Arr(reports.iter().map(ModeReport::to_json).collect()),
             ),
         ];
         if let Some(s) = speedup {
-            load.push(("keepalive_speedup", Json::Num(round1(s))));
+            load.push(("keepalive_speedup", num(s, 1)));
         }
-        merge_into_bench_json(&opts.out, obj(load))?;
+        let doc = merged(
+            std::fs::read_to_string(&opts.out).ok().as_deref(),
+            obj(load),
+        );
+        hamlet_obs::atomic_write(&opts.out, report::render(&doc).as_bytes())
+            .map_err(|e| format!("write {}: {e}", opts.out.display()))?;
         eprintln!("merged load results into {}", opts.out.display());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_merge_keeps_the_bench_members_and_replaces_the_old_load_section() {
+        let before = report::render(&report::document(
+            "serve",
+            BENCH_SCALE,
+            vec![
+                (
+                    "results",
+                    Json::Arr(vec![obj(vec![("family", Json::Str("nb".into()))])]),
+                ),
+                ("load", obj(vec![("connections", Json::Num(1.0))])),
+                ("body_e2e", obj(vec![("rows", Json::Num(256.0))])),
+            ],
+        ));
+        let load = obj(vec![("connections", Json::Num(4.0))]);
+        let doc = merged(Some(&before), load.clone());
+        let Json::Obj(members) = &doc else {
+            panic!("not an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["bench", "threads", "scale", "quick", "results", "body_e2e", "load"]
+        );
+        assert_eq!(doc.get("load"), Some(&load));
+        let Json::Obj(old) = Json::parse(&before).unwrap() else {
+            panic!("not an object")
+        };
+        for (k, v) in old.iter().filter(|(k, _)| k != "load") {
+            assert_eq!(doc.get(k), Some(v), "{k} changed");
+        }
+    }
+
+    #[test]
+    fn a_merge_without_a_report_writes_a_headed_serve_report() {
+        for text in [None, Some("not json"), Some("[1, 2]")] {
+            let doc = merged(text, obj(vec![]));
+            assert_eq!(doc.get("bench").and_then(Json::as_str), Some("serve"));
+            assert!(doc.get("threads").is_some() && doc.get("quick").is_some());
+            assert_eq!(doc.get("load"), Some(&obj(vec![])));
+        }
+    }
 }

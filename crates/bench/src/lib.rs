@@ -12,9 +12,28 @@
 //! * `selection_fig7` — the Figure 7(B) runtime claim: feature-selection
 //!   wall-clock JoinAll vs JoinOpt per method;
 //! * `figures` — one bench per paper figure, timing the regeneration of
-//!   its rows at micro replication (`fig3` ... `fig13`, `tan_appendix`).
+//!   its rows at micro replication (`fig3` ... `fig13`, `tan_appendix`);
+//! * `extensions` — the advisor, star decomposition, FD inference, CSV
+//!   parsing, the decision tree and the skew detector;
+//! * `factorized` — factorized vs materialized Naive Bayes and logistic
+//!   regression training across tuple ratios;
+//! * `selection_speedup` — cached, parallel wrapper selection vs the
+//!   row-scanning seed path (`BENCH_selection.json`);
+//! * `serve` — artifact scoring latency, one request end to end and the
+//!   artifact round trip (`BENCH_serve.json`);
+//! * `trees` — factorized vs materialized CART and GBT across tuple
+//!   ratios (`BENCH_trees.json`);
+//! * `discovery` — schema mining end to end and its ingest/verify
+//!   stages (`BENCH_discovery.json`);
+//! * `dataplane` — count-kernel speedup and budgeted streaming ingest
+//!   (`BENCH_dataplane.json`).
 //!
-//! Shared fixtures live here so every bench measures the same shapes.
+//! The `loadgen` binary (`src/bin/`) drives a live server and merges a
+//! `"load"` section into `BENCH_serve.json`. Every `BENCH_*.json` goes
+//! through [`report`]. Shared fixtures live here so every bench
+//! measures the same shapes.
+
+pub mod report;
 
 use hamlet_datagen::realistic::{DatasetSpec, GeneratedDataset};
 use hamlet_experiments::MonteCarloOpts;

@@ -12,7 +12,7 @@
 //!   handful of FK values ("the needle"); for that class
 //!   `H(FK | Y = y)` collapses, so `min_y H(FK|Y=y) / H(FK)` drops.
 
-use hamlet_ml::info::{conditional_entropy, entropy, entropy_of_counts};
+use hamlet_ml::info::{entropy_of_counts, mutual_information_of_counts};
 
 /// Skew diagnostics for one foreign key against the target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +34,9 @@ pub struct SkewReport {
 pub const MALIGN_RETENTION_FLOOR: f64 = 0.5;
 
 /// Computes skew diagnostics for a foreign-key column and a label column
-/// over the given rows.
+/// over the given rows, from one `count(FK, Y)` table: `H(Y)`, `H(FK)`
+/// and `H(FK|Y) = H(FK) − I(FK;Y)` read its margins, the retention its
+/// per-class rows.
 pub fn diagnose_skew(
     fk_codes: &[u32],
     fk_domain: usize,
@@ -42,15 +44,20 @@ pub fn diagnose_skew(
     n_classes: usize,
     rows: &[usize],
 ) -> SkewReport {
-    let h_y = entropy(y_codes, n_classes, rows);
-    let h_fk = entropy(fk_codes, fk_domain, rows);
-    let h_fk_given_y = conditional_entropy(fk_codes, fk_domain, y_codes, n_classes, rows);
-
-    // Per-class conditional entropy H(FK | Y = y).
     let mut per_class = vec![vec![0u64; fk_domain]; n_classes];
     for &r in rows {
         per_class[y_codes[r] as usize][fk_codes[r] as usize] += 1;
     }
+    let y_counts: Vec<u64> = per_class.iter().map(|counts| counts.iter().sum()).collect();
+    let fk_counts: Vec<u64> = (0..fk_domain)
+        .map(|fk| per_class.iter().map(|counts| counts[fk]).sum())
+        .collect();
+    let h_y = entropy_of_counts(&y_counts);
+    let h_fk = entropy_of_counts(&fk_counts);
+    let h_fk_given_y = h_fk
+        - mutual_information_of_counts(rows.len(), &fk_counts, &y_counts, |fk, y| per_class[y][fk]);
+
+    // Per-class conditional entropy H(FK | Y = y).
     let min_h = per_class
         .iter()
         .filter(|counts| counts.iter().any(|&c| c > 0))
@@ -160,6 +167,38 @@ mod tests {
             r.retention
         );
         assert!((r.h_fk - (10f64).log2()).abs() < 0.01);
+    }
+
+    /// The row-scan formulas the count-table build replaced: every float
+    /// must match them bit for bit, since the integers and the summation
+    /// order are the same.
+    #[test]
+    fn one_count_table_matches_the_row_scan_formulas_bit_for_bit() {
+        use hamlet_ml::info::{conditional_entropy, entropy};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20160626);
+        for case in 0..200 {
+            let n = rng.gen_range(0..300usize);
+            let fk_domain = rng.gen_range(1..40usize);
+            let n_classes = rng.gen_range(1..5usize);
+            let fk: Vec<u32> = (0..n).map(|_| rng.gen_range(0..fk_domain as u32)).collect();
+            let y: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n_classes as u32)).collect();
+            let rows: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.7)).collect();
+            let r = diagnose_skew(&fk, fk_domain, &y, n_classes, &rows);
+            let h_y = entropy(&y, n_classes, &rows);
+            let h_fk = entropy(&fk, fk_domain, &rows);
+            let h_fk_given_y = conditional_entropy(&fk, fk_domain, &y, n_classes, &rows);
+            assert_eq!(r.h_y.to_bits(), h_y.to_bits(), "case {case}: H(Y)");
+            assert_eq!(r.h_fk.to_bits(), h_fk.to_bits(), "case {case}: H(FK)");
+            assert_eq!(
+                r.h_fk_given_y.to_bits(),
+                h_fk_given_y.to_bits(),
+                "case {case}: H(FK|Y)"
+            );
+        }
+        let empty = diagnose_skew(&[], 3, &[], 2, &[]);
+        assert_eq!((empty.h_y, empty.h_fk, empty.h_fk_given_y), (0.0, 0.0, 0.0));
+        assert_eq!(empty.retention, 1.0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn mutual_information(
 /// count `cell(a, b)`, summed a-major, b-minor. Every mutual-information
 /// score sums here, so a score from cached counts equals one from a row
 /// scan bit for bit whenever the integer counts agree.
-pub(crate) fn mutual_information_of_counts(
+pub fn mutual_information_of_counts(
     n: usize,
     a_counts: &[u64],
     b_counts: &[u64],

@@ -475,6 +475,26 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
     )
 }
 
+/// Numbers, strings and booleans convert straight into their variant.
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        }
+    )*};
+}
+
+json_from!(
+    f64 => |n| Json::Num(n),
+    usize => |n| Json::Num(n as f64),
+    u64 => |n| Json::Num(n as f64),
+    bool => |b| Json::Bool(b),
+    &str => |s| Json::Str(s.into()),
+    String => |s| Json::Str(s),
+);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1446,9 +1446,22 @@ mod tests {
             .contains("more than once"));
     }
 
+    /// Serializes the tests that point the process-global
+    /// `HAMLET_JOURNAL_DIR` at their own directory: a `--trace` or
+    /// `--metrics` run made while another test holds the variable would
+    /// journal into that test's directory. The lock guards no data, so a
+    /// poisoned one (a failed test) is taken over rather than failing
+    /// the next test too.
+    fn journal_dir_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn trace_and_metrics_produce_observability_output_and_a_journal() {
         use hamlet_obs::json::Json;
+        let _journal = journal_dir_lock();
         let dir = std::env::temp_dir().join("hamlet_cli_journal_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("HAMLET_JOURNAL_DIR", &dir);
@@ -1505,6 +1518,7 @@ mod tests {
 
     #[test]
     fn metrics_without_trace_records_no_spans() {
+        let _journal = journal_dir_lock();
         let dir = std::env::temp_dir().join("hamlet_cli_metrics_only_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("HAMLET_JOURNAL_DIR", &dir);
