@@ -13,8 +13,8 @@
 //!
 //! The bench binary installs the counting allocator so the peak numbers
 //! are real. `HAMLET_BENCH_QUICK=1` shrinks both phases (the CI smoke
-//! mode); emission is skipped under `--test` (the shim runs bench
-//! bodies once, which would record nonsense timings).
+//! mode, and every run outside `cargo bench`, where the shim runs bench
+//! bodies once and emission is skipped).
 
 use std::path::Path;
 use std::time::Instant;

@@ -19,8 +19,8 @@
 //! rows reference in scattered order, where Walmart's dictionaries are
 //! tiny. So it measures the label dictionary under cache pressure.
 //! Ingest is single-threaded; the row says so.
-//! `HAMLET_BENCH_QUICK=1` drops repetitions; emission is skipped under
-//! `--test` (the shim runs bodies once, timings would be nonsense).
+//! `HAMLET_BENCH_QUICK=1` drops repetitions, as does every run outside
+//! `cargo bench`, where emission is skipped too.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -8,9 +8,9 @@
 //! `BENCH_selection.json` at the repo root: wall-clock per wrapper ×
 //! {uncached serial, cached serial, cached parallel at the report's
 //! `threads`} plus the headline speedup. `HAMLET_BENCH_QUICK=1` drops the emission to bench
-//! scale with fewer reps (the CI smoke mode); emission is skipped under
-//! `--test` (the shim runs bench bodies once, which would record
-//! nonsense timings).
+//! scale with fewer reps (the CI smoke mode, and every run outside
+//! `cargo bench`, where the shim runs bench bodies once and emission is
+//! skipped).
 
 use criterion::{black_box, criterion_group, Criterion};
 

@@ -10,8 +10,8 @@
 //! Besides the criterion groups, a release run self-times the same
 //! shapes and emits `BENCH_serve.json` at the repo root so CI and the
 //! docs can quote served-prediction latency without parsing criterion
-//! output. Emission is skipped under `--test` (the shim runs bench
-//! bodies once, which would record nonsense timings).
+//! output. Outside `cargo bench` the shim runs bench bodies once and
+//! emission is skipped, so no test run rewrites the report.
 
 use criterion::{black_box, criterion_group, Criterion};
 

@@ -17,8 +17,8 @@
 //! shapes have 400k entity rows, or 100k under `HAMLET_BENCH_QUICK=1`
 //! (the CI mode), and the header's `scale` is that count over 400k;
 //! either way every fit takes tens of milliseconds.
-//! Emission is skipped under `--test` (the shim runs bench bodies once,
-//! which would record nonsense timings).
+//! Outside `cargo bench` the shim runs bench bodies once at the quick
+//! shape and emission is skipped, so no test run rewrites the report.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 

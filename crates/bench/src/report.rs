@@ -10,9 +10,18 @@ use std::time::Instant;
 use hamlet_obs::env::resolved_threads;
 use hamlet_obs::json::Json;
 
-/// Whether `HAMLET_BENCH_QUICK=1` asks for the CI smoke settings.
+/// Whether this is a `cargo bench` run: cargo passes `--bench` to a
+/// `harness = false` bench there, and nothing under `cargo test --bench`.
+/// Criterion's own `--test` also marks a test run.
+pub fn measuring() -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter().any(|a| a == "--bench") && !args.iter().any(|a| a == "--test")
+}
+
+/// Whether the bench runs at the CI smoke settings: asked for with
+/// `HAMLET_BENCH_QUICK=1`, and always outside a `cargo bench` run.
 pub fn quick() -> bool {
-    std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1")
+    !measuring() || std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
 /// Median wall-clock seconds of `reps` runs of `f`, and the last run's
@@ -80,11 +89,11 @@ pub fn path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(format!("BENCH_{name}.json"))
 }
 
-/// Writes `build()`'s document to `BENCH_<name>.json`, or nothing under
-/// `--test`: the shim runs bench bodies once there, so timings would be
-/// nonsense.
+/// Writes `build()`'s document to `BENCH_<name>.json`, or nothing
+/// outside a `cargo bench` run: a test run times the quick shape once, so
+/// its numbers must not replace the committed report.
 pub fn emit(name: &str, build: impl FnOnce() -> Json) {
-    if std::env::args().any(|a| a == "--test") {
+    if !measuring() {
         return;
     }
     let path = path(name);
@@ -166,6 +175,20 @@ mod tests {
                 "}",
             ]
         );
+    }
+
+    #[test]
+    fn a_test_run_is_quick_and_writes_no_report() {
+        // `cargo test` passes no `--bench`, so this is a test run.
+        assert!(!measuring());
+        assert!(quick());
+        let mut built = false;
+        emit("demo", || {
+            built = true;
+            Json::Null
+        });
+        assert!(!built, "a test run built a report");
+        assert!(!path("demo").exists());
     }
 
     #[test]

@@ -87,6 +87,7 @@ impl Classifier for Tan {
         // Pairwise conditional MI, skipping over-budget pairs.
         let parents = if m >= 2 {
             let mut cmi = vec![f64::NEG_INFINITY; m * m];
+            let span = hamlet_obs::span!("ml.tan_cmi", pairs = m * (m - 1) / 2, rows = rows.len());
             for i in 0..m {
                 for j in (i + 1)..m {
                     let cells = domain_sizes[i] * domain_sizes[j] * n_classes;
@@ -106,6 +107,7 @@ impl Classifier for Tan {
                     cmi[j * m + i] = w;
                 }
             }
+            drop(span);
             maximum_spanning_forest_parents(&cmi, m)
         } else {
             vec![None; m]

@@ -244,6 +244,12 @@ impl<'a> Reader<'a> {
         self.pos
     }
 
+    /// The bytes after the cursor.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.text.len() - self.pos
+    }
+
     /// Opens the object whose `{` is the next byte, at nesting `depth`.
     /// `Ok(None)` means the object was empty and its `}` is consumed
     /// too; otherwise the first member's key is returned with its `:`

@@ -31,6 +31,22 @@
 //! Every load failure is a typed [`ArtifactError`];
 //! corrupt, truncated, or bit-flipped artifacts must never panic (the
 //! workspace no-panic contract, enforced by `tests/no_panic_paths.rs`).
+//!
+//! ## One declaration per record
+//!
+//! Each record — the envelope, the payload, a feature, its FK cold-start
+//! mapping, a join decision, the model, a CART node, a regression tree
+//! and a regression node — is declared once, as its members in written
+//! order with the type each reads as and the value each is written from.
+//! The declaration generates the record's writer, the slots its reader
+//! fills in any member order, and each member's missing-field error; the
+//! leaf types (`String`, `usize`, `u32`, finite `f64`, `bool`, `Option`,
+//! `Vec`) are written and read in one place each. Written by hand are
+//! only the checks that carry their own messages (the label counts, the
+//! cold-start bounds, the strategy name and the model's family `match`),
+//! the checksum patch, `save` and `load`. `tests/fixtures/` holds one
+//! v2 artifact per family that every build must read and write back
+//! byte for byte.
 
 use std::fmt::{self, Display};
 use std::path::Path;
@@ -38,7 +54,7 @@ use std::path::Path;
 use hamlet_core::ExecStrategy;
 use hamlet_ml::{CodeSource, LogisticRegressionModel, Model, NaiveBayesModel, TanModel};
 use hamlet_obs::json::{write_num, write_str, Reader};
-use hamlet_trees::{CartModel, CartNode, GbtModel, RegNode};
+use hamlet_trees::{CartModel, CartNode, GbtModel, RegNode, RegTree};
 
 /// First bytes of every artifact: identifies the file type.
 pub const MAGIC: &str = "hamlet-model";
@@ -353,276 +369,114 @@ impl Writer {
         self.out.push(':');
     }
 
-    /// Opens an array item: a `,` after an earlier item.
-    fn item(&mut self) {
-        if !self.out.ends_with('[') {
-            self.out.push(',');
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        write_str(&mut self.out, s);
-    }
-
-    fn count(&mut self, n: usize) {
-        write_num(&mut self.out, n as f64);
-    }
-
-    /// A parameter; a non-finite one keeps its path.
-    fn num(&mut self, x: f64, at: &dyn Display) {
-        if !x.is_finite() && self.non_finite.is_none() {
-            self.non_finite = Some(at.to_string());
-        }
-        write_num(&mut self.out, x);
-    }
-
-    fn nums(&mut self, xs: &[f64], at: &dyn Display) {
-        self.out.push('[');
-        for (i, &x) in xs.iter().enumerate() {
-            self.item();
-            self.num(x, &Item(at, i));
-        }
-        self.out.push(']');
-    }
-
-    fn counts(&mut self, xs: &[usize]) {
-        self.out.push('[');
-        for &x in xs {
-            self.item();
-            self.count(x);
-        }
-        self.out.push(']');
-    }
-
-    fn strs(&mut self, xs: &[String]) {
-        self.out.push('[');
-        for x in xs {
-            self.item();
-            self.str(x);
-        }
-        self.out.push(']');
-    }
-
-    fn opt_strs(&mut self, xs: Option<&[String]>) {
-        match xs {
-            Some(xs) => self.strs(xs),
-            None => self.out.push_str("null"),
-        }
-    }
-
-    /// One conditional table per feature (NB and TAN `log_cond`).
-    fn tables<'m>(&mut self, tables: impl Iterator<Item = &'m [f64]>, at: &dyn Display) {
-        self.out.push('[');
-        for (i, t) in tables.enumerate() {
-            self.item();
-            self.nums(t, &Item(at, i));
-        }
-        self.out.push(']');
-    }
-
-    /// A split node's members (both tree kinds).
-    fn split(&mut self, feature: usize, value: u32, left: u32, right: u32) {
-        self.key("feature");
-        self.count(feature);
-        for (key, n) in [("value", value), ("left", left), ("right", right)] {
+    /// One member of the object at `at`, unless its value is omitted.
+    fn member<V: Put + ?Sized>(&mut self, key: &'static str, value: &V, at: &dyn Display) {
+        if !value.omitted() {
             self.key(key);
-            self.count(n as usize);
+            value.put(self, &Member(at, key));
+        }
+    }
+}
+
+/// How a value is written; `at` is its path, which a non-finite number
+/// keeps.
+trait Put {
+    fn put(&self, w: &mut Writer, at: &dyn Display);
+
+    /// Whether a member holding this value is left out (see [`IfSome`]).
+    fn omitted(&self) -> bool {
+        false
+    }
+}
+
+/// A member written only when its value is `Some`: the model members of
+/// the other families, the members of a tree node's other kind, and
+/// `degraded` unless it is true.
+struct IfSome<T>(Option<T>);
+
+impl<T: Put> Put for IfSome<T> {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        if let Some(v) = &self.0 {
+            v.put(w, at);
         }
     }
 
-    fn payload(&mut self, a: &ModelArtifact) {
-        let at: &dyn Display = &"payload";
-        self.out.push('{');
-        self.key("dataset");
-        self.str(&a.dataset);
-        self.key("n_classes");
-        self.count(a.n_classes);
-        self.key("class_labels");
-        self.opt_strs(a.class_labels.as_deref());
-        self.key("features");
-        self.out.push('[');
-        for fs in &a.features {
-            self.item();
-            self.out.push('{');
-            self.key("name");
-            self.str(&fs.name);
-            self.key("domain_size");
-            self.count(fs.domain_size);
-            self.key("labels");
-            self.opt_strs(fs.labels.as_deref());
-            self.key("fk");
-            match &fs.fk {
-                None => self.out.push_str("null"),
-                Some(fk) => {
-                    self.out.push('{');
-                    self.key("table");
-                    self.str(&fk.table);
-                    self.key("original_domain");
-                    self.count(fk.original_domain);
-                    self.key("others_code");
-                    self.count(fk.others_code as usize);
-                    self.out.push('}');
-                }
-            }
-            self.out.push('}');
-        }
-        self.out.push(']');
-        self.key("decisions");
-        self.out.push('[');
-        let decisions = Member(at, "decisions");
-        for (i, d) in a.decisions.iter().enumerate() {
-            let at = Item(&decisions, i);
-            self.item();
-            self.out.push('{');
-            self.key("table");
-            self.str(&d.table);
-            self.key("fk");
-            self.str(&d.fk);
-            self.key("strategy");
-            self.str(d.strategy.name());
-            self.key("tuple_ratio");
-            self.num(d.tuple_ratio, &Member(&at, "tuple_ratio"));
-            self.key("ror");
-            match d.ror {
-                Some(v) => self.num(v, &Member(&at, "ror")),
-                None => self.out.push_str("null"),
-            }
-            self.key("avoid");
-            self.out.push_str(if d.avoid { "true" } else { "false" });
-            self.key("foreign_features");
-            self.strs(&d.foreign_features);
-            if d.degraded {
-                self.key("degraded");
-                self.out.push_str("true");
-            }
-            self.out.push('}');
-        }
-        self.out.push(']');
-        self.key("model");
-        self.model(&a.model, &Member(at, "model"));
-        self.out.push('}');
+    fn omitted(&self) -> bool {
+        self.0.is_none()
     }
+}
 
-    fn model(&mut self, model: &ServableModel, at: &dyn Display) {
-        self.out.push('{');
-        self.key("family");
-        self.str(model.family());
-        self.key("feats");
-        self.counts(model.features());
-        match model {
-            ServableModel::NaiveBayes(m) => {
-                self.key("n_classes");
-                self.count(m.n_classes());
-                self.key("log_prior");
-                self.nums(m.log_prior(), &Member(at, "log_prior"));
-                self.key("log_cond");
-                let tables = (0..m.features().len()).map(|i| m.log_cond(i));
-                self.tables(tables, &Member(at, "log_cond"));
-                self.key("domain_sizes");
-                self.counts(m.domain_sizes());
-            }
-            ServableModel::LogisticRegression(m) => {
-                self.key("offsets");
-                self.counts(m.offsets());
-                self.key("n_classes");
-                self.count(m.n_classes());
-                self.key("dim");
-                self.count(m.dim());
-                self.key("weights");
-                self.nums(m.weights(), &Member(at, "weights"));
-                self.key("bias");
-                self.nums(m.bias(), &Member(at, "bias"));
-            }
-            ServableModel::Tan(m) => {
-                self.key("n_classes");
-                self.count(m.n_classes());
-                self.key("log_prior");
-                self.nums(m.log_prior(), &Member(at, "log_prior"));
-                self.key("parents");
-                self.out.push('[');
-                for p in m.parents() {
-                    self.item();
-                    match p {
-                        Some(i) => self.count(*i),
-                        None => self.out.push_str("null"),
-                    }
-                }
-                self.out.push(']');
-                self.key("log_cond");
-                let tables = (0..m.features().len()).map(|i| m.log_cond(i));
-                self.tables(tables, &Member(at, "log_cond"));
-                self.key("domain_sizes");
-                self.counts(m.domain_sizes());
-            }
-            ServableModel::Tree(m) => {
-                self.key("n_classes");
-                self.count(m.n_classes());
-                self.key("root");
-                self.count(m.root() as usize);
-                self.key("nodes");
-                self.out.push('[');
-                for n in m.nodes() {
-                    self.item();
-                    self.out.push('{');
-                    match *n {
-                        CartNode::Leaf { class } => {
-                            self.key("leaf");
-                            self.count(class as usize);
-                        }
-                        CartNode::Split {
-                            feature,
-                            value,
-                            left,
-                            right,
-                        } => self.split(feature, value, left, right),
-                    }
-                    self.out.push('}');
-                }
-                self.out.push(']');
-            }
-            ServableModel::Gbt(m) => {
-                self.key("n_classes");
-                self.count(m.n_classes());
-                self.key("base");
-                self.num(m.base(), &Member(at, "base"));
-                self.key("learning_rate");
-                self.num(m.learning_rate(), &Member(at, "learning_rate"));
-                self.key("trees");
-                self.out.push('[');
-                let trees = Member(at, "trees");
-                for (t, tree) in m.trees().iter().enumerate() {
-                    let at = Item(&trees, t);
-                    let nodes = Member(&at, "nodes");
-                    self.item();
-                    self.out.push('{');
-                    self.key("root");
-                    self.count(tree.root() as usize);
-                    self.key("nodes");
-                    self.out.push('[');
-                    for (i, n) in tree.nodes().iter().enumerate() {
-                        self.item();
-                        self.out.push('{');
-                        match *n {
-                            RegNode::Leaf { value } => {
-                                self.key("leaf");
-                                self.num(value, &Member(&Item(&nodes, i), "leaf"));
-                            }
-                            RegNode::Split {
-                                feature,
-                                value,
-                                left,
-                                right,
-                            } => self.split(feature, value, left, right),
-                        }
-                        self.out.push('}');
-                    }
-                    self.out.push(']');
-                    self.out.push('}');
-                }
-                self.out.push(']');
-            }
+impl<T: Put + ?Sized> Put for &T {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        (**self).put(w, at);
+    }
+}
+
+impl Put for str {
+    fn put(&self, w: &mut Writer, _: &dyn Display) {
+        write_str(&mut w.out, self);
+    }
+}
+
+impl Put for String {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        self.as_str().put(w, at);
+    }
+}
+
+impl Put for usize {
+    fn put(&self, w: &mut Writer, _: &dyn Display) {
+        write_num(&mut w.out, *self as f64);
+    }
+}
+
+impl Put for u32 {
+    fn put(&self, w: &mut Writer, _: &dyn Display) {
+        write_num(&mut w.out, *self as f64);
+    }
+}
+
+/// A parameter; a non-finite one keeps its path.
+impl Put for f64 {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        if !self.is_finite() && w.non_finite.is_none() {
+            w.non_finite = Some(at.to_string());
         }
-        self.out.push('}');
+        write_num(&mut w.out, *self);
+    }
+}
+
+impl Put for bool {
+    fn put(&self, w: &mut Writer, _: &dyn Display) {
+        w.out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl<T: Put> Put for Option<T> {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        match self {
+            Some(v) => v.put(w, at),
+            None => w.out.push_str("null"),
+        }
+    }
+}
+
+impl<T: Put> Put for [T] {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        w.out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                w.out.push(',');
+            }
+            x.put(w, &Item(at, i));
+        }
+        w.out.push(']');
+    }
+}
+
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, w: &mut Writer, at: &dyn Display) {
+        self.as_slice().put(w, at);
     }
 }
 
@@ -686,17 +540,15 @@ fn render(a: &ModelArtifact) -> (String, Option<String>) {
         non_finite: None,
     };
     w.out.push('{');
-    w.key("magic");
-    w.str(MAGIC);
-    w.key("schema_version");
-    w.count(SCHEMA_VERSION as usize);
+    w.member("magic", MAGIC, &"envelope");
+    w.member("schema_version", &(SCHEMA_VERSION as usize), &"envelope");
     w.key("checksum");
     w.out.push_str("\"fnv1a64:");
     let digits = w.out.len();
     w.out.push_str("0000000000000000\"");
     w.key("payload");
     let start = w.out.len();
-    w.payload(a);
+    a.put(&mut w, &"payload");
     let hash = format!("{:016x}", fnv1a64(&w.out.as_bytes()[start..]));
     w.out.replace_range(digits..digits + hash.len(), &hash);
     w.out.push('}');
@@ -748,42 +600,20 @@ pub fn load(path: &Path) -> Result<ModelArtifact, ArtifactError> {
 // Reading
 // ---------------------------------------------------------------------------
 
-type R<T> = Result<T, ArtifactError>;
+/// A schema error: the document is JSON but not a valid artifact. Inside
+/// the payload every error is one; [`from_json_str`] types it as
+/// [`ArtifactError::Schema`].
+type R<T> = Result<T, String>;
 
 /// A syntax error: the document is not JSON. It outranks every other
 /// verdict, so a read goes on to the end of the document and keeps the
 /// schema errors it meets as values.
 type Syntax<T> = Result<T, String>;
 
-/// An object member as read: `None` until it is met, then its typed
-/// value or its schema error, kept until the object's checks ask for
-/// it. A repeated member keeps the first value, the one `Json::get`
-/// found.
-type Slot<T> = Option<R<T>>;
-
-fn schema_err(msg: impl Into<String>) -> ArtifactError {
-    ArtifactError::Schema(msg.into())
-}
-
-/// A member's value, or the error naming its absence from `ctx`.
-fn field<T>(slot: Slot<T>, ctx: &dyn Display, key: &str) -> R<T> {
-    slot.unwrap_or_else(|| Err(schema_err(format!("{ctx}: missing field '{key}'"))))
-}
-
-/// Reads a member's value (at nesting `depth`) into `slot` with `read`,
-/// unless an earlier member of the same name filled it; a repeat is
-/// checked for syntax only.
-fn fill<'a, T>(
-    slot: &mut Slot<T>,
-    r: &mut Reader<'a>,
-    depth: usize,
-    read: impl FnOnce(&mut Reader<'a>) -> Syntax<R<T>>,
-) -> Syntax<()> {
-    if slot.is_some() {
-        return r.skip_value(depth);
-    }
-    *slot = Some(read(r)?);
-    Ok(())
+/// How a value is read back at nesting `depth`: the value, or its schema
+/// error naming `ctx`, kept until a check asks for it.
+trait Field: Sized {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>>;
 }
 
 /// Reads the object at nesting `depth`: `member` gets each key and
@@ -807,31 +637,29 @@ fn object<'a>(
     Ok(())
 }
 
-/// Reads the array at nesting `depth`, each item (at `depth + 1`)
-/// through `item` with its index: the items, or the first item's schema
-/// error. Any other value is read and refused.
+/// Reads the array at nesting `depth` into `items`, each item (at
+/// `depth + 1`) through `item` with its index: the items, or the first
+/// item's schema error. Any other value is read and refused.
 fn list<'a, T>(
     r: &mut Reader<'a>,
     depth: usize,
     ctx: &dyn Display,
+    mut items: Vec<T>,
     mut item: impl FnMut(&mut Reader<'a>, usize) -> Syntax<R<T>>,
 ) -> Syntax<R<Vec<T>>> {
     r.skip_ws();
     if r.peek() != Some(b'[') {
         r.skip_value(depth)?;
-        return Ok(Err(schema_err(format!("{ctx}: expected an array"))));
+        return Ok(Err(format!("{ctx}: expected an array")));
     }
-    let mut items = Vec::new();
     let mut first_err = None;
     let mut more = !r.begin_array()?;
     let mut i = 0;
     while more {
         match item(r, i)? {
             Ok(v) if first_err.is_none() => items.push(v),
-            Ok(_) => {}
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
+            Err(e) if first_err.is_none() => first_err = Some(e),
+            _ => {}
         }
         i += 1;
         more = r.next_item()?;
@@ -849,103 +677,486 @@ fn number(r: &mut Reader<'_>, depth: usize) -> Syntax<Option<f64>> {
     }
 }
 
-/// Whether the value at nesting `depth` is `null`, which is then read;
-/// any other value is left to the caller.
-fn null(r: &mut Reader<'_>, depth: usize) -> Syntax<bool> {
-    r.skip_ws();
-    if r.peek() != Some(b'n') {
-        return Ok(false);
-    }
-    r.skip_value(depth).map(|()| true)
-}
-
-fn finite(x: Option<f64>, ctx: &dyn Display) -> R<f64> {
-    match x {
-        Some(n) if n.is_finite() => Ok(n),
-        _ => Err(schema_err(format!("{ctx}: expected a finite number"))),
+impl Field for String {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        r.skip_ws();
+        if r.peek() != Some(b'"') {
+            r.skip_value(depth)?;
+            return Ok(Err(format!("{ctx}: expected a string")));
+        }
+        let mut s = String::new();
+        r.string_into(&mut s)?;
+        Ok(Ok(s))
     }
 }
 
-fn count(x: Option<f64>, ctx: &dyn Display) -> R<usize> {
-    let n = finite(x, ctx)?;
-    if n < 0.0 || n.fract() != 0.0 || n > 9.0e15 {
-        return Err(schema_err(format!(
-            "{ctx}: expected a non-negative integer, got {n}"
-        )));
+impl Field for f64 {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        Ok(match number(r, depth)? {
+            Some(n) if n.is_finite() => Ok(n),
+            _ => Err(format!("{ctx}: expected a finite number")),
+        })
     }
-    Ok(n as usize)
 }
 
-fn code(x: Option<f64>, ctx: &dyn Display) -> R<u32> {
-    let n = count(x, ctx)?;
-    u32::try_from(n).map_err(|_| schema_err(format!("{ctx}: {n} does not fit in u32")))
+impl Field for usize {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        Ok(f64::read(r, depth, ctx)?.and_then(|n| {
+            if n < 0.0 || n.fract() != 0.0 || n > 9.0e15 {
+                return Err(format!("{ctx}: expected a non-negative integer, got {n}"));
+            }
+            Ok(n as usize)
+        }))
+    }
 }
 
-/// The boolean at nesting `depth`; `null` reads as `if_null` when that
-/// is given, and any other value is refused.
-fn boolean(
-    r: &mut Reader<'_>,
-    depth: usize,
-    ctx: &dyn Display,
-    if_null: Option<bool>,
-) -> Syntax<R<bool>> {
-    r.skip_ws();
-    let first = r.peek();
-    r.skip_value(depth)?;
-    // A value that read cleanly and starts with `t`, `f` or `n` is that
-    // literal.
-    Ok(match (first, if_null) {
-        (Some(b't'), _) => Ok(true),
-        (Some(b'f'), _) => Ok(false),
-        (Some(b'n'), Some(v)) => Ok(v),
-        _ => Err(schema_err(format!("{ctx}: expected a boolean"))),
-    })
+impl Field for u32 {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        Ok(usize::read(r, depth, ctx)?
+            .and_then(|n| u32::try_from(n).map_err(|_| format!("{ctx}: {n} does not fit in u32"))))
+    }
 }
 
-fn string(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<String>> {
-    r.skip_ws();
-    if r.peek() != Some(b'"') {
+impl Field for bool {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        r.skip_ws();
+        let first = r.peek();
         r.skip_value(depth)?;
-        return Ok(Err(schema_err(format!("{ctx}: expected a string"))));
+        // A value that read cleanly and starts with `t` or `f` is that
+        // literal.
+        Ok(match first {
+            Some(b't') => Ok(true),
+            Some(b'f') => Ok(false),
+            _ => Err(format!("{ctx}: expected a boolean")),
+        })
     }
-    let mut s = String::new();
-    r.string_into(&mut s)?;
-    Ok(Ok(s))
 }
 
-fn strings(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Vec<String>>> {
-    list(r, depth, ctx, |r, i| string(r, depth + 1, &Item(ctx, i)))
+/// `null` as `None`, else a `T`.
+impl<T: Field> Field for Option<T> {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        r.skip_ws();
+        if r.peek() == Some(b'n') {
+            r.skip_value(depth)?;
+            return Ok(Ok(None));
+        }
+        Ok(T::read(r, depth, ctx)?.map(Some))
+    }
 }
 
-/// `null` as `None`, else [`strings`].
-fn opt_strings(
+impl<T: Field> Field for Vec<T> {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        list(r, depth, ctx, Vec::new(), |r, i| {
+            T::read(r, depth + 1, &Item(ctx, i))
+        })
+    }
+}
+
+/// An item whose schema error is its value, checked where the checks
+/// reach it: a `log_cond` table only after the table count, a TAN parent
+/// only after the parent count.
+impl<T: Field> Field for R<T> {
+    fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+        Ok(Ok(T::read(r, depth, ctx)?))
+    }
+}
+
+/// A record member as read: `None` until it is met, then its value or
+/// its schema error.
+struct Got<T> {
+    key: &'static str,
+    slot: Option<R<T>>,
+}
+
+impl<T> Got<T> {
+    /// The value, or the error naming its absence from `ctx`.
+    fn get(self, ctx: &dyn Display) -> R<T> {
+        self.slot
+            .unwrap_or_else(|| Err(format!("{ctx}: missing field '{}'", self.key)))
+    }
+}
+
+/// Declares a record's members as read: `$Slots` holds a [`Got`] per
+/// member and the `$extra` fields its readers consult, and
+/// `$Slots::read` reads the object at nesting `depth` into them. Members
+/// may come in any order; the first of a repeated member wins, and a
+/// repeat, like an unknown member, is checked for syntax only. A member
+/// reads at the path `ctx.key` through its type's [`Field`], or through
+/// `$read(r, depth, path, &slots)`, which sees the members read before
+/// it.
+macro_rules! slots {
+    ($Slots:ident { $($extra:ident: $E:ty),* } { $($key:ident: $T:ty $(=> $read:path)?,)* }) => {
+        struct $Slots {
+            $($extra: $E,)*
+            $($key: Got<$T>,)*
+        }
+
+        impl $Slots {
+            fn read(
+                r: &mut Reader<'_>,
+                depth: usize,
+                ctx: &dyn Display,
+                $($extra: $E,)*
+            ) -> Syntax<Self> {
+                let mut x = $Slots {
+                    $($extra,)*
+                    $($key: Got { key: stringify!($key), slot: None },)*
+                };
+                object(r, depth, |r, key| match key {
+                    $(stringify!($key) if x.$key.slot.is_none() => {
+                        let at = Member(ctx, stringify!($key));
+                        let value = slots!(@read r, depth + 1, &at, &x, $T $(, $read)?)?;
+                        x.$key.slot = Some(value);
+                        Ok(())
+                    })*
+                    _ => r.skip_value(depth + 1),
+                })?;
+                Ok(x)
+            }
+        }
+    };
+    (@read $r:expr, $d:expr, $at:expr, $x:expr, $T:ty) => {
+        <$T as Field>::read($r, $d, $at)
+    };
+    (@read $r:expr, $d:expr, $at:expr, $x:expr, $T:ty, $read:path) => {
+        $read($r, $d, $at, $x)
+    };
+}
+
+/// Declares one record of the format, once: its members in written
+/// order, each with the type it reads as, the value it is written from
+/// (`$this` is the record) and, after `=>`, its own reader. Generates
+/// [`Put`] for `$Ty` (`{`, then each member at the path `at.key`, then
+/// `}`), the slots through [`slots!`] and, with `check`, [`Field`] for
+/// `$Out`: the slots read, then checked.
+macro_rules! record {
+    (
+        $Ty:ty as $Slots:ident $({ $($extra:ident: $E:ty),* })? |$this:ident| {
+            $($key:ident: $T:ty = $put:expr $(=> $read:path)?,)*
+        }
+        $(check $Out:ty = |$x:ident, $ctx:ident| $check:block)?
+    ) => {
+        impl Put for $Ty {
+            fn put(&self, w: &mut Writer, at: &dyn Display) {
+                let $this = self;
+                w.out.push('{');
+                $(w.member(stringify!($key), &$put, at);)*
+                w.out.push('}');
+            }
+        }
+
+        slots!($Slots { $($($extra: $E),*)? } { $($key: $T $(=> $read)?,)* });
+
+        $(impl Field for $Out {
+            fn read(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Self>> {
+                fn check($x: $Slots, $ctx: &dyn Display) -> R<$Out> $check
+                Ok(check($Slots::read(r, depth, ctx)?, ctx))
+            }
+        })?
+    };
+}
+
+// The envelope is only read here: `render` writes it by hand around the
+// checksum it patches in.
+slots!(Envelope {} {
+    magic: String,
+    schema_version: usize,
+    checksum: String,
+    payload: Payload,
+});
+
+/// The envelope's `payload`: the span of its bytes in the document,
+/// which the checksum covers, and the artifact it holds, whose paths
+/// start at `payload`.
+struct Payload(std::ops::Range<usize>, R<ModelArtifact>);
+
+impl Field for Payload {
+    fn read(r: &mut Reader<'_>, depth: usize, _: &dyn Display) -> Syntax<R<Self>> {
+        r.skip_ws();
+        let start = r.offset();
+        let artifact = ModelArtifact::read(r, depth, &"payload")?;
+        Ok(Ok(Payload(start..r.offset(), artifact)))
+    }
+}
+
+record! {
+    ModelArtifact as PayloadSlots |a| {
+        dataset: String = a.dataset,
+        n_classes: usize = a.n_classes,
+        class_labels: Option<Vec<String>> = a.class_labels,
+        features: Vec<FeatureSchema> = a.features,
+        decisions: Vec<JoinDecision> = a.decisions,
+        model: ModelSlots = a.model => model_in_schema,
+    }
+    check ModelArtifact = |x, ctx| {
+        let dataset = x.dataset.get(ctx)?;
+        let n_classes = x.n_classes.get(ctx)?;
+        let class_labels = x.class_labels.get(ctx)?;
+        if let Some(ls) = &class_labels {
+            length(ls, n_classes, |n| {
+                format!("payload.class_labels: {n} labels for {n_classes} classes")
+            })?;
+        }
+        let features = x.features.get(ctx)?;
+        let decisions = x.decisions.get(ctx)?;
+        let model = x.model.get(ctx)?.check(&features, n_classes)?;
+        Ok(ModelArtifact {
+            dataset,
+            n_classes,
+            class_labels,
+            features,
+            decisions,
+            model,
+        })
+    }
+}
+
+record! {
+    FeatureSchema as FeatureSlots |f| {
+        name: String = f.name,
+        domain_size: usize = f.domain_size,
+        labels: Option<Vec<String>> = f.labels,
+        fk: Option<FkColdStart> = f.fk,
+    }
+    check FeatureSchema = |x, ctx| {
+        let name = x.name.get(ctx)?;
+        let domain_size = x.domain_size.get(ctx)?;
+        if domain_size == 0 {
+            return Err(format!("{ctx}: domain_size must be positive"));
+        }
+        let labels = x.labels.get(ctx)?;
+        if let Some(ls) = &labels {
+            length(ls, domain_size, |n| {
+                format!("{ctx}: {n} labels for domain_size {domain_size}")
+            })?;
+        }
+        let fk = x.fk.get(ctx)?;
+        if let Some(fk) = &fk {
+            let (others_code, original_domain) = (fk.others_code, fk.original_domain);
+            if others_code as usize >= domain_size || original_domain > domain_size {
+                return Err(format!(
+                    "{}: cold-start mapping exceeds the trained domain \
+                     (others_code {others_code}, original_domain {original_domain}, \
+                     domain_size {domain_size})",
+                    Member(ctx, "fk")
+                ));
+            }
+        }
+        Ok(FeatureSchema {
+            name,
+            domain_size,
+            labels,
+            fk,
+        })
+    }
+}
+
+record! {
+    FkColdStart as FkSlots |fk| {
+        table: String = fk.table,
+        original_domain: usize = fk.original_domain,
+        others_code: u32 = fk.others_code,
+    }
+    check FkColdStart = |x, ctx| {
+        Ok(FkColdStart {
+            table: x.table.get(ctx)?,
+            original_domain: x.original_domain.get(ctx)?,
+            others_code: x.others_code.get(ctx)?,
+        })
+    }
+}
+
+record! {
+    JoinDecision as DecisionSlots |d| {
+        table: String = d.table,
+        fk: String = d.fk,
+        strategy: String = d.strategy.name(),
+        tuple_ratio: f64 = d.tuple_ratio,
+        ror: Option<f64> = d.ror,
+        avoid: bool = d.avoid,
+        foreign_features: Vec<String> = d.foreign_features,
+        // Written only when true, so artifacts from non-degraded builds
+        // are byte-identical to the pre-degraded format; absent or
+        // `null` reads as false.
+        degraded: Option<bool> = IfSome(d.degraded.then_some(true)),
+    }
+    check JoinDecision = |x, ctx| {
+        let strategy_name = x.strategy.get(ctx)?;
+        let strategy = ExecStrategy::from_name(&strategy_name).ok_or_else(|| {
+            format!(
+                "{ctx}.strategy: unknown strategy '{strategy_name}' \
+                 (expected materialize|factorize|avoid)"
+            )
+        })?;
+        let ror = x.ror.get(ctx)?;
+        let avoid = x.avoid.get(ctx)?;
+        let foreign_features = x.foreign_features.get(ctx)?;
+        let degraded = x.degraded.slot.unwrap_or(Ok(None))? == Some(true);
+        Ok(JoinDecision {
+            table: x.table.get(ctx)?,
+            fk: x.fk.get(ctx)?,
+            strategy,
+            tuple_ratio: x.tuple_ratio.get(ctx)?,
+            ror,
+            avoid,
+            foreign_features,
+            degraded,
+        })
+    }
+}
+
+/// A model member of the listed families only: omitted for the others.
+macro_rules! of {
+    ($m:expr, $($Family:ident($x:ident) => $v:expr),+) => {
+        IfSome(match $m {
+            $(ServableModel::$Family($x) => Some($v),)+
+            _ => None,
+        })
+    };
+}
+
+/// NB's and TAN's conditional tables, one per feature.
+fn tables<'m>(n_feats: usize, table: impl Fn(usize) -> &'m [f64]) -> Vec<&'m [f64]> {
+    (0..n_feats).map(table).collect()
+}
+
+// The members of every family, in an order each family's own member
+// order keeps. `family` may come last, so every member is read, and the
+// family's own are checked once the payload closes, against its schema
+// and class count.
+record! {
+    ServableModel as ModelSlots { schema: Option<Vec<usize>> } |m| {
+        family: String = m.family(),
+        feats: Vec<usize> = m.features(),
+        offsets: Vec<usize> = of!(m, LogisticRegression(m) => m.offsets()),
+        n_classes: usize = m.n_classes(),
+        dim: usize = of!(m, LogisticRegression(m) => m.dim()),
+        log_prior: Vec<f64> = of!(m, NaiveBayes(m) => m.log_prior(), Tan(m) => m.log_prior()),
+        parents: Vec<R<Option<usize>>> = of!(m, Tan(m) => m.parents()),
+        log_cond: Vec<R<Vec<f64>>> = of!(
+            m,
+            NaiveBayes(m) => tables(m.features().len(), |i| m.log_cond(i)),
+            Tan(m) => tables(m.features().len(), |i| m.log_cond(i))
+        ) => read_tables,
+        domain_sizes: Vec<usize> =
+            of!(m, NaiveBayes(m) => m.domain_sizes(), Tan(m) => m.domain_sizes()),
+        weights: Vec<f64> = of!(m, LogisticRegression(m) => m.weights()),
+        bias: Vec<f64> = of!(m, LogisticRegression(m) => m.bias()),
+        root: u32 = of!(m, Tree(m) => m.root()),
+        nodes: Vec<CartNode> = of!(m, Tree(m) => m.nodes()),
+        base: f64 = of!(m, Gbt(m) => m.base()),
+        learning_rate: f64 = of!(m, Gbt(m) => m.learning_rate()),
+        trees: Vec<(Vec<RegNode>, u32)> = of!(m, Gbt(m) => m.trees()),
+    }
+}
+
+/// A tree node of either kind: `{"leaf": ...}`, or a split's `feature`,
+/// `value`, `left` and `right`, checked in that order.
+macro_rules! node {
+    ($Node:ident as $Slots:ident, $leaf:ident: $L:ty) => {
+        record! {
+            $Node as $Slots |n| {
+                leaf: $L = IfSome(match *n { $Node::Leaf { $leaf } => Some($leaf), _ => None }),
+                feature: usize =
+                    IfSome(match *n { $Node::Split { feature, .. } => Some(feature), _ => None }),
+                value: u32 = IfSome(match *n { $Node::Split { value, .. } => Some(value), _ => None }),
+                left: u32 = IfSome(match *n { $Node::Split { left, .. } => Some(left), _ => None }),
+                right: u32 = IfSome(match *n { $Node::Split { right, .. } => Some(right), _ => None }),
+            }
+            check $Node = |x, ctx| {
+                if let Some(leaf) = x.leaf.slot {
+                    return Ok($Node::Leaf { $leaf: leaf? });
+                }
+                Ok($Node::Split {
+                    feature: x.feature.get(ctx)?,
+                    value: x.value.get(ctx)?,
+                    left: x.left.get(ctx)?,
+                    right: x.right.get(ctx)?,
+                })
+            }
+        }
+    };
+}
+
+node!(CartNode as CartSlots, class: u32);
+node!(RegNode as RegSlots, value: f64);
+
+// One regression tree of a GBT model, read as the parts
+// `GbtModel::from_parts` takes.
+record! {
+    RegTree as TreeSlots |t| {
+        root: u32 = t.root(),
+        nodes: Vec<RegNode> = t.nodes(),
+    }
+    check (Vec<RegNode>, u32) = |x, ctx| {
+        let root = x.root.get(ctx)?;
+        Ok((x.nodes.get(ctx)?, root))
+    }
+}
+
+/// The payload's `model`, read at the path `model` (the name its schema
+/// errors give it) with the schema's domain sizes when `features` came
+/// first.
+fn model_in_schema(
     r: &mut Reader<'_>,
     depth: usize,
-    ctx: &dyn Display,
-) -> Syntax<R<Option<Vec<String>>>> {
-    if null(r, depth)? {
-        return Ok(Ok(None));
-    }
-    Ok(strings(r, depth, ctx)?.map(Some))
+    _: &dyn Display,
+    payload: &PayloadSlots,
+) -> Syntax<R<ModelSlots>> {
+    let schema = match &payload.features.slot {
+        Some(Ok(fs)) => Some(fs.iter().map(|f| f.domain_size).collect()),
+        _ => None,
+    };
+    Ok(Ok(ModelSlots::read(r, depth, &"model", schema)?))
 }
 
-fn finites(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Vec<f64>>> {
-    list(r, depth, ctx, |r, i| {
-        Ok(finite(number(r, depth + 1)?, &Item(ctx, i)))
+/// The model's `log_cond`. When the schema's domain sizes, `family`,
+/// `n_classes`, `feats` and, for TAN, `parents` came before it, as
+/// [`save`] writes them, each table is reserved at its expected cell
+/// count, capped at half the bytes left in the document: a cell takes at
+/// least a digit and a separator, so a hostile shape stays a typed
+/// error rather than an allocation failure.
+fn read_tables(
+    r: &mut Reader<'_>,
+    depth: usize,
+    at: &dyn Display,
+    m: &ModelSlots,
+) -> Syntax<R<Vec<R<Vec<f64>>>>> {
+    let cells = expected_cells(m).unwrap_or_default();
+    list(r, depth, at, Vec::new(), |r, i| {
+        let reserve = cells.get(i).map_or(0, |&n| n.min(r.remaining() / 2));
+        let at = Item(at, i);
+        let table = list(r, depth + 1, &at, Vec::with_capacity(reserve), |r, j| {
+            f64::read(r, depth + 2, &Item(&at, j))
+        })?;
+        Ok(Ok(table))
     })
 }
 
-fn counts(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<Vec<usize>>> {
-    list(r, depth, ctx, |r, i| {
-        Ok(count(number(r, depth + 1)?, &Item(ctx, i)))
-    })
-}
-
-/// `a * b` with overflow reported as a schema error (a hostile artifact
-/// could otherwise trip a debug overflow panic).
-fn mul(a: usize, b: usize, ctx: &dyn Display) -> R<usize> {
-    a.checked_mul(b)
-        .ok_or_else(|| schema_err(format!("{ctx}: table shape overflows")))
+/// Each `log_cond` table's cell count as the members read so far give
+/// it (`0` where they cannot), or `None` if any of them is still
+/// missing.
+fn expected_cells(m: &ModelSlots) -> Option<Vec<usize>> {
+    let (Some(domains), Some(Ok(family)), Some(Ok(n_classes)), Some(Ok(feats))) =
+        (&m.schema, &m.family.slot, &m.n_classes.slot, &m.feats.slot)
+    else {
+        return None;
+    };
+    let parents = match (family.as_str(), &m.parents.slot) {
+        ("naive_bayes", _) => None,
+        ("tan", Some(Ok(parents))) => Some(parents),
+        _ => return None,
+    };
+    let domain = |i: usize| feats.get(i).and_then(|&f| domains.get(f)).copied();
+    let cells = |i: usize| {
+        let parent = match parents.map(|ps| ps.get(i)) {
+            None | Some(Some(Ok(None))) => 1,
+            Some(Some(Ok(Some(p)))) => domain(*p)?,
+            Some(_) => return None,
+        };
+        n_classes.checked_mul(parent)?.checked_mul(domain(i)?)
+    };
+    Some((0..feats.len()).map(|i| cells(i).unwrap_or(0)).collect())
 }
 
 /// Parses and fully validates an artifact document. Inverse of
@@ -966,495 +1177,62 @@ fn mul(a: usize, b: usize, ctx: &dyn Display) -> R<usize> {
 /// re-rendered, and an edit inside the payload is a `ChecksumMismatch`
 /// even when it parses to the same value (`1` for `1.0`, a space after
 /// a `,`).
-pub fn from_json_str(text: &str) -> R<ModelArtifact> {
+pub fn from_json_str(text: &str) -> Result<ModelArtifact, ArtifactError> {
     let ctx: &dyn Display = &"envelope";
-    let mut magic: Slot<Option<String>> = None;
-    let mut version = None;
-    let mut checksum = None;
-    let mut payload = None;
     let mut r = Reader::new(text);
-    object(&mut r, 0, |r, key| match key {
-        "magic" => fill(&mut magic, r, 1, |r| Ok(Ok(string(r, 1, ctx)?.ok()))),
-        "schema_version" => fill(&mut version, r, 1, |r| {
-            Ok(count(number(r, 1)?, &Member(ctx, "schema_version")))
-        }),
-        "checksum" => fill(&mut checksum, r, 1, |r| {
-            string(r, 1, &Member(ctx, "checksum"))
-        }),
-        "payload" => fill(&mut payload, r, 1, |r| {
-            r.skip_ws();
-            let start = r.offset();
-            let decoded = read_payload(r)?;
-            Ok(Ok((&text[start..r.offset()], decoded)))
-        }),
-        _ => r.skip_value(1),
-    })
-    .and_then(|()| r.finish())
-    .map_err(ArtifactError::Parse)?;
-
-    let found = magic.and_then(Result::ok).flatten();
+    let envelope = Envelope::read(&mut r, 0, ctx)
+        .and_then(|e| r.finish().map(|()| e))
+        .map_err(ArtifactError::Parse)?;
+    let found = envelope.magic.slot.and_then(Result::ok);
     if found.as_deref() != Some(MAGIC) {
         return Err(ArtifactError::BadMagic {
             found: found.unwrap_or_else(|| "<missing>".into()),
         });
     }
-    let version = field(version, ctx, "schema_version")? as u64;
+    let schema = ArtifactError::Schema;
+    let version = envelope.schema_version.get(ctx).map_err(schema)? as u64;
     if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
         return Err(ArtifactError::UnsupportedVersion {
             found: version,
             supported: SCHEMA_VERSION,
         });
     }
-    let expected = field(checksum, ctx, "checksum")?;
-    let (payload_text, decoded) = field(payload, ctx, "payload")?;
-    let actual = checksum_of(payload_text);
+    let expected = envelope.checksum.get(ctx).map_err(schema)?;
+    let Payload(span, decoded) = envelope.payload.get(ctx).map_err(schema)?;
+    let actual = checksum_of(&text[span]);
     if expected != actual {
         return Err(ArtifactError::ChecksumMismatch { expected, actual });
     }
-    decoded
+    decoded.map_err(schema)
 }
 
-/// The payload's members as read.
-#[derive(Default)]
-struct PayloadIn {
-    dataset: Slot<String>,
-    n_classes: Slot<usize>,
-    class_labels: Slot<Option<Vec<String>>>,
-    features: Slot<Vec<FeatureSchema>>,
-    decisions: Slot<Vec<JoinDecision>>,
-    model: Slot<ModelIn>,
-}
-
-/// Reads the payload (nesting 1) and checks it once it closes.
-fn read_payload(r: &mut Reader<'_>) -> Syntax<R<ModelArtifact>> {
-    const D: usize = 2;
-    let ctx: &dyn Display = &"payload";
-    let mut p = PayloadIn::default();
-    object(r, 1, |r, key| match key {
-        "dataset" => fill(&mut p.dataset, r, D, |r| {
-            string(r, D, &Member(ctx, "dataset"))
-        }),
-        "n_classes" => fill(&mut p.n_classes, r, D, |r| {
-            Ok(count(number(r, D)?, &Member(ctx, "n_classes")))
-        }),
-        "class_labels" => fill(&mut p.class_labels, r, D, |r| {
-            opt_strings(r, D, &Member(ctx, "class_labels"))
-        }),
-        "features" => fill(&mut p.features, r, D, |r| {
-            let at = Member(ctx, "features");
-            list(r, D, &at, |r, i| read_feature(r, D + 1, &Item(&at, i)))
-        }),
-        "decisions" => fill(&mut p.decisions, r, D, |r| {
-            let at = Member(ctx, "decisions");
-            list(r, D, &at, |r, i| read_decision(r, D + 1, &Item(&at, i)))
-        }),
-        "model" => fill(&mut p.model, r, D, |r| read_model(r, D).map(Ok)),
-        _ => r.skip_value(D),
-    })?;
-    Ok(p.check())
-}
-
-impl PayloadIn {
-    fn check(self) -> R<ModelArtifact> {
-        let ctx: &dyn Display = &"payload";
-        let dataset = field(self.dataset, ctx, "dataset")?;
-        let n_classes = field(self.n_classes, ctx, "n_classes")?;
-        let class_labels = field(self.class_labels, ctx, "class_labels")?;
-        if let Some(ls) = &class_labels {
-            if ls.len() != n_classes {
-                return Err(schema_err(format!(
-                    "payload.class_labels: {} labels for {n_classes} classes",
-                    ls.len()
-                )));
-            }
-        }
-        let features = field(self.features, ctx, "features")?;
-        let decisions = field(self.decisions, ctx, "decisions")?;
-        let model = field(self.model, ctx, "model")?.check(&features, n_classes)?;
-        Ok(ModelArtifact {
-            dataset,
-            n_classes,
-            class_labels,
-            features,
-            decisions,
-            model,
-        })
+/// `xs` has `want` items, or the error `msg` makes of its length.
+fn length<T>(xs: &[T], want: usize, msg: impl FnOnce(usize) -> String) -> R<()> {
+    match xs.len() {
+        n if n == want => Ok(()),
+        n => Err(msg(n)),
     }
 }
 
-/// One feature's members as read.
-#[derive(Default)]
-struct FeatureIn {
-    name: Slot<String>,
-    domain_size: Slot<usize>,
-    labels: Slot<Option<Vec<String>>>,
-    fk: Slot<Option<FkIn>>,
+/// `a * b` with overflow reported as a schema error (a hostile artifact
+/// could otherwise trip a debug overflow panic).
+fn mul(a: usize, b: usize, ctx: &dyn Display) -> R<usize> {
+    a.checked_mul(b)
+        .ok_or_else(|| format!("{ctx}: table shape overflows"))
 }
 
-/// A feature's `fk` members as read.
-#[derive(Default)]
-struct FkIn {
-    table: Slot<String>,
-    original_domain: Slot<usize>,
-    others_code: Slot<u32>,
-}
-
-fn read_feature(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<FeatureSchema>> {
-    let d = depth + 1;
-    let mut f = FeatureIn::default();
-    object(r, depth, |r, key| match key {
-        "name" => fill(&mut f.name, r, d, |r| string(r, d, &Member(ctx, "name"))),
-        "domain_size" => fill(&mut f.domain_size, r, d, |r| {
-            Ok(count(number(r, d)?, &Member(ctx, "domain_size")))
-        }),
-        "labels" => fill(&mut f.labels, r, d, |r| {
-            opt_strings(r, d, &Member(ctx, "labels"))
-        }),
-        "fk" => fill(&mut f.fk, r, d, |r| {
-            if null(r, d)? {
-                return Ok(Ok(None));
-            }
-            let fctx = Member(ctx, "fk");
-            let mut fk = FkIn::default();
-            object(r, d, |r, key| match key {
-                "table" => fill(&mut fk.table, r, d + 1, |r| {
-                    string(r, d + 1, &Member(&fctx, "table"))
-                }),
-                "original_domain" => fill(&mut fk.original_domain, r, d + 1, |r| {
-                    Ok(count(number(r, d + 1)?, &Member(&fctx, "original_domain")))
-                }),
-                "others_code" => fill(&mut fk.others_code, r, d + 1, |r| {
-                    Ok(code(number(r, d + 1)?, &Member(&fctx, "others_code")))
-                }),
-                _ => r.skip_value(d + 1),
-            })?;
-            Ok(Ok(Some(fk)))
-        }),
-        _ => r.skip_value(d),
-    })?;
-    Ok(f.check(ctx))
-}
-
-impl FeatureIn {
-    fn check(self, ctx: &dyn Display) -> R<FeatureSchema> {
-        let name = field(self.name, ctx, "name")?;
-        let domain_size = field(self.domain_size, ctx, "domain_size")?;
-        if domain_size == 0 {
-            return Err(schema_err(format!("{ctx}: domain_size must be positive")));
-        }
-        let labels = field(self.labels, ctx, "labels")?;
-        if let Some(ls) = &labels {
-            if ls.len() != domain_size {
-                return Err(schema_err(format!(
-                    "{ctx}: {} labels for domain_size {domain_size}",
-                    ls.len()
-                )));
-            }
-        }
-        let fk = match field(self.fk, ctx, "fk")? {
-            None => None,
-            Some(fk) => {
-                let fctx = Member(ctx, "fk");
-                let table = field(fk.table, &fctx, "table")?;
-                let original_domain = field(fk.original_domain, &fctx, "original_domain")?;
-                let others_code = field(fk.others_code, &fctx, "others_code")?;
-                if others_code as usize >= domain_size || original_domain > domain_size {
-                    return Err(schema_err(format!(
-                        "{fctx}: cold-start mapping exceeds the trained domain \
-                         (others_code {others_code}, original_domain {original_domain}, \
-                         domain_size {domain_size})"
-                    )));
-                }
-                Some(FkColdStart {
-                    table,
-                    original_domain,
-                    others_code,
-                })
-            }
-        };
-        Ok(FeatureSchema {
-            name,
-            domain_size,
-            labels,
-            fk,
-        })
-    }
-}
-
-/// One join decision's members as read.
-#[derive(Default)]
-struct DecisionIn {
-    table: Slot<String>,
-    fk: Slot<String>,
-    strategy: Slot<String>,
-    tuple_ratio: Slot<f64>,
-    ror: Slot<Option<f64>>,
-    avoid: Slot<bool>,
-    foreign_features: Slot<Vec<String>>,
-    degraded: Slot<bool>,
-}
-
-fn read_decision(r: &mut Reader<'_>, depth: usize, ctx: &dyn Display) -> Syntax<R<JoinDecision>> {
-    let d = depth + 1;
-    let mut x = DecisionIn::default();
-    object(r, depth, |r, key| match key {
-        "table" => fill(&mut x.table, r, d, |r| string(r, d, &Member(ctx, "table"))),
-        "fk" => fill(&mut x.fk, r, d, |r| string(r, d, &Member(ctx, "fk"))),
-        "strategy" => fill(&mut x.strategy, r, d, |r| {
-            string(r, d, &Member(ctx, "strategy"))
-        }),
-        "tuple_ratio" => fill(&mut x.tuple_ratio, r, d, |r| {
-            Ok(finite(number(r, d)?, &Member(ctx, "tuple_ratio")))
-        }),
-        "ror" => fill(&mut x.ror, r, d, |r| {
-            if null(r, d)? {
-                return Ok(Ok(None));
-            }
-            Ok(finite(number(r, d)?, &Member(ctx, "ror")).map(Some))
-        }),
-        "avoid" => fill(&mut x.avoid, r, d, |r| {
-            boolean(r, d, &Member(ctx, "avoid"), None)
-        }),
-        "foreign_features" => fill(&mut x.foreign_features, r, d, |r| {
-            strings(r, d, &Member(ctx, "foreign_features"))
-        }),
-        // Optional: absent in artifacts from non-degraded builds (and
-        // in every pre-degraded artifact).
-        "degraded" => fill(&mut x.degraded, r, d, |r| {
-            boolean(r, d, &Member(ctx, "degraded"), Some(false))
-        }),
-        _ => r.skip_value(d),
-    })?;
-    Ok(x.check(ctx))
-}
-
-impl DecisionIn {
-    fn check(self, ctx: &dyn Display) -> R<JoinDecision> {
-        let strategy_name = field(self.strategy, ctx, "strategy")?;
-        let strategy = ExecStrategy::from_name(&strategy_name).ok_or_else(|| {
-            schema_err(format!(
-                "{ctx}.strategy: unknown strategy '{strategy_name}' \
-                 (expected materialize|factorize|avoid)"
-            ))
-        })?;
-        let ror = field(self.ror, ctx, "ror")?;
-        let avoid = field(self.avoid, ctx, "avoid")?;
-        let foreign_features = field(self.foreign_features, ctx, "foreign_features")?;
-        let degraded = self.degraded.unwrap_or(Ok(false))?;
-        Ok(JoinDecision {
-            table: field(self.table, ctx, "table")?,
-            fk: field(self.fk, ctx, "fk")?,
-            strategy,
-            tuple_ratio: field(self.tuple_ratio, ctx, "tuple_ratio")?,
-            ror,
-            avoid,
-            foreign_features,
-            degraded,
-        })
-    }
-}
-
-/// The model's members as read. Which of them count depends on
-/// `family`, which may come last, so every known member is decoded and
-/// the family's own are checked once the payload closes (they are
-/// checked against the payload's schema and class count).
-#[derive(Default)]
-struct ModelIn {
-    family: Slot<String>,
-    n_classes: Slot<usize>,
-    feats: Slot<Vec<usize>>,
-    domain_sizes: Slot<Vec<usize>>,
-    log_prior: Slot<Vec<f64>>,
-    /// Per table: its cells, or its own schema error.
-    log_cond: Slot<Vec<R<Vec<f64>>>>,
-    /// Per feature: its parent, or its own schema error.
-    parents: Slot<Vec<R<Option<usize>>>>,
-    offsets: Slot<Vec<usize>>,
-    dim: Slot<usize>,
-    weights: Slot<Vec<f64>>,
-    bias: Slot<Vec<f64>>,
-    root: Slot<u32>,
-    nodes: Slot<Vec<CartNode>>,
-    base: Slot<f64>,
-    learning_rate: Slot<f64>,
-    trees: Slot<Vec<(Vec<RegNode>, u32)>>,
-}
-
-fn read_model(r: &mut Reader<'_>, depth: usize) -> Syntax<ModelIn> {
-    let d = depth + 1;
-    let ctx: &dyn Display = &"model";
-    let mut m = ModelIn::default();
-    object(r, depth, |r, key| match key {
-        "family" => fill(&mut m.family, r, d, |r| {
-            string(r, d, &Member(ctx, "family"))
-        }),
-        "n_classes" => fill(&mut m.n_classes, r, d, |r| {
-            Ok(count(number(r, d)?, &Member(ctx, "n_classes")))
-        }),
-        "feats" => fill(&mut m.feats, r, d, |r| counts(r, d, &Member(ctx, "feats"))),
-        "domain_sizes" => fill(&mut m.domain_sizes, r, d, |r| {
-            counts(r, d, &Member(ctx, "domain_sizes"))
-        }),
-        "log_prior" => fill(&mut m.log_prior, r, d, |r| {
-            finites(r, d, &Member(ctx, "log_prior"))
-        }),
-        "log_cond" => fill(&mut m.log_cond, r, d, |r| {
-            let at = Member(ctx, "log_cond");
-            list(r, d, &at, |r, i| Ok(Ok(finites(r, d + 1, &Item(&at, i))?)))
-        }),
-        "parents" => fill(&mut m.parents, r, d, |r| {
-            let at = Member(ctx, "parents");
-            list(r, d, &at, |r, i| {
-                if null(r, d + 1)? {
-                    return Ok(Ok(Ok(None)));
-                }
-                Ok(Ok(count(number(r, d + 1)?, &Item(&at, i)).map(Some)))
-            })
-        }),
-        "offsets" => fill(&mut m.offsets, r, d, |r| {
-            counts(r, d, &Member(ctx, "offsets"))
-        }),
-        "dim" => fill(&mut m.dim, r, d, |r| {
-            Ok(count(number(r, d)?, &Member(ctx, "dim")))
-        }),
-        "weights" => fill(&mut m.weights, r, d, |r| {
-            finites(r, d, &Member(ctx, "weights"))
-        }),
-        "bias" => fill(&mut m.bias, r, d, |r| finites(r, d, &Member(ctx, "bias"))),
-        "root" => fill(&mut m.root, r, d, |r| {
-            Ok(code(number(r, d)?, &Member(ctx, "root")))
-        }),
-        "nodes" => fill(&mut m.nodes, r, d, |r| {
-            let at = Member(ctx, "nodes");
-            list(r, d, &at, |r, i| {
-                Ok(read_node(r, d + 1)?.cart(&Item(&at, i)))
-            })
-        }),
-        "base" => fill(&mut m.base, r, d, |r| {
-            Ok(finite(number(r, d)?, &Member(ctx, "base")))
-        }),
-        "learning_rate" => fill(&mut m.learning_rate, r, d, |r| {
-            Ok(finite(number(r, d)?, &Member(ctx, "learning_rate")))
-        }),
-        "trees" => fill(&mut m.trees, r, d, |r| {
-            let at = Member(ctx, "trees");
-            list(r, d, &at, |r, t| read_reg_tree(r, d + 1, &Item(&at, t)))
-        }),
-        _ => r.skip_value(d),
-    })?;
-    Ok(m)
-}
-
-/// One regression tree of a GBT model: its nodes and root.
-fn read_reg_tree(
-    r: &mut Reader<'_>,
-    depth: usize,
-    ctx: &dyn Display,
-) -> Syntax<R<(Vec<RegNode>, u32)>> {
-    let d = depth + 1;
-    let (mut root, mut nodes) = (None, None);
-    object(r, depth, |r, key| match key {
-        "root" => fill(&mut root, r, d, |r| {
-            Ok(code(number(r, d)?, &Member(ctx, "root")))
-        }),
-        "nodes" => fill(&mut nodes, r, d, |r| {
-            let at = Member(ctx, "nodes");
-            list(
-                r,
-                d,
-                &at,
-                |r, i| Ok(read_node(r, d + 1)?.reg(&Item(&at, i))),
-            )
-        }),
-        _ => r.skip_value(d),
-    })?;
-    Ok(field(root, ctx, "root").and_then(|root| Ok((field(nodes, ctx, "nodes")?, root))))
-}
-
-/// A tree node's members as read, as plain numbers (`None` for any
-/// other value): the leaf's type depends on the tree.
-#[derive(Default)]
-struct NodeIn {
-    leaf: Slot<Option<f64>>,
-    feature: Slot<Option<f64>>,
-    value: Slot<Option<f64>>,
-    left: Slot<Option<f64>>,
-    right: Slot<Option<f64>>,
-}
-
-fn read_node(r: &mut Reader<'_>, depth: usize) -> Syntax<NodeIn> {
-    let d = depth + 1;
-    let mut n = NodeIn::default();
-    object(r, depth, |r, key| {
-        let slot = match key {
-            "leaf" => &mut n.leaf,
-            "feature" => &mut n.feature,
-            "value" => &mut n.value,
-            "left" => &mut n.left,
-            "right" => &mut n.right,
-            _ => return r.skip_value(d),
-        };
-        fill(slot, r, d, |r| Ok(Ok(number(r, d)?)))
-    })?;
-    Ok(n)
-}
-
-impl NodeIn {
-    /// A split's `feature`, `value`, `left` and `right`, checked in
-    /// that order.
-    fn split(self, ctx: &dyn Display) -> R<(usize, u32, u32, u32)> {
-        let feature = count(
-            field(self.feature, ctx, "feature")?,
-            &Member(ctx, "feature"),
-        )?;
-        let value = code(field(self.value, ctx, "value")?, &Member(ctx, "value"))?;
-        let left = code(field(self.left, ctx, "left")?, &Member(ctx, "left"))?;
-        let right = code(field(self.right, ctx, "right")?, &Member(ctx, "right"))?;
-        Ok((feature, value, left, right))
-    }
-
-    /// A CART node: `{"leaf": class}` or a split.
-    fn cart(self, ctx: &dyn Display) -> R<CartNode> {
-        if let Some(leaf) = self.leaf {
-            let class = code(leaf?, &Member(ctx, "leaf"))?;
-            return Ok(CartNode::Leaf { class });
-        }
-        let (feature, value, left, right) = self.split(ctx)?;
-        Ok(CartNode::Split {
-            feature,
-            value,
-            left,
-            right,
-        })
-    }
-
-    /// A regression-tree node: `{"leaf": value}` or a split.
-    fn reg(self, ctx: &dyn Display) -> R<RegNode> {
-        if let Some(leaf) = self.leaf {
-            let value = finite(leaf?, &Member(ctx, "leaf"))?;
-            return Ok(RegNode::Leaf { value });
-        }
-        let (feature, value, left, right) = self.split(ctx)?;
-        Ok(RegNode::Split {
-            feature,
-            value,
-            left,
-            right,
-        })
-    }
-}
-
-impl ModelIn {
-    /// Checks the family's members in the order, and with the
-    /// messages, of the tree parser this decoder replaced.
+impl ModelSlots {
+    /// Checks the family's members in a fixed order: the first failure
+    /// is the verdict, and `tests/proptests_artifact.rs` holds both to
+    /// its oracle.
     fn check(self, features: &[FeatureSchema], n_classes: usize) -> R<ServableModel> {
         let ctx: &dyn Display = &"model";
-        let family = field(self.family, ctx, "family")?;
-        let mc = field(self.n_classes, ctx, "n_classes")?;
+        let family = self.family.get(ctx)?;
+        let mc = self.n_classes.get(ctx)?;
         if mc != n_classes || n_classes == 0 {
-            return Err(schema_err(format!(
+            return Err(format!(
                 "model.n_classes {mc} disagrees with artifact n_classes {n_classes}"
-            )));
+            ));
         }
         match family.as_str() {
             "naive_bayes" => {
@@ -1472,47 +1250,35 @@ impl ModelIn {
                 )))
             }
             "logistic_regression" => {
-                let feats = field(self.feats, ctx, "feats")?;
-                let offsets = field(self.offsets, ctx, "offsets")?;
-                let dim = field(self.dim, ctx, "dim")?;
-                if offsets.len() != feats.len() {
-                    return Err(schema_err(format!(
-                        "model.offsets: {} entries for {} feats",
-                        offsets.len(),
-                        feats.len()
-                    )));
-                }
+                let feats = self.feats.get(ctx)?;
+                let offsets = self.offsets.get(ctx)?;
+                let dim = self.dim.get(ctx)?;
+                length(&offsets, feats.len(), |n| {
+                    format!("model.offsets: {n} entries for {} feats", feats.len())
+                })?;
                 for (i, (&f, &off)) in feats.iter().zip(&offsets).enumerate() {
                     let fs = features.get(f).ok_or_else(|| {
-                        schema_err(format!(
-                            "model.feats[{i}]: feature position {f} is outside the schema"
-                        ))
+                        format!("model.feats[{i}]: feature position {f} is outside the schema")
                     })?;
                     let end = off
                         .checked_add(fs.domain_size)
-                        .ok_or_else(|| schema_err(format!("model.offsets[{i}]: overflows")))?;
+                        .ok_or_else(|| format!("model.offsets[{i}]: overflows"))?;
                     if end > dim {
-                        return Err(schema_err(format!(
+                        return Err(format!(
                             "model.offsets[{i}]: block [{off}, {end}) of feature '{}' \
                              exceeds dim {dim}",
                             fs.name
-                        )));
+                        ));
                     }
                 }
-                let weights = field(self.weights, ctx, "weights")?;
-                let bias = field(self.bias, ctx, "bias")?;
-                if weights.len() != mul(n_classes, dim, &"model.weights")? {
-                    return Err(schema_err(format!(
-                        "model.weights: {} cells, expected n_classes {n_classes} x dim {dim}",
-                        weights.len()
-                    )));
-                }
-                if bias.len() != n_classes {
-                    return Err(schema_err(format!(
-                        "model.bias: {} entries for {n_classes} classes",
-                        bias.len()
-                    )));
-                }
+                let weights = self.weights.get(ctx)?;
+                let bias = self.bias.get(ctx)?;
+                length(&weights, mul(n_classes, dim, &"model.weights")?, |n| {
+                    format!("model.weights: {n} cells, expected n_classes {n_classes} x dim {dim}")
+                })?;
+                length(&bias, n_classes, |n| {
+                    format!("model.bias: {n} entries for {n_classes} classes")
+                })?;
                 Ok(ServableModel::LogisticRegression(
                     LogisticRegressionModel::from_parts(
                         feats, offsets, n_classes, dim, weights, bias,
@@ -1522,23 +1288,19 @@ impl ModelIn {
             "tan" => {
                 let (feats, domain_sizes) = schema_feats(self.feats, self.domain_sizes, features)?;
                 let log_prior = log_prior(self.log_prior, n_classes)?;
-                let parents = field(self.parents, ctx, "parents")?;
-                if parents.len() != feats.len() {
-                    return Err(schema_err(format!(
-                        "model.parents: {} entries for {} feats",
-                        parents.len(),
-                        feats.len()
-                    )));
-                }
+                let parents = self.parents.get(ctx)?;
+                length(&parents, feats.len(), |n| {
+                    format!("model.parents: {n} entries for {} feats", feats.len())
+                })?;
                 let parents = parents
                     .into_iter()
                     .enumerate()
                     .map(|(i, p)| match p? {
-                        Some(idx) if idx >= feats.len() => Err(schema_err(format!(
+                        Some(idx) if idx >= feats.len() => Err(format!(
                             "model.parents[{i}]: parent {idx} is outside the \
                              {}-feature model",
                             feats.len()
-                        ))),
+                        )),
                         p => Ok(p),
                     })
                     .collect::<R<Vec<Option<usize>>>>()?;
@@ -1556,28 +1318,28 @@ impl ModelIn {
                 )))
             }
             "tree" => {
-                let feats = field(self.feats, ctx, "feats")?;
+                let feats = self.feats.get(ctx)?;
                 check_model_feats(&feats, features)?;
-                let root = field(self.root, ctx, "root")?;
-                let nodes = field(self.nodes, ctx, "nodes")?;
+                let root = self.root.get(ctx)?;
+                let nodes = self.nodes.get(ctx)?;
                 CartModel::from_parts(feats, n_classes, features.len(), nodes, root)
                     .map(ServableModel::Tree)
-                    .map_err(|e| schema_err(format!("model: {e}")))
+                    .map_err(|e| format!("model: {e}"))
             }
             "gbt" => {
-                let feats = field(self.feats, ctx, "feats")?;
+                let feats = self.feats.get(ctx)?;
                 check_model_feats(&feats, features)?;
-                let base = field(self.base, ctx, "base")?;
-                let learning_rate = field(self.learning_rate, ctx, "learning_rate")?;
-                let trees = field(self.trees, ctx, "trees")?;
+                let base = self.base.get(ctx)?;
+                let learning_rate = self.learning_rate.get(ctx)?;
+                let trees = self.trees.get(ctx)?;
                 GbtModel::from_parts(feats, n_classes, features.len(), base, learning_rate, trees)
                     .map(ServableModel::Gbt)
-                    .map_err(|e| schema_err(format!("model: {e}")))
+                    .map_err(|e| format!("model: {e}"))
             }
-            other => Err(schema_err(format!(
+            other => Err(format!(
                 "model.family: unknown family '{other}' \
                  (expected naive_bayes|logistic_regression|tan|tree|gbt)"
-            ))),
+            )),
         }
     }
 }
@@ -1585,34 +1347,24 @@ impl ModelIn {
 /// `feats` and `domain_sizes`, cross-checked against the feature
 /// schema.
 fn schema_feats(
-    feats: Slot<Vec<usize>>,
-    domain_sizes: Slot<Vec<usize>>,
+    feats: Got<Vec<usize>>,
+    domain_sizes: Got<Vec<usize>>,
     features: &[FeatureSchema],
 ) -> R<(Vec<usize>, Vec<usize>)> {
     let ctx: &dyn Display = &"model";
-    let feats = field(feats, ctx, "feats")?;
-    let domain_sizes = field(domain_sizes, ctx, "domain_sizes")?;
-    if domain_sizes.len() != feats.len() {
-        return Err(schema_err(format!(
-            "model: {} domain_sizes for {} feats",
-            domain_sizes.len(),
-            feats.len()
-        )));
-    }
-    for (i, &f) in feats.iter().enumerate() {
-        let fs = features.get(f).ok_or_else(|| {
-            schema_err(format!(
-                "model.feats[{i}]: feature position {f} is outside the schema \
-                 ({} features)",
-                features.len()
-            ))
-        })?;
-        if domain_sizes[i] != fs.domain_size {
-            return Err(schema_err(format!(
-                "model.domain_sizes[{i}]: {} disagrees with schema domain {} \
+    let feats = feats.get(ctx)?;
+    let domain_sizes = domain_sizes.get(ctx)?;
+    length(&domain_sizes, feats.len(), |n| {
+        format!("model: {n} domain_sizes for {} feats", feats.len())
+    })?;
+    for (i, (&f, &d)) in feats.iter().zip(&domain_sizes).enumerate() {
+        let fs = schema_feature(features, i, f)?;
+        if d != fs.domain_size {
+            return Err(format!(
+                "model.domain_sizes[{i}]: {d} disagrees with schema domain {} \
                  of feature '{}'",
-                domain_sizes[i], fs.domain_size, fs.name
-            )));
+                fs.domain_size, fs.name
+            ));
         }
     }
     Ok((feats, domain_sizes))
@@ -1622,41 +1374,39 @@ fn schema_feats(
 /// (tree arenas have no `domain_sizes` vector to cross-check).
 fn check_model_feats(feats: &[usize], features: &[FeatureSchema]) -> R<()> {
     for (i, &f) in feats.iter().enumerate() {
-        if f >= features.len() {
-            return Err(schema_err(format!(
-                "model.feats[{i}]: feature position {f} is outside the schema \
-                 ({} features)",
-                features.len()
-            )));
-        }
+        schema_feature(features, i, f)?;
     }
     Ok(())
 }
 
-fn log_prior(slot: Slot<Vec<f64>>, n_classes: usize) -> R<Vec<f64>> {
-    let log_prior = field(slot, &"model", "log_prior")?;
-    if log_prior.len() != n_classes {
-        return Err(schema_err(format!(
-            "model.log_prior: {} entries for {n_classes} classes",
-            log_prior.len()
-        )));
-    }
+/// The schema's feature at position `f`, which `model.feats[i]` names.
+fn schema_feature(features: &[FeatureSchema], i: usize, f: usize) -> R<&FeatureSchema> {
+    features.get(f).ok_or_else(|| {
+        format!(
+            "model.feats[{i}]: feature position {f} is outside the schema ({} features)",
+            features.len()
+        )
+    })
+}
+
+fn log_prior(slot: Got<Vec<f64>>, n_classes: usize) -> R<Vec<f64>> {
+    let log_prior = slot.get(&"model")?;
+    length(&log_prior, n_classes, |n| {
+        format!("model.log_prior: {n} entries for {n_classes} classes")
+    })?;
     Ok(log_prior)
 }
 
 /// `log_cond`: one table per feature, of the size `cells` gives it.
 fn log_cond(
-    slot: Slot<Vec<R<Vec<f64>>>>,
+    slot: Got<Vec<R<Vec<f64>>>>,
     n_feats: usize,
     cells: impl Fn(usize, &dyn Display) -> R<usize>,
 ) -> R<Vec<Vec<f64>>> {
-    let tables = field(slot, &"model", "log_cond")?;
-    if tables.len() != n_feats {
-        return Err(schema_err(format!(
-            "model.log_cond: {} tables for {n_feats} feats",
-            tables.len()
-        )));
-    }
+    let tables = slot.get(&"model")?;
+    length(&tables, n_feats, |n| {
+        format!("model.log_cond: {n} tables for {n_feats} feats")
+    })?;
     let at = Member(&"model", "log_cond");
     tables
         .into_iter()
@@ -1665,12 +1415,9 @@ fn log_cond(
             let ctx = Item(&at, i);
             let table = table?;
             let want = cells(i, &ctx)?;
-            if table.len() != want {
-                return Err(schema_err(format!(
-                    "{ctx}: {} cells, expected {want}",
-                    table.len()
-                )));
-            }
+            length(&table, want, |n| {
+                format!("{ctx}: {n} cells, expected {want}")
+            })?;
             Ok(table)
         })
         .collect()

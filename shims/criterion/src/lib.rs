@@ -8,9 +8,11 @@
 //! simple wall-clock measurement loop instead of criterion's statistical
 //! machinery.
 //!
-//! Under `cargo test` (cargo passes `--test` to `harness = false` bench
-//! executables) each benchmark body runs exactly once so the suite stays
-//! fast while still smoke-testing every bench.
+//! Under `cargo test` each benchmark body runs exactly once so the suite
+//! stays fast while still smoke-testing every bench. Cargo passes
+//! `--bench` to a `harness = false` bench executable under `cargo bench`
+//! and nothing under `cargo test`, so a run without `--bench` (or with
+//! criterion's `--test`) is a test run.
 
 use std::time::{Duration, Instant};
 
@@ -90,7 +92,8 @@ impl Bencher {
 }
 
 fn is_test_mode() -> bool {
-    std::env::args().any(|a| a == "--test")
+    let args: Vec<String> = std::env::args().collect();
+    !args.iter().any(|a| a == "--bench") || args.iter().any(|a| a == "--test")
 }
 
 fn run_one(group: Option<&str>, id: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {

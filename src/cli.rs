@@ -1482,9 +1482,19 @@ mod tests {
             ))
             .unwrap();
         std::env::remove_var("HAMLET_JOURNAL_DIR");
-        for span in ["ml.tan_fit", "trees.cart_fit", "datagen.generate"] {
+        for span in [
+            "ml.tan_fit",
+            "ml.tan_cmi",
+            "trees.cart_fit",
+            "datagen.generate",
+        ] {
             assert!(fits.contains(span), "no {span} in {fits}");
         }
+        assert!(
+            fits.lines()
+                .any(|l| l.contains("ml.tan_cmi pairs=") && l.contains(" rows=")),
+            "{fits}"
+        );
 
         // Span tree with the instrumented hot paths.
         assert!(out.contains("span tree"), "{out}");

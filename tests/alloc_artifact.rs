@@ -3,8 +3,11 @@
 //! binary): `save` writes the document into one buffer and `load`
 //! decodes it straight into the model, so neither side ever holds a
 //! `Json` tree of the payload (about 32 bytes per number, against about
-//! 20 bytes of text). Each side's peak stays below 2.5 times the
-//! artifact's length; a tree on either side breaks that bound.
+//! 20 bytes of text). `save`'s peak stays below 2.5 times the artifact's
+//! length; a tree breaks that bound. `load` holds the text and reserves
+//! each `log_cond` table at its cell count from the schema before it, so
+//! its peak is the text plus 8 bytes a number: 1.40 times the length
+//! here, bound at 1.6. A table grown by doubling instead reads 1.87.
 
 use hamlet::core::ExecStrategy;
 use hamlet::ml::NaiveBayesModel;
@@ -109,6 +112,7 @@ fn artifact_round_trip_peaks_stay_within_a_small_multiple_of_its_bytes() {
         "save peaked at {save_peak} bytes over its baseline for a {bytes}-byte artifact \
          (bound {bound})"
     );
+    let bound = bytes * 8 / 5;
     assert!(
         load_peak < bound,
         "load peaked at {load_peak} bytes over its baseline for a {bytes}-byte artifact \

@@ -98,7 +98,9 @@ fn logistic_regression() -> ModelArtifact {
             vec![0, 2],
             2,
             5,
-            vec![0.25, -1.5, 3.0e-7, 0.0, 1.0, -2.0, 0.125, 7.5, -0.0625, 1e-3],
+            vec![
+                0.25, -1.5, 3.0e-7, 0.0, 1.0, -2.0, 0.125, 7.5, -0.0625, 1e-3,
+            ],
             vec![0.125, -0.5],
         ),
     ))
