@@ -12,16 +12,22 @@ use hamlet_obs::json::Json;
 
 /// Whether this is a `cargo bench` run: cargo passes `--bench` to a
 /// `harness = false` bench there, and nothing under `cargo test --bench`.
-/// Criterion's own `--test` also marks a test run.
+/// Criterion's own `--test` also marks a test run. The criterion shim's
+/// `is_test_mode` is the same check, inverted; keep the two alike.
 pub fn measuring() -> bool {
     let args: Vec<String> = std::env::args().collect();
     args.iter().any(|a| a == "--bench") && !args.iter().any(|a| a == "--test")
 }
 
-/// Whether the bench runs at the CI smoke settings: asked for with
-/// `HAMLET_BENCH_QUICK=1`, and always outside a `cargo bench` run.
+/// Whether `HAMLET_BENCH_QUICK=1` asks for the CI smoke settings.
+fn quick_asked() -> bool {
+    std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1")
+}
+
+/// Whether a bench runs at the CI smoke settings: when asked for, and
+/// always outside a `cargo bench` run.
 pub fn quick() -> bool {
-    !measuring() || std::env::var("HAMLET_BENCH_QUICK").is_ok_and(|v| v == "1")
+    !measuring() || quick_asked()
 }
 
 /// Median wall-clock seconds of `reps` runs of `f`, and the last run's
@@ -52,13 +58,16 @@ pub fn num(x: f64, decimals: i32) -> Json {
 
 /// A report document: the common header, then the bench's own members.
 /// `threads` is the worker count every parallel arm runs at
-/// (`HAMLET_THREADS`, else the available parallelism).
+/// (`HAMLET_THREADS`, else the available parallelism). `quick` is
+/// whether `HAMLET_BENCH_QUICK=1` asked for the smoke settings: a report
+/// is written only from a `cargo bench` run, where that is the shape
+/// that ran, and `loadgen`, which is no bench, runs no quick shape.
 pub fn document(bench: &str, scale: f64, members: Vec<(&str, Json)>) -> Json {
     let header = [
         ("bench", bench.into()),
         ("threads", resolved_threads().into()),
         ("scale", scale.into()),
-        ("quick", quick().into()),
+        ("quick", quick_asked().into()),
     ];
     hamlet_obs::json::obj(header.into_iter().chain(members).collect())
 }
@@ -165,7 +174,7 @@ mod tests {
                 "\"bench\": \"demo\",",
                 &format!("\"threads\": {},", resolved_threads()),
                 "\"scale\": 0.5,",
-                &format!("\"quick\": {},", quick()),
+                &format!("\"quick\": {},", quick_asked()),
                 "\"rows\": 7,",
                 "\"part\": {\"s\":0.1235},",
                 "\"results\": [",
@@ -189,6 +198,9 @@ mod tests {
         });
         assert!(!built, "a test run built a report");
         assert!(!path("demo").exists());
+        // The header states the shape asked for, not the test run's.
+        let doc = document("demo", 1.0, vec![]);
+        assert_eq!(doc.get("quick"), Some(&Json::from(quick_asked())));
     }
 
     #[test]

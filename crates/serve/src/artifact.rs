@@ -46,7 +46,9 @@
 //! cold-start bounds, the strategy name and the model's family `match`),
 //! the checksum patch, `save` and `load`. `tests/fixtures/` holds one
 //! v2 artifact per family that every build must read and write back
-//! byte for byte.
+//! byte for byte. When the schema precedes `log_cond`, as [`save`]
+//! writes it, each table is reserved at its cell count, out of one
+//! budget that the rest of the document bounds.
 
 use std::fmt::{self, Display};
 use std::path::Path;
@@ -1113,9 +1115,11 @@ fn model_in_schema(
 /// The model's `log_cond`. When the schema's domain sizes, `family`,
 /// `n_classes`, `feats` and, for TAN, `parents` came before it, as
 /// [`save`] writes them, each table is reserved at its expected cell
-/// count, capped at half the bytes left in the document: a cell takes at
-/// least a digit and a separator, so a hostile shape stays a typed
-/// error rather than an allocation failure.
+/// count. The tables share one budget of half the bytes left in the
+/// document, since a cell takes at least a digit and a separator: all
+/// the reservations together hold at most four bytes per byte of text,
+/// so a hostile shape stays a typed error rather than an allocation
+/// failure.
 fn read_tables(
     r: &mut Reader<'_>,
     depth: usize,
@@ -1123,8 +1127,10 @@ fn read_tables(
     m: &ModelSlots,
 ) -> Syntax<R<Vec<R<Vec<f64>>>>> {
     let cells = expected_cells(m).unwrap_or_default();
+    let mut budget = r.remaining() / 2;
     list(r, depth, at, Vec::new(), |r, i| {
-        let reserve = cells.get(i).map_or(0, |&n| n.min(r.remaining() / 2));
+        let reserve = cells.get(i).map_or(0, |&n| n.min(budget));
+        budget -= reserve;
         let at = Item(at, i);
         let table = list(r, depth + 1, &at, Vec::with_capacity(reserve), |r, j| {
             f64::read(r, depth + 2, &Item(&at, j))

@@ -91,6 +91,7 @@ impl Bencher {
     }
 }
 
+/// `hamlet_bench::report::measuring`, inverted; keep the two alike.
 fn is_test_mode() -> bool {
     let args: Vec<String> = std::env::args().collect();
     !args.iter().any(|a| a == "--bench") || args.iter().any(|a| a == "--test")

@@ -8,15 +8,29 @@
 //! each `log_cond` table at its cell count from the schema before it, so
 //! its peak is the text plus 8 bytes a number: 1.40 times the length
 //! here, bound at 1.6. A table grown by doubling instead reads 1.87.
+//! The reservations share one budget, so a document whose schema
+//! promises more cells than it holds cannot make `load` reserve them.
+
+use std::sync::Mutex;
 
 use hamlet::core::ExecStrategy;
 use hamlet::ml::NaiveBayesModel;
 use hamlet::obs::CountingAlloc;
-use hamlet::serve::artifact::{load, save};
-use hamlet::serve::{FeatureSchema, FkColdStart, JoinDecision, ModelArtifact, ServableModel};
+use hamlet::serve::artifact::{from_json_str, load, save};
+use hamlet::serve::{
+    ArtifactError, FeatureSchema, FkColdStart, JoinDecision, ModelArtifact, ServableModel,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Held for the whole of each test: the peak is process-wide, so a test
+/// running beside another would count its allocations too.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> std::sync::MutexGuard<'static, ()> {
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Peak extra bytes allocated while running `f`, over the live baseline.
 fn peak_delta<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -86,6 +100,7 @@ fn nb_artifact(n_keys: usize) -> ModelArtifact {
 
 #[test]
 fn artifact_round_trip_peaks_stay_within_a_small_multiple_of_its_bytes() {
+    let _measuring = measuring();
     let artifact = nb_artifact(45_000);
     let dir = std::env::temp_dir().join(format!("hamlet_alloc_artifact_{}", std::process::id()));
     let path = dir.join("nb.model");
@@ -117,5 +132,52 @@ fn artifact_round_trip_peaks_stay_within_a_small_multiple_of_its_bytes() {
         load_peak < bound,
         "load peaked at {load_peak} bytes over its baseline for a {bytes}-byte artifact \
          (bound {bound})"
+    );
+}
+
+/// The FNV-1a 64-bit checksum the envelope records for `payload`.
+fn checksum_of(payload: &str) -> String {
+    let hash = payload.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("fnv1a64:{hash:016x}")
+}
+
+#[test]
+fn a_schema_promising_more_cells_than_the_document_holds_reserves_no_more() {
+    let _measuring = measuring();
+    // Naive Bayes over one feature of domain 10^15, named `n` times,
+    // with `n` empty tables: each table's schema shape is 2 x 10^15
+    // cells, and the document is a few bytes per table.
+    let n = 10_000;
+    let domain = 1_000_000_000_000_000_u64;
+    let repeat = |item: &str| vec![item; n].join(",");
+    let payload = format!(
+        "{{\"dataset\":\"hostile\",\"n_classes\":2,\"class_labels\":null,\
+         \"features\":[{{\"name\":\"k\",\"domain_size\":{domain},\"labels\":null,\"fk\":null}}],\
+         \"decisions\":[],\"model\":{{\"family\":\"naive_bayes\",\"feats\":[{}],\
+         \"n_classes\":2,\"log_prior\":[-0.5,-0.9],\"log_cond\":[{}],\"domain_sizes\":[{}]}}}}",
+        repeat("0"),
+        repeat("[]"),
+        repeat(&domain.to_string()),
+    );
+    let doc = format!(
+        "{{\"magic\":\"hamlet-model\",\"schema_version\":2,\"checksum\":\"{}\",\"payload\":{payload}}}",
+        checksum_of(&payload)
+    );
+
+    let (loaded, peak) = peak_delta(|| from_json_str(&doc));
+    let err = loaded.unwrap_err();
+    assert!(matches!(err, ArtifactError::Schema(_)), "{err}");
+    // Reading the document holds a 24-byte slot per 3-byte empty table,
+    // grown by doubling, and an 8-byte position per feat; the shared
+    // budget adds at most 4 bytes per byte of text. This measures 8.2
+    // times the length; a reservation capped per table instead reads
+    // over 3,000 times it at a tenth of the tables.
+    let bound = doc.len() * 16;
+    assert!(
+        peak < bound,
+        "load peaked at {peak} bytes for a {}-byte document (bound {bound})",
+        doc.len()
     );
 }
