@@ -100,11 +100,14 @@ const IMPROVEMENT_TOL: f64 = 1e-9;
 /// `(data, train)` pair plus a worker count, shared by every selection
 /// method run against the same fold.
 ///
-/// Each greedy step's candidate sweep runs in parallel across scoped
-/// threads ([`hamlet_obs::parallel::run_indexed`], following the
-/// `HAMLET_THREADS` convention via
-/// [`hamlet_obs::env::resolved_threads`]), then reduces **in candidate
-/// index order** with exactly the serial scan's comparison chain — so
+/// Each sweep — a greedy step's candidates, a filter's ranked prefixes,
+/// the exhaustive masks — is one list of subsets scored at once, across
+/// the `HAMLET_THREADS` workers of
+/// [`hamlet_obs::env::resolved_threads`]: Naive Bayes in one pass over
+/// blocks of validation rows ([`SweepFit::sweep`]), other classifiers
+/// one fit per subset ([`hamlet_obs::parallel::run_indexed`]). The
+/// errors then reduce **in candidate index order** with exactly the
+/// serial scan's comparison chain — so
 /// results, traces, and `model_fits` are bit-for-bit identical at any
 /// thread count, and identical to the uncached serial implementations in
 /// [`mod@reference`] for deterministic-decomposable classifiers (Naive
@@ -116,6 +119,11 @@ pub struct SweepEngine<'a, C: Classifier> {
     ctx: SelectionContext<'a, C>,
     stats: SuffStats<'a>,
     threads: usize,
+    /// The validation rows in ascending order, for the batched sweeps:
+    /// their integer error totals do not depend on row order, and
+    /// ascending rows turn each block's column gathers into forward
+    /// streams instead of random reads.
+    sweep_rows: Vec<usize>,
 }
 
 impl<'a, C> SweepEngine<'a, C>
@@ -127,10 +135,13 @@ where
     /// pair. Worker count comes from the once-per-process
     /// `HAMLET_THREADS` resolution.
     pub fn new(ctx: &SelectionContext<'a, C>) -> Self {
+        let mut sweep_rows = ctx.validation.to_vec();
+        sweep_rows.sort_unstable();
         Self {
             ctx: *ctx,
             stats: SuffStats::new(ctx.data, ctx.train),
             threads: hamlet_obs::env::resolved_threads(),
+            sweep_rows,
         }
     }
 
@@ -152,15 +163,6 @@ where
         &self.ctx
     }
 
-    /// Fits `feats` through the cache and returns the validation error.
-    fn evaluate(&self, feats: &[usize], warm: Option<&C::Fitted>) -> f64 {
-        hamlet_obs::counter_add!("hamlet_fs_evaluations_total", 1);
-        let model = self.ctx.classifier.fit_swept(&self.stats, feats, warm);
-        self.ctx
-            .classifier
-            .eval_swept(&model, self.ctx.data, self.ctx.validation, self.ctx.metric)
-    }
-
     /// Fits the current subset as the warm-start parent of the next
     /// sweep (not counted as a candidate evaluation).
     fn fit_parent(&self, feats: &[usize]) -> C::Fitted {
@@ -175,53 +177,29 @@ where
             .eval_swept(model, self.ctx.data, self.ctx.validation, self.ctx.metric)
     }
 
-    /// Errors of one forward sweep, through the classifier's batched
-    /// path when it has one ([`SweepFit::forward_sweep`], a single pass
-    /// over the validation rows per worker), else one fit + eval per
-    /// candidate across the worker pool. Both routes produce the same
-    /// floats in candidate order.
-    fn forward_sweep_errs(
-        &self,
-        selected: &[usize],
-        remaining: &[usize],
-        parent: &C::Fitted,
-    ) -> Vec<f64> {
-        if let Some(errs) = self.ctx.classifier.forward_sweep(
+    /// Validation errors of `subsets`, in list order: through the
+    /// classifier's batched path when it has one ([`SweepFit::sweep`],
+    /// one pass over the validation rows for the whole list), else one
+    /// fit + eval per subset across the worker pool, warm-started from
+    /// `warm`. Both routes produce the same floats.
+    fn sweep_errs(&self, subsets: &[Vec<usize>], warm: Option<&C::Fitted>) -> Vec<f64> {
+        if let Some(errs) = self.ctx.classifier.sweep(
             &self.stats,
-            selected,
-            remaining,
-            self.ctx.validation,
+            subsets,
+            &self.sweep_rows,
             self.ctx.metric,
             self.threads,
         ) {
             hamlet_obs::counter_add!("hamlet_fs_evaluations_total", errs.len() as u64);
             return errs;
         }
-        hamlet_obs::parallel::run_indexed(remaining.len(), self.threads, &|i| {
-            let mut trial = selected.to_vec();
-            trial.push(remaining[i]);
-            trial.sort_unstable();
-            self.evaluate(&trial, Some(parent))
-        })
-    }
-
-    /// Errors of one backward sweep (drop each position of the sorted
-    /// current subset); batched when available, per-candidate otherwise.
-    fn backward_sweep_errs(&self, selected: &[usize], parent: &C::Fitted) -> Vec<f64> {
-        if let Some(errs) = self.ctx.classifier.backward_sweep(
-            &self.stats,
-            selected,
-            self.ctx.validation,
-            self.ctx.metric,
-            self.threads,
-        ) {
-            hamlet_obs::counter_add!("hamlet_fs_evaluations_total", errs.len() as u64);
-            return errs;
-        }
-        hamlet_obs::parallel::run_indexed(selected.len(), self.threads, &|i| {
-            let mut trial = selected.to_vec();
-            trial.remove(i);
-            self.evaluate(&trial, Some(parent))
+        hamlet_obs::parallel::run_indexed(subsets.len(), self.threads, &|i| {
+            self.eval_model(
+                &self
+                    .ctx
+                    .classifier
+                    .fit_swept(&self.stats, &subsets[i], warm),
+            )
         })
     }
 
@@ -236,7 +214,16 @@ where
         let mut best_err = self.eval_model(&parent); // majority-class baseline
 
         loop {
-            let errs = self.forward_sweep_errs(&selected, &remaining, &parent);
+            let trials: Vec<Vec<usize>> = remaining
+                .iter()
+                .map(|&f| {
+                    let mut trial = selected.clone();
+                    trial.push(f);
+                    trial.sort_unstable();
+                    trial
+                })
+                .collect();
+            let errs = self.sweep_errs(&trials, Some(&parent));
             fits += errs.len();
             // Reduce in candidate index order: identical winner to the
             // serial scan regardless of which worker finished first.
@@ -284,7 +271,14 @@ where
         let mut best_err = self.eval_model(&parent);
 
         while selected.len() > 1 {
-            let errs = self.backward_sweep_errs(&selected, &parent);
+            let trials: Vec<Vec<usize>> = (0..selected.len())
+                .map(|i| {
+                    let mut trial = selected.clone();
+                    trial.remove(i);
+                    trial
+                })
+                .collect();
+            let errs = self.sweep_errs(&trials, Some(&parent));
             fits += errs.len();
             let mut best_step: Option<(usize, f64)> = None;
             for (i, &err) in errs.iter().enumerate() {
@@ -324,11 +318,14 @@ where
         // Descending by score; ties broken by feature position for determinism.
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
-        let errs = hamlet_obs::parallel::run_indexed(ranked.len(), self.threads, &|i| {
-            let mut prefix: Vec<usize> = ranked[..=i].iter().map(|&(f, _)| f).collect();
-            prefix.sort_unstable();
-            self.evaluate(&prefix, None)
-        });
+        let prefixes: Vec<Vec<usize>> = (1..=ranked.len())
+            .map(|k| {
+                let mut prefix: Vec<usize> = ranked[..k].iter().map(|&(f, _)| f).collect();
+                prefix.sort_unstable();
+                prefix
+            })
+            .collect();
+        let errs = self.sweep_errs(&prefixes, None);
         let fits = errs.len();
         let mut best: Option<(usize, f64)> = None; // (k, err)
         for (i, &err) in errs.iter().enumerate() {
@@ -369,9 +366,8 @@ where
                 .collect()
         };
         let n_masks = 1usize << candidates.len();
-        let errs = hamlet_obs::parallel::run_indexed(n_masks, self.threads, &|mask| {
-            self.evaluate(&subset_of(mask), None)
-        });
+        let subsets: Vec<Vec<usize>> = (0..n_masks).map(subset_of).collect();
+        let errs = self.sweep_errs(&subsets, None);
         // Reduce in mask order with the serial tie-break: strictly
         // better error, or equal error with fewer features.
         let mut best: Option<(usize, f64)> = None; // (mask, err)

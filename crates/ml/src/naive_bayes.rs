@@ -311,13 +311,21 @@ impl NaiveBayesModel {
 /// in cache.
 const EVAL_BLOCK: usize = 256;
 
-/// Index of the largest score; ties go to the lowest class.
-fn argmax(scores: &[f64]) -> u32 {
+/// Index of the strictly greatest score: ties go to the lowest class,
+/// and a NaN never wins a comparison (so it is picked only as class 0).
+/// The one argmax of every Naive Bayes scoring path (`predict_row`,
+/// `batch_error`, the subset sweeps of [`crate::SuffStats`]), so they
+/// all predict alike.
+#[inline]
+pub(crate) fn argmax(scores: &[f64]) -> u32 {
+    // Branch-free: a mispredicted compare per class would otherwise
+    // dominate the sweeps' scoring loop.
     let mut best = 0usize;
-    for y in 1..scores.len() {
-        if scores[y] > scores[best] {
-            best = y;
-        }
+    let mut best_val = scores[0];
+    for (y, &s) in scores.iter().enumerate().skip(1) {
+        let better = s > best_val;
+        best = if better { y } else { best };
+        best_val = if better { s } else { best_val };
     }
     best as u32
 }

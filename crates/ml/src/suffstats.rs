@@ -18,9 +18,10 @@
 //! direct ones.
 //!
 //! [`SweepFit`] is how classifiers plug in: Naive Bayes assembles from
-//! the tables, logistic regression warm-starts SGD from the parent
-//! subset's weights, and anything else falls back to its ordinary
-//! [`Classifier::fit`].
+//! the tables and scores a whole list of candidate subsets in one pass
+//! over the validation rows ([`SuffStats::nb_subset_errors`]), logistic
+//! regression warm-starts SGD from the parent subset's weights, and
+//! anything else falls back to its ordinary [`Classifier::fit`].
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -29,7 +30,7 @@ use crate::classifier::{Classifier, ErrorMetric};
 use crate::dataset::Dataset;
 use crate::info::{entropy_of_counts, mutual_information_of_counts};
 use crate::logreg::LogisticRegression;
-use crate::naive_bayes::{smoothed_log_table, transposed, NaiveBayes, NaiveBayesModel};
+use crate::naive_bayes::{argmax, smoothed_log_table, transposed, NaiveBayes, NaiveBayesModel};
 use crate::source::{class_histogram, count_table, is_contiguous};
 use crate::tan::Tan;
 use crate::tree::DecisionTree;
@@ -171,257 +172,141 @@ impl<'a> SuffStats<'a> {
         transposed(&table, c, d)
     }
 
-    /// Validation errors of every forward trial `sort(selected ∪ {f})`
-    /// for `f` in `candidates`, in candidate order — **bitwise
-    /// identical** to assembling each trial's model and scoring it with
-    /// [`NaiveBayesModel::batch_error`], but in one pass over `rows`
-    /// per worker instead of one pass per candidate.
+    /// Validation errors of every subset in `subsets`, in list order —
+    /// **bitwise identical** to `self.nb_model(smoothing, s)` scored by
+    /// [`NaiveBayesModel::batch_error`] for each `s`, but in one pass
+    /// over `rows` for the whole list. A subset's class scores are its
+    /// model's: the prior plus its features' addends, summed in the
+    /// subset's listed order (ascending, for every caller in
+    /// `hamlet-fs`). The list may hold duplicates and come in any order,
+    /// and so may `rows`; ascending rows gather fastest.
     ///
-    /// Per row, the class scores of the shared parent prefix are
-    /// accumulated once (`prefix[j]` = prior + the first `j` selected
-    /// features' addends, in ascending feature order); each trial then
-    /// resumes from the candidate's sorted insertion point, adds the
-    /// candidate's addend, and replays the tail — the exact addition
-    /// sequence of the trial's own model, so every float matches. Error
-    /// accumulation over rows stays in row order per trial.
+    /// Within a row the subsets are visited in lexicographic order, a
+    /// depth-first walk of their trie. A stack of partial class-score
+    /// sums (level `d` = prior + the first `d` addends) is cut back to
+    /// the common prefix with the previous subset and extended by the
+    /// remaining features, so each trie node costs one `c`-wide
+    /// addition per row. Levels the next subset will not resume from
+    /// accumulate in place in a scratch row, and a subset's first
+    /// addend reads a table with the prior already folded in.
     ///
-    /// Trials are chunked across up to `threads` scoped workers; each
-    /// chunk owns disjoint accumulators, so the result is independent
-    /// of the worker count.
-    pub fn nb_forward_sweep_errors(
+    /// The rows are split into equal blocks, at least `threads` of them,
+    /// run across up to `threads` workers. Each block gathers the codes
+    /// of every involved feature once and counts its errors per subset
+    /// as integers, merged exactly whatever the block order or worker
+    /// count.
+    pub fn nb_subset_errors(
         &self,
         smoothing: f64,
-        selected: &[usize],
-        candidates: &[usize],
+        subsets: &[Vec<usize>],
         rows: &[usize],
         metric: ErrorMetric,
         threads: usize,
     ) -> Vec<f64> {
-        let mut sorted_sel: Vec<usize> = selected.to_vec();
-        sorted_sel.sort_unstable();
-        self.nb_sweep_errors(
-            smoothing,
-            &sorted_sel,
-            &candidates
-                .iter()
-                .map(|&f| SweepTrial {
-                    insert: Some(f),
-                    skip: None,
-                })
-                .collect::<Vec<_>>(),
-            rows,
-            metric,
-            threads,
-        )
-    }
-
-    /// Validation errors of every backward trial `selected \ {selected[i]}`
-    /// for each position `i`, in position order — bitwise identical to
-    /// per-trial assembly + [`NaiveBayesModel::batch_error`], computed
-    /// in one pass over `rows` per worker. `selected` must be sorted
-    /// ascending (backward search keeps it that way).
-    pub fn nb_backward_sweep_errors(
-        &self,
-        smoothing: f64,
-        selected: &[usize],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<f64> {
-        debug_assert!(selected.windows(2).all(|w| w[0] < w[1]));
-        self.nb_sweep_errors(
-            smoothing,
-            selected,
-            &(0..selected.len())
-                .map(|i| SweepTrial {
-                    insert: None,
-                    skip: Some(i),
-                })
-                .collect::<Vec<_>>(),
-            rows,
-            metric,
-            threads,
-        )
-    }
-
-    /// Shared sweep core: each trial is `sorted_sel` with either one
-    /// feature inserted at its sorted position or one position skipped.
-    fn nb_sweep_errors(
-        &self,
-        smoothing: f64,
-        sorted_sel: &[usize],
-        trials: &[SweepTrial],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Vec<f64> {
-        if trials.is_empty() {
-            return Vec::new();
-        }
-        if rows.is_empty() {
+        let n = rows.len();
+        if subsets.is_empty() || n == 0 {
             // metric.eval on no rows is 0.0 for both metrics.
-            return vec![0.0; trials.len()];
+            return vec![0.0; subsets.len()];
         }
         let c = self.data.n_classes();
-        let k = sorted_sel.len();
-        let n = rows.len();
+        let walk = TrieWalk::new(subsets, self.data.n_features());
+        let _span = hamlet_obs::span!(
+            "ml.nb_sweep",
+            subsets = subsets.len(),
+            rows = n,
+            adds = walk.adds * n
+        );
+        // Every table the walk reads, transposed to `[v * c + y]`, one
+        // after another: a feature's plain table for the deeper levels
+        // and its prior-folded one for a subset's first level.
         let prior = self.log_prior_vec(smoothing);
-        let sel_tables: Vec<Vec<f64>> = sorted_sel
-            .iter()
-            .map(|&f| self.log_table_t(smoothing, f))
-            .collect();
-        // The evaluation rows are typically a shuffled permutation, so
-        // `codes[r]` in the scoring loop would be a random gather per
-        // (row, trial). Gather each involved column once, up front, into
-        // dense arrays aligned with the row iteration order — pure data
-        // movement, so every float the scoring loop produces is
-        // untouched. Offsets are pre-scaled by `c` to index the
-        // transposed tables directly.
-        let gather = |f: usize| -> Vec<u32> {
-            let codes = &self.data.feature(f).codes;
-            rows.iter().map(|&r| codes[r] * c as u32).collect()
-        };
-        let sel_offs: Vec<Vec<u32>> = sorted_sel.iter().map(|&f| gather(f)).collect();
-        let labels = self.data.labels();
-        let truths: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
-
-        // Chunk trials across workers; every chunk scans the rows once
-        // with its own accumulators, so results do not depend on the
-        // worker count.
-        let chunk = trials.len().div_ceil(threads.max(1));
-        let n_chunks = trials.len().div_ceil(chunk);
-        let errors = |wrong: &[u64], sq: &[f64]| -> Vec<f64> {
-            match metric {
-                ErrorMetric::ZeroOne => wrong.iter().map(|&w| w as f64 / n as f64).collect(),
-                ErrorMetric::Rmse => sq.iter().map(|&s| (s / n as f64).sqrt()).collect(),
+        let mut flat: Vec<f64> = Vec::new();
+        let mut bases: Vec<u32> = Vec::with_capacity(walk.cols.len());
+        for &(f, folded) in &walk.cols {
+            bases.push(flat.len() as u32);
+            let table = self.log_table_t(smoothing, f);
+            if folded {
+                // IEEE addition commutes bitwise: `l + p` is the
+                // recipe's `p + l`.
+                let with_prior = table
+                    .chunks_exact(c)
+                    .flat_map(|block| block.iter().zip(&prior).map(|(&l, &p)| l + p));
+                flat.extend(with_prior);
+            } else {
+                flat.extend(table);
             }
-        };
-
-        if k == 0 {
-            // Empty parent ⇒ every trial inserts one feature, and its
-            // score is `prior[y] + table[v*c+y]` exactly. Fusing the
-            // prior into each candidate's table once turns scoring into
-            // a block lookup + argmax per (row, trial) — the same
-            // single addition per class, performed ahead of the scan.
-            let per_chunk = hamlet_obs::parallel::run_indexed(n_chunks, threads, &|ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(trials.len());
-                let infos: Vec<(Vec<u32>, Vec<f64>)> = trials[lo..hi]
-                    .iter()
-                    .map(|t| {
-                        let f = t.insert.expect("empty parent has insert trials only");
-                        let mut pt = self.log_table_t(smoothing, f);
-                        for block in pt.chunks_exact_mut(c) {
-                            for (s, &p) in block.iter_mut().zip(&prior) {
-                                // IEEE addition commutes bitwise, so
-                                // `l + p` equals the recipe's `p + l`.
-                                *s += p;
-                            }
-                        }
-                        (gather(f), pt)
-                    })
-                    .collect();
-                let mut wrong = vec![0u64; infos.len()];
-                let mut sq = vec![0f64; infos.len()];
-                for i in 0..n {
-                    let truth = truths[i];
-                    for (t, (offs, pt)) in infos.iter().enumerate() {
-                        let off = offs[i] as usize;
-                        let best = argmax(&pt[off..off + c]);
-                        match metric {
-                            ErrorMetric::ZeroOne => wrong[t] += u64::from(best as u32 != truth),
-                            ErrorMetric::Rmse => {
-                                let diff = best as f64 - truth as f64;
-                                sq[t] += diff * diff;
-                            }
-                        }
-                    }
-                }
-                errors(&wrong, &sq)
-            });
-            return per_chunk.into_iter().flatten().collect();
         }
+        assert!(
+            u32::try_from(flat.len()).is_ok(),
+            "sweep tables need u32 offsets"
+        );
+        // Per-row loss by `[best * c + truth]`: 0/1 misses, or the
+        // squared distance between the class codes. These are integers
+        // below `c²`, so the row-order `f64` sums of `zero_one_error` and
+        // `rmse` are exact, and equal the `u64` totals here, while every
+        // partial sum stays below 2^53: while `rows · (c − 1)² < 2^53`.
+        assert!(
+            metric == ErrorMetric::ZeroOne || (n as u128) * (c as u128 - 1).pow(2) < 1 << 53,
+            "RMSE error totals must stay exact in f64"
+        );
+        let loss: Vec<u64> = (0..c as u64)
+            .flat_map(|best| (0..c as u64).map(move |truth| (best, truth)))
+            .map(|(best, truth)| match metric {
+                ErrorMetric::ZeroOne => u64::from(best != truth),
+                ErrorMetric::Rmse => best.abs_diff(truth).pow(2),
+            })
+            .collect();
 
-        let per_chunk = hamlet_obs::parallel::run_indexed(n_chunks, threads, &|ci| {
-            let lo = ci * chunk;
-            let hi = (lo + chunk).min(trials.len());
-            let infos: Vec<TrialInfo> = trials[lo..hi]
-                .iter()
-                .map(|t| match (t.insert, t.skip) {
-                    (Some(f), None) => (
-                        sorted_sel.partition_point(|&s| s < f),
-                        Some((gather(f), self.log_table_t(smoothing, f))),
-                    ),
-                    (None, Some(i)) => (i, None),
-                    _ => unreachable!("a trial inserts xor skips"),
-                })
-                .collect();
-            let mut prefix = vec![0f64; (k + 1) * c];
-            let mut score = vec![0f64; c];
-            let mut wrong = vec![0u64; infos.len()];
-            let mut sq = vec![0f64; infos.len()];
-            for i in 0..n {
-                prefix[..c].copy_from_slice(&prior);
-                for j in 0..k {
-                    let off = sel_offs[j][i] as usize;
-                    let (done, rest) = prefix.split_at_mut((j + 1) * c);
-                    let prev = &done[j * c..];
-                    let block = &sel_tables[j][off..off + c];
-                    for y in 0..c {
-                        rest[y] = prev[y] + block[y];
-                    }
-                }
-                let truth = truths[i];
-                for (t, (pos, cand)) in infos.iter().enumerate() {
-                    let p_block = &prefix[pos * c..pos * c + c];
-                    // Resume from the parent prefix, fold in the
-                    // trial's remaining addends in sorted order (the
-                    // first one fused with the resume copy), and argmax.
-                    let best = match cand {
-                        Some((offs, table)) => {
-                            let off = offs[i] as usize;
-                            let block = &table[off..off + c];
-                            for ((s, &p), &l) in score.iter_mut().zip(p_block).zip(block) {
-                                *s = p + l;
-                            }
-                            for j in *pos..k {
-                                let off = sel_offs[j][i] as usize;
-                                let block = &sel_tables[j][off..off + c];
-                                for (s, &l) in score.iter_mut().zip(block) {
-                                    *s += l;
-                                }
-                            }
-                            argmax(&score)
-                        }
-                        None if *pos + 1 == k => argmax(p_block),
-                        None => {
-                            let off = sel_offs[*pos + 1][i] as usize;
-                            let block = &sel_tables[*pos + 1][off..off + c];
-                            for ((s, &p), &l) in score.iter_mut().zip(p_block).zip(block) {
-                                *s = p + l;
-                            }
-                            for j in *pos + 2..k {
-                                let off = sel_offs[j][i] as usize;
-                                let block = &sel_tables[j][off..off + c];
-                                for (s, &l) in score.iter_mut().zip(block) {
-                                    *s += l;
-                                }
-                            }
-                            argmax(&score)
-                        }
-                    };
-                    match metric {
-                        ErrorMetric::ZeroOne => wrong[t] += u64::from(best as u32 != truth),
-                        ErrorMetric::Rmse => {
-                            let diff = best as f64 - truth as f64;
-                            sq[t] += diff * diff;
-                        }
-                    }
-                }
+        let totals = std::sync::Mutex::new(vec![0u64; walk.visits.len()]);
+        let block_rows = SWEEP_BLOCK.min(n.div_ceil(threads.max(1)));
+        hamlet_obs::parallel::run_morsels(n, block_rows, threads, &|_, range| {
+            let rows = &rows[range];
+            // Column by column, where each row's class scores start in
+            // `flat`.
+            let mut at = Vec::with_capacity(rows.len() * walk.cols.len());
+            for (&(f, _), &base) in walk.cols.iter().zip(&bases) {
+                let codes = &self.data.feature(f).codes;
+                at.extend(rows.iter().map(|&r| base + codes[r] * c as u32));
             }
-            errors(&wrong, &sq)
+            let block = Block {
+                walk: &walk,
+                c,
+                prior: &prior,
+                flat: &flat,
+                at: &at,
+                rows,
+                labels: self.data.labels(),
+                loss: &loss,
+            };
+            // The common class counts get the `c`-wide loops unrolled.
+            let errors = match c {
+                2 => block.errors::<2>(),
+                3 => block.errors::<3>(),
+                4 => block.errors::<4>(),
+                5 => block.errors::<5>(),
+                6 => block.errors::<6>(),
+                7 => block.errors::<7>(),
+                8 => block.errors::<8>(),
+                _ => block.errors::<0>(),
+            };
+            let mut totals = totals.lock().expect("sweep totals lock never poisoned");
+            for (t, e) in totals.iter_mut().zip(&errors) {
+                *t += e;
+            }
         });
-        per_chunk.into_iter().flatten().collect()
+
+        let totals = totals
+            .into_inner()
+            .expect("sweep totals lock never poisoned");
+        let mut out = vec![0.0; subsets.len()];
+        for (visit, &total) in walk.visits.iter().zip(&totals) {
+            let mean = total as f64 / n as f64;
+            out[visit.subset] = match metric {
+                ErrorMetric::ZeroOne => mean,
+                ErrorMetric::Rmse => mean.sqrt(),
+            };
+        }
+        out
     }
 
     /// Marginal feature-value histogram of feature `f` (column sums of
@@ -465,34 +350,167 @@ impl<'a> SuffStats<'a> {
     }
 }
 
-/// Index of the strictly greatest score — lowest index on ties, the
-/// same rule as `predict_row`'s `scores[y] > scores[best]` scan, in a
-/// branch-free form (mispredicted compares dominate the scoring loop
-/// otherwise).
-#[inline]
-fn argmax(block: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_val = block[0];
-    for (y, &s) in block.iter().enumerate().skip(1) {
-        let better = s > best_val;
-        best = if better { y } else { best };
-        best_val = if better { s } else { best_val };
+/// Validation rows per block of [`SuffStats::nb_subset_errors`]: enough
+/// to amortize a block's gathers and set-up, few enough that the blocks
+/// balance across workers.
+const SWEEP_BLOCK: usize = 2048;
+
+/// The visiting plan of [`SuffStats::nb_subset_errors`]: the subsets in
+/// lexicographic order, each trie node naming the table column it adds.
+struct TrieWalk {
+    /// The tables the walk reads, grouped by feature: `(feature,
+    /// folded)`, where a folded table has the prior added in and serves
+    /// a subset's first level.
+    cols: Vec<(usize, bool)>,
+    /// Every subset's columns, level by level, concatenated in visiting
+    /// order.
+    nodes: Vec<u32>,
+    visits: Vec<Visit>,
+    /// The longest subset.
+    depth: usize,
+    /// Trie nodes: additions per row over the whole walk.
+    adds: usize,
+}
+
+/// One subset of the walk.
+struct Visit {
+    /// Position in the caller's list.
+    subset: usize,
+    /// Its columns are `nodes[lo..hi]`.
+    lo: usize,
+    hi: usize,
+    /// Levels shared with the previous subset, already on the stack.
+    lcp: usize,
+    /// Levels to leave on the stack: those the next subset resumes from.
+    keep: usize,
+}
+
+impl TrieWalk {
+    fn new(subsets: &[Vec<usize>], n_features: usize) -> Self {
+        let mut order: Vec<usize> = (0..subsets.len()).collect();
+        order.sort_by(|&a, &b| subsets[a].cmp(&subsets[b]));
+        // Which of each feature's two tables some node reads.
+        let mut read = vec![[false; 2]; n_features];
+        let mut visits: Vec<Visit> = Vec::with_capacity(order.len());
+        let mut prev: &[usize] = &[];
+        let mut lo = 0;
+        for &i in &order {
+            let subset = subsets[i].as_slice();
+            let lcp = prev.iter().zip(subset).take_while(|(a, b)| a == b).count();
+            if let Some(last) = visits.last_mut() {
+                last.keep = lcp;
+            }
+            for (d, &f) in subset.iter().enumerate().skip(lcp) {
+                read[f][usize::from(d == 0)] = true;
+            }
+            visits.push(Visit {
+                subset: i,
+                lo,
+                hi: lo + subset.len(),
+                lcp,
+                keep: 0,
+            });
+            lo += subset.len();
+            prev = subset;
+        }
+        let mut col_of = vec![[u32::MAX; 2]; n_features];
+        let mut cols = Vec::new();
+        for (f, read) in read.iter().enumerate() {
+            for folded in [false, true] {
+                if read[usize::from(folded)] {
+                    col_of[f][usize::from(folded)] = cols.len() as u32;
+                    cols.push((f, folded));
+                }
+            }
+        }
+        let nodes = order
+            .iter()
+            .flat_map(|&i| subsets[i].iter().enumerate())
+            .map(|(d, &f)| col_of[f][usize::from(d == 0)])
+            .collect();
+        Self {
+            cols,
+            nodes,
+            depth: visits.iter().map(|v| v.hi - v.lo).max().unwrap_or(0),
+            adds: visits.iter().map(|v| v.hi - v.lo - v.lcp).sum(),
+            visits,
+        }
     }
-    best
 }
 
-/// One trial of a greedy sweep: the sorted parent subset with either
-/// one feature inserted at its sorted position (`insert`) or one
-/// position dropped (`skip`). Exactly one of the two is set.
-struct SweepTrial {
-    insert: Option<usize>,
-    skip: Option<usize>,
+/// One block of rows of [`SuffStats::nb_subset_errors`], its columns
+/// gathered.
+struct Block<'a> {
+    walk: &'a TrieWalk,
+    c: usize,
+    prior: &'a [f64],
+    /// The walk's tables, one after another.
+    flat: &'a [f64],
+    /// `at[col * rows.len() + i]`: where row `i`'s class scores of
+    /// column `col` start in `flat`.
+    at: &'a [u32],
+    rows: &'a [usize],
+    labels: &'a [u32],
+    loss: &'a [u64],
 }
 
-/// Per-trial scoring state: the resume position in the parent prefix,
-/// plus (for insertions) the candidate's gathered code offsets and
-/// transposed log table.
-type TrialInfo = (usize, Option<(Vec<u32>, Vec<f64>)>);
+impl Block<'_> {
+    /// Walks every row of the block; the error total of each visit.
+    /// `C` is the class count, or 0 to read it from `self.c`.
+    fn errors<const C: usize>(&self) -> Vec<u64> {
+        let c = if C == 0 { self.c } else { C };
+        let walk = self.walk;
+        let mut stack = vec![0f64; (walk.depth + 1) * c];
+        stack[..c].copy_from_slice(self.prior);
+        let mut score = vec![0f64; c];
+        let mut errors = vec![0u64; walk.visits.len()];
+        for (i, &r) in self.rows.iter().enumerate() {
+            let addend = |col: u32| -> &[f64] {
+                let start = self.at[col as usize * self.rows.len() + i] as usize;
+                &self.flat[start..start + c]
+            };
+            let truth = self.labels[r] as usize;
+            for (visit, err) in walk.visits.iter().zip(&mut errors) {
+                let nodes = &walk.nodes[visit.lo..visit.hi];
+                for d in visit.lcp..visit.keep {
+                    let (done, level) = stack.split_at_mut((d + 1) * c);
+                    if d == 0 {
+                        level[..c].copy_from_slice(addend(nodes[0]));
+                    } else {
+                        let parent = &done[d * c..];
+                        for ((s, &p), &l) in level[..c].iter_mut().zip(parent).zip(addend(nodes[d]))
+                        {
+                            *s = p + l;
+                        }
+                    }
+                }
+                // Resume from the deepest level on the stack; a first
+                // level comes straight from its folded table.
+                let k = visit.keep.max(visit.lcp);
+                let (base, rest) = match k {
+                    0 if !nodes.is_empty() => (addend(nodes[0]), &nodes[1..]),
+                    _ => (&stack[k * c..(k + 1) * c], &nodes[k..]),
+                };
+                let best = match rest.split_first() {
+                    None => argmax(base),
+                    Some((&first, tail)) => {
+                        for ((s, &p), &l) in score.iter_mut().zip(base).zip(addend(first)) {
+                            *s = p + l;
+                        }
+                        for &col in tail {
+                            for (s, &l) in score.iter_mut().zip(addend(col)) {
+                                *s += l;
+                            }
+                        }
+                        argmax(&score)
+                    }
+                };
+                *err += self.loss[best as usize * c + truth];
+            }
+        }
+        errors
+    }
+}
 
 impl std::fmt::Debug for SuffStats<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -547,38 +565,21 @@ pub trait SweepFit: Classifier {
         metric.eval(model, data, rows)
     }
 
-    /// Scores one entire forward sweep at once: the validation error of
-    /// `sort(selected ∪ {f})` for every `f` in `candidates`, in
-    /// candidate order. Returning `None` (the default) means "no
-    /// batched path" and the search falls back to one
-    /// `fit_swept` + `eval_swept` per candidate. An override must
-    /// return errors **bitwise identical** to that fallback.
-    fn forward_sweep(
+    /// Scores many subsets at once: the validation error of every
+    /// subset in `subsets`, in list order. Returning `None` (the
+    /// default) means "no batched path" and the search falls back to
+    /// one `fit_swept` + `eval_swept` per subset. An override must
+    /// return errors **bitwise identical** to that fallback, whatever
+    /// the order of `rows` (the engine passes them ascending).
+    fn sweep(
         &self,
         stats: &SuffStats<'_>,
-        selected: &[usize],
-        candidates: &[usize],
+        subsets: &[Vec<usize>],
         rows: &[usize],
         metric: ErrorMetric,
         threads: usize,
     ) -> Option<Vec<f64>> {
-        let _ = (stats, selected, candidates, rows, metric, threads);
-        None
-    }
-
-    /// Scores one entire backward sweep at once: the validation error
-    /// of `selected \ {selected[i]}` for every position `i`, in
-    /// position order (`selected` is sorted ascending during backward
-    /// search). Same contract as [`SweepFit::forward_sweep`].
-    fn backward_sweep(
-        &self,
-        stats: &SuffStats<'_>,
-        selected: &[usize],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Option<Vec<f64>> {
-        let _ = (stats, selected, rows, metric, threads);
+        let _ = (stats, subsets, rows, metric, threads);
         None
     }
 }
@@ -603,34 +604,15 @@ impl SweepFit for NaiveBayes {
         model.batch_error(data, rows, metric)
     }
 
-    fn forward_sweep(
+    fn sweep(
         &self,
         stats: &SuffStats<'_>,
-        selected: &[usize],
-        candidates: &[usize],
+        subsets: &[Vec<usize>],
         rows: &[usize],
         metric: ErrorMetric,
         threads: usize,
     ) -> Option<Vec<f64>> {
-        Some(stats.nb_forward_sweep_errors(
-            self.smoothing,
-            selected,
-            candidates,
-            rows,
-            metric,
-            threads,
-        ))
-    }
-
-    fn backward_sweep(
-        &self,
-        stats: &SuffStats<'_>,
-        selected: &[usize],
-        rows: &[usize],
-        metric: ErrorMetric,
-        threads: usize,
-    ) -> Option<Vec<f64>> {
-        Some(stats.nb_backward_sweep_errors(self.smoothing, selected, rows, metric, threads))
+        Some(stats.nb_subset_errors(self.smoothing, subsets, rows, metric, threads))
     }
 }
 
@@ -782,43 +764,53 @@ mod tests {
     fn sweep_errors_are_bitwise_equal_to_per_trial_scoring() {
         let d = data();
         let train: Vec<usize> = (0..160).collect();
-        let val: Vec<usize> = (160..240).collect();
+        let val: Vec<usize> = (160..240).rev().collect();
         let stats = SuffStats::new(&d, &train);
+        // Singletons (prior-folded tables), a forward sweep over parent
+        // {1}, a backward sweep from {0, 1, 2}, the empty subset and a
+        // duplicate, listed out of order.
+        let subsets: Vec<Vec<usize>> = vec![
+            vec![1, 2],
+            vec![0],
+            vec![0, 1, 2],
+            vec![],
+            vec![0, 1],
+            vec![2],
+            vec![0, 2],
+            vec![1],
+            vec![0, 1],
+        ];
         for metric in [ErrorMetric::ZeroOne, ErrorMetric::Rmse] {
             for threads in [1, 3] {
-                // Empty parent: exercises the fused prior+table path.
-                let first =
-                    stats.nb_forward_sweep_errors(0.5, &[], &[0, 1, 2], &val, metric, threads);
-                for (i, &f) in [0usize, 1, 2].iter().enumerate() {
-                    let model = stats.nb_model(0.5, &[f]);
+                let errs = stats.nb_subset_errors(0.5, &subsets, &val, metric, threads);
+                for (s, err) in subsets.iter().zip(&errs) {
+                    let model = stats.nb_model(0.5, s);
                     let direct = metric.eval(&model, &d, &val);
-                    assert_eq!(
-                        direct.to_bits(),
-                        first[i].to_bits(),
-                        "{metric:?} single {f}"
-                    );
-                }
-                // Forward: parent {1}, candidates {0, 2} (unsorted parent
-                // order exercised via the engine path elsewhere).
-                let fwd = stats.nb_forward_sweep_errors(0.5, &[1], &[0, 2], &val, metric, threads);
-                for (i, &f) in [0usize, 2].iter().enumerate() {
-                    let mut trial = vec![1, f];
-                    trial.sort_unstable();
-                    let model = stats.nb_model(0.5, &trial);
-                    let direct = metric.eval(&model, &d, &val);
-                    assert_eq!(direct.to_bits(), fwd[i].to_bits(), "{metric:?} insert {f}");
-                }
-                // Backward: drop each position of the sorted full set.
-                let bwd = stats.nb_backward_sweep_errors(0.5, &[0, 1, 2], &val, metric, threads);
-                for (i, err) in bwd.iter().enumerate() {
-                    let mut trial = vec![0, 1, 2];
-                    trial.remove(i);
-                    let model = stats.nb_model(0.5, &trial);
-                    let direct = metric.eval(&model, &d, &val);
-                    assert_eq!(direct.to_bits(), err.to_bits(), "{metric:?} drop {i}");
+                    assert_eq!(direct.to_bits(), err.to_bits(), "{metric:?} {s:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn sweep_span_counts_subsets_rows_and_trie_additions() {
+        let d = data();
+        let train: Vec<usize> = (0..160).collect();
+        let val: Vec<usize> = (160..237).collect();
+        let stats = SuffStats::new(&d, &train);
+        // Trie nodes: {0} 1, {0, 1} 1, {0, 1, 2} 1, {1, 2} 2 — five
+        // additions per row, and one span for the whole call.
+        let subsets = vec![vec![0, 1, 2], vec![1, 2], vec![0], vec![0, 1]];
+        hamlet_obs::span::set_tracing(true);
+        stats.nb_subset_errors(1.0, &subsets, &val, ErrorMetric::ZeroOne, 2);
+        hamlet_obs::span::set_tracing(false);
+        // Sibling tests may sweep while tracing is on; match the detail.
+        let detail = format!("subsets=4 rows=77 adds={}", 5 * 77);
+        let spans: Vec<_> = hamlet_obs::span::drain_spans()
+            .into_iter()
+            .filter(|s| s.name == "ml.nb_sweep" && s.detail == detail)
+            .collect();
+        assert_eq!(spans.len(), 1, "one ml.nb_sweep span with {detail}");
     }
 
     #[test]

@@ -146,6 +146,51 @@ fn selection_at_resolved_threads_matches_reference() {
     }
 }
 
+/// The same contract where the validation set spans several of the
+/// Naive Bayes sweep's row blocks (2048 rows each; about 8,400 rows
+/// here), so the per-block error totals really merge: every method,
+/// filters included, must equal the serial reference whatever
+/// `HAMLET_THREADS` resolves to. CI runs it at 1 and 8 threads.
+#[test]
+fn selection_over_many_row_blocks_matches_reference() {
+    use hamlet::fs::{reference, Method, SelectionContext};
+    use hamlet::ml::classifier::ErrorMetric;
+    use hamlet::ml::dataset::Dataset;
+    use hamlet::ml::naive_bayes::NaiveBayes;
+    use hamlet::ml::split::HoldoutSplit;
+
+    let g = DatasetSpec::walmart().generate(0.08, 11);
+    let table = g
+        .star
+        .materialize_all()
+        .expect("synthetic star materializes");
+    let data = Dataset::from_table(&table);
+    let split = HoldoutSplit::paper_protocol(data.n_examples(), 11);
+    assert!(
+        split.validation.len() > 4 * 2048,
+        "{}",
+        split.validation.len()
+    );
+    let nb = NaiveBayes::default();
+    let ctx = SelectionContext {
+        data: &data,
+        train: &split.train,
+        validation: &split.validation,
+        classifier: &nb,
+        metric: ErrorMetric::for_classes(data.n_classes()),
+    };
+    let candidates: Vec<usize> = (0..data.n_features()).collect();
+    for method in Method::ALL {
+        assert_eq!(
+            method.run(&ctx, &candidates),
+            reference::run_method(method, &ctx, &candidates),
+            "{} diverged from the serial reference at HAMLET_THREADS={:?}",
+            method.name(),
+            std::env::var("HAMLET_THREADS").ok()
+        );
+    }
+}
+
 /// Tree-based selection under the same contract: CART sweeps through
 /// the engine must equal the serial reference whatever `HAMLET_THREADS`
 /// resolves to — CI's `trees-smoke` job runs this once at
